@@ -2,10 +2,13 @@
 
 Exit codes are a stable contract: 0 success, 2 config/schema violation,
 3 requested quantity not identifiable under the study design, 4 numerical or
-fitting failure. Every command accepts ``--seed`` to override the config's
-seed and records the fully resolved config next to its outputs. All
-randomness flows from the seeds in the resolved config; nothing is drawn
-from the environment.
+fitting failure. Every command that draws randomness accepts ``--seed`` to
+override the config's seed (``estimate`` draws none and takes no seed), and
+every command that writes files records the fully resolved config next to
+them. All randomness flows from the seeds in the resolved config; nothing is
+drawn from the environment. Estimator choices are parsed into
+:class:`~trialport.experiment.EstimatorSpec` cells, which do the fitting and
+evaluation.
 """
 
 from __future__ import annotations
@@ -29,26 +32,16 @@ from .errors import (
     RankDeficient,
     SeparationDetected,
 )
-from .estimators import (
-    Method,
-    StudyPopulation,
-    gformula_mean_nonrandomized,
-    gformula_mean_randomized,
-    gformula_mean_target,
-    ipw_mean_nonrandomized,
-    ipw_mean_target,
-    trial_only_mean,
-)
+from .estimators import Method, StudyPopulation
 from .experiment import (
     EstimatorSpec,
     bootstrap_replicates,
     design_comparison,
+    fit_models,
     mix_seed,
     run_experiment,
     summary_rows_to_csv,
 )
-from .outcome import fit_outcome
-from .participation import fit_participation
 from .sampling import apply_design
 
 EXIT_OK, EXIT_CONFIG, EXIT_NOT_IDENTIFIABLE, EXIT_NUMERICAL = 0, 2, 3, 4
@@ -107,41 +100,20 @@ def _cmd_simulate(args) -> int:
 # estimate
 
 
-def _ipw_variant(method: str) -> str:
-    return "ht" if method == "ipw_ht" else "hajek"
-
-
-def _run_estimator(data, estimand: str, method: str, arm: int, truncate_q):
-    if method in ("ipw", "ipw_ht", "ipw_hajek"):
-        pmodel = fit_participation(data)
-        if estimand == "target":
-            return ipw_mean_target(data, pmodel, arm, _ipw_variant(method), truncate_q)
-        if estimand == "nonrandomized":
-            return ipw_mean_nonrandomized(data, pmodel, arm, truncate_q)
-        raise ConfigError("ipw estimates the target or nonrandomized population")
-    if method == "gformula":
-        omodel = fit_outcome(data)
-        fn = {
-            "target": gformula_mean_target,
-            "nonrandomized": gformula_mean_nonrandomized,
-            "randomized": gformula_mean_randomized,
-        }[estimand]
-        return fn(data, omodel, arm)
-    if method == "trial_only":
-        if estimand != "randomized":
-            raise ConfigError("trial_only estimates the randomized population only")
-        return trial_only_mean(data, arm)
-    raise ConfigError(f"unknown method '{method}'")
-
-
 def _cmd_estimate(args) -> int:
+    method = "ipw_hajek" if args.method == "ipw" else args.method
+    arms = [0, 1] if args.arm == "both" else [int(args.arm)]
+    specs = [
+        dataio.estimator_spec_from_dict(
+            {"method": method, "population": args.estimand, "arm": arm}, "estimate arguments"
+        )
+        for arm in arms
+    ]
     csv_path, sidecar_path = _dataset_paths(args.dataset)
     data = dataio.read_dataset(csv_path, sidecar_path)
-    arms = [0, 1] if args.arm == "both" else [int(args.arm)]
 
-    reports = [
-        _run_estimator(data, args.estimand, args.method, arm, args.truncate_q) for arm in arms
-    ]
+    pmodel, omodel = fit_models(specs, data)
+    reports = [spec.evaluate(data, pmodel, omodel, args.truncate_q) for spec in specs]
     doc = {
         "reports": [r.to_dict() for r in reports],
         "config": {
@@ -150,7 +122,6 @@ def _cmd_estimate(args) -> int:
             "method": args.method,
             "arms": arms,
             "truncate_q": args.truncate_q,
-            "seed": args.seed,
         },
     }
     print(json.dumps(doc, indent=2))
@@ -169,27 +140,19 @@ def _cmd_diagnose(args) -> int:
     csv_path, sidecar_path = _dataset_paths(args.dataset)
     data = dataio.read_dataset(csv_path, sidecar_path)
     seed = args.seed if args.seed is not None else 0
-
-    def diff_stat(arm):
-        def stat(d):
-            trial = trial_only_mean(d, arm).value
-            if args.method == "ipw":
-                external = ipw_mean_nonrandomized(d, fit_participation(d), arm).value
-            else:
-                external = gformula_mean_nonrandomized(d, fit_outcome(d), arm).value
-            return trial - external
-        return stat
+    external_method = Method.IPW_HAJEK if args.method == "ipw" else Method.GFORMULA
 
     arms_out = []
     for arm in (0, 1):
-        trial = trial_only_mean(data, arm).value
-        if args.method == "ipw":
-            external = ipw_mean_nonrandomized(data, fit_participation(data), arm).value
-        else:
-            external = gformula_mean_nonrandomized(data, fit_outcome(data), arm).value
-        reps = bootstrap_replicates(
-            data, diff_stat(arm), args.bootstrap_b, seed=mix_seed(seed, 6, arm)
-        )
+        trial_spec = EstimatorSpec(Method.TRIAL_ONLY, StudyPopulation.RANDOMIZED, arm)
+        external_spec = EstimatorSpec(external_method, StudyPopulation.NONRANDOMIZED, arm)
+
+        def stat(d):
+            return trial_spec.fit_and_evaluate(d).value - external_spec.fit_and_evaluate(d).value
+
+        trial = trial_spec.fit_and_evaluate(data).value
+        external = external_spec.fit_and_evaluate(data).value
+        reps = bootstrap_replicates(data, stat, args.bootstrap_b, seed=mix_seed(seed, 6, arm))
         good = reps[~np.isnan(reps)]
         boot_se = float(good.std(ddof=1)) if good.size > 1 else float("nan")
         arms_out.append(
@@ -295,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arm", choices=["0", "1", "both"], default="both")
     p.add_argument("--truncate-q", type=float, default=None, help="weight truncation quantile")
     p.add_argument("--out", default=None, help="also write a one-row-per-arm CSV report")
-    add_seed(p)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("diagnose", help="compare randomized vs non-randomized outcome means")

@@ -18,13 +18,11 @@ on ``(seed, record index)``, never on scheduling or partitioning.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .domain import CovariateVector, TruthRecord
 from .errors import DataError
 
 
@@ -142,8 +140,8 @@ class DgpSpec:
         return np.array([d.expectation() for d in self.covariates])
 
 
-class ActualPopulation(Sequence):
-    """Column-store of simulated units; behaves as a sequence of TruthRecord."""
+class ActualPopulation:
+    """Column-store of simulated units with both potential outcomes."""
 
     def __init__(self, x, s, a, y0, y1, y, aux_split, treatment_prob):
         self.x = np.asarray(x, dtype=float)
@@ -152,27 +150,11 @@ class ActualPopulation(Sequence):
         self.y0 = np.asarray(y0, dtype=float)
         self.y1 = np.asarray(y1, dtype=float)
         self.y = np.asarray(y, dtype=float)  # NaN where s == 0
-        self.d = np.ones(len(self.s), dtype=np.int8)
         self.aux_split = int(aux_split)
         self.treatment_prob = float(treatment_prob)
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def __getitem__(self, i) -> TruthRecord:
-        if isinstance(i, slice):
-            raise TypeError("slicing an ActualPopulation is not supported")
-        xv = CovariateVector(tuple(self.x[i]), self.aux_split)
-        s = int(self.s[i])
-        return TruthRecord(
-            x=xv,
-            s=s,
-            a=int(self.a[i]) if s == 1 else None,
-            y0=float(self.y0[i]),
-            y1=float(self.y1[i]),
-            y=float(self.y[i]) if s == 1 else None,
-            d=int(self.d[i]),
-        )
 
     @property
     def p(self) -> int:
@@ -209,8 +191,8 @@ def _draw_fields(dgp: DgpSpec, n: int, seed: int, prefix: int):
 def simulate_actual_population(dgp: DgpSpec, n: int, seed: int | None = None) -> ActualPopulation:
     """Draw ``n`` i.i.d. units from the superpopulation.
 
-    Treatment is drawn only for trial participants; everyone is initially
-    sampled (``d = 1``) — study-design thinning happens separately. The
+    Treatment is drawn only for trial participants; study-design thinning
+    (:func:`~trialport.sampling.apply_design`) happens separately. The
     realized outcome is set by consistency from the assigned arm's potential
     outcome. Deterministic given ``(seed, n)``.
     """

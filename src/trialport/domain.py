@@ -1,4 +1,4 @@
-"""Core data model: study designs, observed records, and the identifiability gate.
+"""Core data model: study designs, the observed dataset, and the identifiability gate.
 
 Two families of study design are represented. In *nested* designs the trial is
 embedded in a sample of the actual population and the sampling probability of
@@ -14,9 +14,8 @@ and outcome; sampled non-randomized individuals contribute covariates only.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -30,62 +29,6 @@ class Estimand(enum.Enum):
     MEAN_NONRANDOMIZED = "mean_nonrandomized"                # E[Y^a | S=0]
     MARGINAL_PARTICIPATION = "marginal_participation"        # Pr[S=1]
     CONDITIONAL_PARTICIPATION = "conditional_participation"  # Pr[S=1 | X]
-
-
-@dataclass(frozen=True)
-class CovariateVector:
-    """One unit's covariates.
-
-    ``aux_split`` partitions the vector: the first ``aux_split`` entries are
-    auxiliary covariates available for every member of the actual population
-    (covariate-dependent sampling may only depend on these); the rest are
-    measured only on units that contribute data.
-    """
-
-    values: tuple[float, ...]
-    aux_split: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.aux_split <= len(self.values)):
-            raise DataError(f"aux_split {self.aux_split} out of range for p={len(self.values)}")
-        if not all(math.isfinite(v) for v in self.values):
-            raise DataError("covariate values must be finite")
-
-    @property
-    def aux(self) -> tuple[float, ...]:
-        return self.values[: self.aux_split]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
-@dataclass(frozen=True)
-class TruthRecord:
-    """One superpopulation unit with both potential outcomes (simulator-side only)."""
-
-    x: CovariateVector
-    s: int
-    a: int | None
-    y0: float
-    y1: float
-    y: float | None
-    d: int = 1
-
-
-@dataclass(frozen=True)
-class TrialParticipant:
-    """Observed record for a randomized individual (S=1, D=1)."""
-
-    x: CovariateVector
-    a: int
-    y: float
-
-
-@dataclass(frozen=True)
-class SampledNonRandomized:
-    """Observed record for a sampled non-randomized individual (S=0, D=1)."""
-
-    x: CovariateVector
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +295,3 @@ class ObservedDataset:
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         return self.treatment_prob if arm == 1 else 1.0 - self.treatment_prob
-
-    def records(self) -> Iterator[TrialParticipant | SampledNonRandomized]:
-        """Lazy per-row record view (the unsampled tally is not a record)."""
-        for i in range(self.n_rows):
-            xv = CovariateVector(tuple(self.x[i]), self.k)
-            if self.s[i] == 1:
-                yield TrialParticipant(xv, int(self.a[i]), float(self.y[i]))
-            else:
-                yield SampledNonRandomized(xv)

@@ -1,4 +1,8 @@
-"""Monte Carlo replication harness, stratified bootstrap, and design sweeps.
+"""Estimator dispatch, Monte Carlo replication harness, stratified bootstrap, and sweeps.
+
+:class:`EstimatorSpec` is the one map from a (method, study population, arm)
+cell to the models it needs and the estimator function that evaluates it; the
+harness and the command line both go through it.
 
 One replication is simulate -> thin by design -> fit -> estimate. Replications
 are fully independent: replication ``r`` derives every stream it needs from
@@ -26,6 +30,7 @@ from .domain import (
 )
 from .errors import NotIdentifiable, TrialportError
 from .estimators import (
+    EstimateReport,
     Method,
     StudyPopulation,
     gformula_mean_nonrandomized,
@@ -88,6 +93,49 @@ class EstimatorSpec:
 
     def label(self) -> str:
         return f"{self.population.value}/{self.method.value}/a={self.arm}"
+
+    @property
+    def needs_participation(self) -> bool:
+        return self.method in (Method.IPW_HT, Method.IPW_HAJEK)
+
+    @property
+    def needs_outcome(self) -> bool:
+        return self.method is Method.GFORMULA
+
+    def evaluate(self, data: ObservedDataset, pmodel, omodel, truncate_q=None) -> EstimateReport:
+        """Evaluate this estimator on ``data`` with already-fitted models.
+
+        ``pmodel``/``omodel`` may be None when the spec does not need them.
+        The estimator functions are looked up as module globals at call time,
+        so a wrapper installed on this module sees every call.
+        """
+        arm = self.arm
+        if self.method is Method.GFORMULA:
+            if self.population is StudyPopulation.TARGET:
+                return gformula_mean_target(data, omodel, arm)
+            if self.population is StudyPopulation.NONRANDOMIZED:
+                return gformula_mean_nonrandomized(data, omodel, arm)
+            return gformula_mean_randomized(data, omodel, arm)
+        if self.method is Method.TRIAL_ONLY:
+            return trial_only_mean(data, arm)
+        if self.population is StudyPopulation.TARGET:
+            variant = "ht" if self.method is Method.IPW_HT else "hajek"
+            return ipw_mean_target(data, pmodel, arm, variant, truncate_q)
+        return ipw_mean_nonrandomized(data, pmodel, arm, truncate_q)
+
+    def fit_and_evaluate(self, data: ObservedDataset, truncate_q=None) -> EstimateReport:
+        """Fit whatever this estimator needs on ``data`` and evaluate it."""
+        return self.evaluate(data, *fit_models([self], data), truncate_q)
+
+
+def fit_models(specs, data: ObservedDataset):
+    """Fit, once each, the models that any of ``specs`` needs: (pmodel, omodel).
+
+    A model no spec needs is None.
+    """
+    pmodel = fit_participation(data) if any(s.needs_participation for s in specs) else None
+    omodel = fit_outcome(data) if any(s.needs_outcome for s in specs) else None
+    return pmodel, omodel
 
 
 def default_estimators() -> tuple[EstimatorSpec, ...]:
@@ -225,47 +273,7 @@ def _shift_nonrandomized(pop: ActualPopulation, delta: float) -> ActualPopulatio
 
 def _drop_last_covariate(data: ObservedDataset) -> ObservedDataset:
     """Reduced-basis view of the dataset (used to misspecify fits)."""
-    return ObservedDataset(
-        x=data.x[:, : data.p - 1],
-        s=data.s,
-        a=data.a,
-        y=data.y,
-        design=data.design,
-        k=min(data.k, data.p - 1),
-        treatment_prob=data.treatment_prob,
-        n_unsampled_nonrandomized=data.n_unsampled_nonrandomized,
-    )
-
-
-def _estimate_one(spec: EstimatorSpec, data, pmodel, omodel, truncate_q=None) -> float:
-    if spec.method is Method.GFORMULA:
-        fn = {
-            StudyPopulation.TARGET: gformula_mean_target,
-            StudyPopulation.NONRANDOMIZED: gformula_mean_nonrandomized,
-            StudyPopulation.RANDOMIZED: gformula_mean_randomized,
-        }[spec.population]
-        return fn(data, omodel, spec.arm).value
-    if spec.method is Method.TRIAL_ONLY:
-        return trial_only_mean(data, spec.arm).value
-    if spec.population is StudyPopulation.TARGET:
-        variant = "ht" if spec.method is Method.IPW_HT else "hajek"
-        return ipw_mean_target(data, pmodel, spec.arm, variant, truncate_q).value
-    return ipw_mean_nonrandomized(data, pmodel, spec.arm, truncate_q).value
-
-
-def _needs_participation(specs) -> bool:
-    return any(s.method in (Method.IPW_HT, Method.IPW_HAJEK) for s in specs)
-
-
-def _needs_outcome(specs) -> bool:
-    return any(s.method is Method.GFORMULA for s in specs)
-
-
-def fit_and_estimate(spec: EstimatorSpec, data: ObservedDataset, truncate_q=None) -> float:
-    """Fit whatever the estimator needs on ``data`` and evaluate it."""
-    pmodel = fit_participation(data) if _needs_participation([spec]) else None
-    omodel = fit_outcome(data) if _needs_outcome([spec]) else None
-    return _estimate_one(spec, data, pmodel, omodel, truncate_q)
+    return replace(data, x=data.x[:, : data.p - 1], k=min(data.k, data.p - 1))
 
 
 OK, NOT_IDENTIFIABLE, FAILED = "ok", "not_identifiable", "failed"
@@ -287,12 +295,12 @@ def _run_replication(cfg: ExperimentConfig, r: int):
 
     pmodel = omodel = None
     pfail = ofail = False
-    if _needs_participation(cfg.estimators):
+    if any(s.needs_participation for s in cfg.estimators):
         try:
             pmodel = fit_participation(pdata)
         except TrialportError:
             pfail = True
-    if _needs_outcome(cfg.estimators):
+    if any(s.needs_outcome for s in cfg.estimators):
         try:
             omodel = fit_outcome(odata)
         except TrialportError:
@@ -300,14 +308,12 @@ def _run_replication(cfg: ExperimentConfig, r: int):
 
     results = []
     for j, spec in enumerate(cfg.estimators):
-        needs_p = _needs_participation([spec])
-        needs_o = _needs_outcome([spec])
-        if (needs_p and pfail) or (needs_o and ofail):
+        if (spec.needs_participation and pfail) or (spec.needs_outcome and ofail):
             results.append((FAILED, math.nan, math.nan))
             continue
-        edata = odata if spec.method is Method.GFORMULA else (pdata if needs_p else data)
+        edata = odata if spec.needs_outcome else (pdata if spec.needs_participation else data)
         try:
-            value = _estimate_one(spec, edata, pmodel, omodel)
+            value = spec.evaluate(edata, pmodel, omodel).value
         except NotIdentifiable:
             results.append((NOT_IDENTIFIABLE, math.nan, math.nan))
             continue
@@ -434,16 +440,7 @@ def _resample_dataset(data: ObservedDataset, rng: np.random.Generator) -> Observ
     if ext_idx.size:
         parts.append(ext_idx[rng.integers(0, ext_idx.size, ext_idx.size)])
     idx = np.concatenate(parts)
-    return ObservedDataset(
-        x=data.x[idx],
-        s=data.s[idx],
-        a=data.a[idx],
-        y=data.y[idx],
-        design=data.design,
-        k=data.k,
-        treatment_prob=data.treatment_prob,
-        n_unsampled_nonrandomized=data.n_unsampled_nonrandomized,
-    )
+    return replace(data, x=data.x[idx], s=data.s[idx], a=data.a[idx], y=data.y[idx])
 
 
 def bootstrap_replicates(data: ObservedDataset, stat_fn, b: int, seed: int) -> np.ndarray:
@@ -467,7 +464,7 @@ def bootstrap_se(data: ObservedDataset, spec: EstimatorSpec, b: int, seed: int) 
     """
     if b < 100:
         raise ValueError(f"bootstrap needs b >= 100, got {b}")
-    reps = bootstrap_replicates(data, lambda d: fit_and_estimate(spec, d), b, seed)
+    reps = bootstrap_replicates(data, lambda d: spec.fit_and_evaluate(d).value, b, seed)
     good = reps[~np.isnan(reps)]
     if good.size < 2:
         return math.nan

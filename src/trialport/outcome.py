@@ -106,7 +106,7 @@ def predict(model: OutcomeModel, arm: int, x) -> float | np.ndarray:
     array).
     """
     coef = model.coef(arm)
-    x = np.asarray(getattr(x, "values", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     if x.ndim <= 1:
         return float(coef[0] + x @ coef[1:])
     return coef[0] + x @ coef[1:]

@@ -28,10 +28,8 @@ import numpy as np
 from scipy.special import expit
 
 from .domain import (
-    CovariateVector,
     Design,
     Estimand,
-    NonNested,
     ObservedDataset,
     identification_matrix,
     is_nested,
@@ -78,10 +76,6 @@ class ParticipationModel:
         object.__setattr__(self, "coefficients", coef)
         coef.flags.writeable = False
 
-    def log_odds(self, x) -> float:
-        x = _as_row(x)
-        return float(self.coefficients[0] + x @ self.coefficients[1:])
-
     def slope_score(self, x: np.ndarray) -> np.ndarray:
         """Intercept-free part of the log odds, vectorized over rows."""
         return np.atleast_2d(x) @ self.coefficients[1:]
@@ -107,20 +101,6 @@ class ParticipationModel:
             grad_norm=float(d["grad_norm"]),
             iterations=int(d["iterations"]),
         )
-
-
-def _as_row(x) -> np.ndarray:
-    if isinstance(x, CovariateVector):
-        return x.as_array()
-    return np.asarray(x, dtype=float)
-
-
-def _aux_row(x) -> np.ndarray:
-    # auxiliary covariates are the leading coordinates, so a full row is a
-    # safe superset when the split is unknown
-    if isinstance(x, CovariateVector):
-        return np.asarray(x.aux, dtype=float).reshape(1, -1)
-    return _as_row(x).reshape(1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +256,35 @@ def marginal_participation_probability(data: ObservedDataset) -> float:
     return n1 / (n1 + float(np.sum(1.0 / frac)))
 
 
+def _fitted_logit(model: ParticipationModel, x) -> float:
+    """Fitted log odds (intercept + slopes . x) at one covariate row ``x``."""
+    return float(model.coefficients[0] + np.asarray(x, dtype=float) @ model.coefficients[1:])
+
+
+def _known_fraction(design: Design, x) -> float:
+    # auxiliary covariates are the leading coordinates, so a full row is a
+    # safe superset of the auxiliary block
+    return float(known_sampling_fractions(design, np.asarray(x, dtype=float).reshape(1, -1))[0])
+
+
+def _require_conditional_participation(design: Design, what: str) -> None:
+    if Estimand.CONDITIONAL_PARTICIPATION not in identification_matrix(design):
+        raise NotIdentifiable(f"{what} not identifiable under non-nested design")
+
+
 def participation_probability(model: ParticipationModel, design: Design, x) -> float:
     """Population-scale Pr[S=1 | X=x].
 
     Population-scale models evaluate directly. A shifted (sample-scale) model
-    can still be converted when the design's sampling fraction is known:
-    population odds equal sample odds times c(x). Under a non-nested design
-    the probability is not identifiable.
+    is converted with the design's known sampling fraction: population odds
+    equal sample odds times c(x). Under a non-nested design the probability is
+    not identifiable, whatever the model's scale.
     """
+    _require_conditional_participation(design, "conditional trial-participation probability is")
     if model.scale is Scale.POPULATION:
-        return float(expit(model.log_odds(x)))
-    if is_nested(design):
-        frac = float(known_sampling_fractions(design, _aux_row(x))[0])
-        odds = float(np.exp(model.log_odds(x))) * frac
-        return odds / (1.0 + odds)
-    raise NotIdentifiable(
-        "conditional trial-participation probability is "
-        "not identifiable under non-nested design"
-    )
+        return float(expit(_fitted_logit(model, x)))
+    odds = float(np.exp(_fitted_logit(model, x))) * _known_fraction(design, x)
+    return odds / (1.0 + odds)
 
 
 def participation_odds_up_to_constant(model: ParticipationModel, x) -> float:
@@ -302,7 +293,7 @@ def participation_odds_up_to_constant(model: ParticipationModel, x) -> float:
     Equals the population odds of trial participation times an unknown
     positive constant; the constant is 1 for population-scale models.
     """
-    return float(np.exp(model.log_odds(x)))
+    return float(np.exp(_fitted_logit(model, x)))
 
 
 def odds_population(model: ParticipationModel, design: Design, x) -> float:
@@ -313,13 +304,8 @@ def odds_population(model: ParticipationModel, design: Design, x) -> float:
     population odds = sample odds * c(x). Both routes agree to solver
     tolerance when applied to the same data.
     """
-    if isinstance(design, NonNested):
-        raise NotIdentifiable(
-            "population odds of trial participation are "
-            "not identifiable under non-nested design"
-        )
-    raw = float(np.exp(model.log_odds(x)))
+    _require_conditional_participation(design, "population odds of trial participation are")
+    raw = float(np.exp(_fitted_logit(model, x)))
     if model.scale is Scale.POPULATION:
         return raw
-    frac = float(known_sampling_fractions(design, _aux_row(x))[0])
-    return raw * frac
+    return raw * _known_fraction(design, x)

@@ -140,6 +140,26 @@ class TestEstimate:
         code = main(["estimate", str(out), "--estimand", "target", "--method", "gformula"])
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "method,estimand",
+        [("ipw_ht", "nonrandomized"), ("trial_only", "target"), ("ipw", "randomized")],
+    )
+    def test_invalid_method_estimand_pair_exits_2(self, tmp_path, capsys, method, estimand):
+        out = simulate(tmp_path)
+        code, captured = run_json(
+            capsys, ["estimate", str(out), "--estimand", estimand, "--method", method]
+        )
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_estimate_takes_no_seed(self, tmp_path):
+        # estimate draws no randomness, so a seed would be a no-op
+        out = simulate(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(out), "--estimand", "target", "--seed", "1"])
+        assert exc.value.code == 2
+
 
 class TestDiagnose:
     def test_reports_difference_with_bootstrap_se(self, tmp_path, capsys):

@@ -48,15 +48,7 @@ class TestSimulate:
         arm0 = trial & (pop.a == 0)
         assert np.array_equal(pop.y[arm1], pop.y1[arm1])
         assert np.array_equal(pop.y[arm0], pop.y0[arm0])
-        assert np.all(pop.d == 1)
-
-    def test_record_view(self, dgp1):
-        pop = tp.simulate_actual_population(dgp1, 50)
-        rec = pop[0]
-        assert isinstance(rec, tp.TruthRecord)
-        assert rec.d == 1
-        assert (rec.a is None) == (rec.s == 0)
-        assert len(pop) == 50
+        assert len(pop) == 20_000
 
     def test_rejects_empty_population(self, dgp1):
         with pytest.raises(tp.DataError):

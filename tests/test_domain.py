@@ -69,28 +69,7 @@ class TestDesigns:
         assert design_name(tp.NonNested()) == "non_nested"
 
 
-class TestCovariateVector:
-    def test_aux_block(self):
-        v = tp.CovariateVector((1.0, 2.0, 3.0), aux_split=2)
-        assert v.aux == (1.0, 2.0)
-
-    def test_rejects_bad_split_and_nonfinite(self):
-        with pytest.raises(tp.DataError):
-            tp.CovariateVector((1.0,), aux_split=2)
-        with pytest.raises(tp.DataError):
-            tp.CovariateVector((float("nan"),))
-
-
 class TestObservedDataset:
-    def test_record_kinds_match_indicators(self, tiny_dataset):
-        records = list(tiny_dataset.records())
-        for rec, s in zip(records, tiny_dataset.s):
-            if s == 1:
-                assert isinstance(rec, tp.TrialParticipant)
-            else:
-                assert isinstance(rec, tp.SampledNonRandomized)
-                assert not hasattr(rec, "a") and not hasattr(rec, "y")
-
     def test_requires_trial_rows_in_both_arms(self):
         with pytest.raises(tp.DataError):
             tp.ObservedDataset(

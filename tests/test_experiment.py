@@ -47,6 +47,22 @@ class TestEstimatorSpec:
         assert len(specs) == 10
         assert {s.arm for s in specs} == {0, 1}
 
+    def test_fit_and_evaluate_matches_the_estimator_function(self, dgp1):
+        pop = tp.simulate_actual_population(dgp1, 20_000)
+        data = tp.apply_design(pop, tp.SubsampledNested(c=0.3), seed=5)
+        pmodel, omodel = tp.fit_participation(data), tp.fit_outcome(data)
+        cases = [
+            (spec("gformula", "target"), tp.gformula_mean_target(data, omodel, 1)),
+            (spec("ipw_ht", "target"), tp.ipw_mean_target(data, pmodel, 1, "ht")),
+            (spec("ipw_hajek", "nonrandomized"), tp.ipw_mean_nonrandomized(data, pmodel, 1)),
+            (spec("trial_only", "randomized"), tp.trial_only_mean(data, 1)),
+        ]
+        assert [(s.needs_participation, s.needs_outcome) for s, _ in cases] == [
+            (False, True), (True, False), (True, False), (False, False),
+        ]
+        for s, expected in cases:
+            assert s.fit_and_evaluate(data) == expected
+
 
 class TestRunExperiment:
     def test_summary_fields_consistent(self, dgp1):

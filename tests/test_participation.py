@@ -273,6 +273,17 @@ class TestProbabilityAndOdds:
             pr / (1 - pr), abs=1e-7
         )
 
+    def test_population_scale_model_gated_under_non_nested_design(self):
+        # the design, not the model's scale, decides identifiability
+        model = tp.ParticipationModel(
+            coefficients=np.zeros(2), scale=Scale.POPULATION,
+            objective=0.0, grad_norm=0.0, iterations=0,
+        )
+        with pytest.raises(tp.NotIdentifiable):
+            tp.participation_probability(model, tp.NonNested(), (0.0,))
+        with pytest.raises(tp.NotIdentifiable):
+            tp.odds_population(model, tp.NonNested(), (0.0,))
+
     def test_population_odds_not_identifiable_non_nested(self, nonnested_1m):
         model = tp.fit_participation(nonnested_1m)
         with pytest.raises(tp.NotIdentifiable):

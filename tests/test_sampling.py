@@ -163,16 +163,13 @@ class TestIndependenceCheck:
     def test_sampled_dataset_record_scan(self, dgp1):
         pop = tp.simulate_actual_population(dgp1, 2_000)
         data = tp.apply_design(pop, tp.SubsampledNested(c=0.5), seed=10)
-        n_trial = n_external = 0
-        for rec in data.records():
-            if isinstance(rec, tp.TrialParticipant):
-                n_trial += 1
-                assert rec.a in (0, 1) and np.isfinite(rec.y)
-            else:
-                assert isinstance(rec, tp.SampledNonRandomized)
-                n_external += 1
-        assert n_trial == data.n_trial
-        assert n_external == data.n_external
+        trial, ext = data.trial_mask, data.external_mask
+        assert np.all(np.isin(data.a[trial], (0.0, 1.0)))
+        assert np.all(np.isfinite(data.y[trial]))
+        assert np.all(np.isnan(data.a[ext])) and np.all(np.isnan(data.y[ext]))
+        assert trial.sum() == data.n_trial > 0
+        assert ext.sum() == data.n_external > 0
+        assert data.n_trial + data.n_external == data.n_rows
 
 
 def test_oracle_constants_are_fresh():
