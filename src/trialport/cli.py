@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -137,6 +138,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.bootstrap_b < 2:
+        raise ConfigError(f"--bootstrap-b must be >= 2, got {args.bootstrap_b}")
     csv_path, sidecar_path = _dataset_paths(args.dataset)
     data = dataio.read_dataset(csv_path, sidecar_path)
     seed = args.seed if args.seed is not None else 0
@@ -154,14 +157,15 @@ def _cmd_diagnose(args) -> int:
         external = external_spec.fit_and_evaluate(data).value
         reps = bootstrap_replicates(data, stat, args.bootstrap_b, seed=mix_seed(seed, 6, arm))
         good = reps[~np.isnan(reps)]
-        boot_se = float(good.std(ddof=1)) if good.size > 1 else float("nan")
+        boot_se = float(good.std(ddof=1)) if good.size > 1 else math.nan
         arms_out.append(
             {
                 "arm": arm,
                 "mean_randomized": trial,
                 "mean_nonrandomized": external,
                 "difference": trial - external,
-                "difference_bootstrap_se": boot_se,
+                # JSON has no NaN or infinity: a non-finite SE is written as null
+                "difference_bootstrap_se": boot_se if math.isfinite(boot_se) else None,
             }
         )
     doc = {

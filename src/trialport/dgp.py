@@ -176,16 +176,17 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 _SIM, _ORACLE = 0, 1
 
 
-def _draw_fields(dgp: DgpSpec, n: int, seed: int, prefix: int):
-    p = dgp.p
-    x = np.empty((n, p))
-    for j, dist in enumerate(dgp.covariates):
-        x[:, j] = dist.sample(_stream(seed, prefix, 0, j), n)
-    u_s = _stream(seed, prefix, 1, 0).random(n)
-    u_a = _stream(seed, prefix, 1, 1).random(n)
-    z0 = _stream(seed, prefix, 1, 2).standard_normal(n)
-    z1 = _stream(seed, prefix, 1, 3).standard_normal(n)
-    return x, u_s, u_a, z0, z1
+def _field_streams(dgp: DgpSpec, seed: int, prefix: int):
+    """(covariate streams, participation, treatment, noise a=0, noise a=1) streams."""
+    covariates = [_stream(seed, prefix, 0, j) for j in range(dgp.p)]
+    return (covariates, *(_stream(seed, prefix, 1, field) for field in range(4)))
+
+
+def _draw_covariates(dgp: DgpSpec, streams, n: int) -> np.ndarray:
+    x = np.empty((n, dgp.p))
+    for j, (dist, rng) in enumerate(zip(dgp.covariates, streams)):
+        x[:, j] = dist.sample(rng, n)
+    return x
 
 
 def simulate_actual_population(dgp: DgpSpec, n: int, seed: int | None = None) -> ActualPopulation:
@@ -200,12 +201,13 @@ def simulate_actual_population(dgp: DgpSpec, n: int, seed: int | None = None) ->
         raise DataError(f"population size must be >= 1, got {n}")
     if seed is None:
         seed = dgp.seed
-    x, u_s, u_a, z0, z1 = _draw_fields(dgp, n, seed, _SIM)
+    x_rngs, s_rng, a_rng, z0_rng, z1_rng = _field_streams(dgp, seed, _SIM)
+    x = _draw_covariates(dgp, x_rngs, n)
 
-    s = (u_s < dgp.participation_prob(x)).astype(np.int8)
-    a = np.where(s == 1, (u_a < dgp.treatment_prob).astype(np.int8), np.int8(-1))
-    y0 = dgp.outcome_mean(0, x) + dgp.noise_sd * z0
-    y1 = dgp.outcome_mean(1, x) + dgp.noise_sd * z1
+    s = (s_rng.random(n) < dgp.participation_prob(x)).astype(np.int8)
+    a = np.where(s == 1, (a_rng.random(n) < dgp.treatment_prob).astype(np.int8), np.int8(-1))
+    y0 = dgp.outcome_mean(0, x) + dgp.noise_sd * z0_rng.standard_normal(n)
+    y1 = dgp.outcome_mean(1, x) + dgp.noise_sd * z1_rng.standard_normal(n)
     y = np.where(s == 1, np.where(a == 1, y1, y0), np.nan)
     return ActualPopulation(x, s, a, y0, y1, y, dgp.aux_split, dgp.treatment_prob)
 
@@ -228,37 +230,80 @@ class OracleTruth:
     se_pr_s1: float
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    m = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(len(values)))
-    return m, se
+# rows drawn and reduced per oracle chunk; bounds the oracle's memory whatever m is
+_ORACLE_CHUNK = 1 << 20
+
+# (count, mean, centred sum of squares) of an empty sample
+_NO_MOMENTS = (0, 0.0, 0.0)
+
+
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    if values.size == 0:
+        return _NO_MOMENTS
+    mean = values.mean()
+    return values.size, float(mean), float(np.square(values - mean).sum())
+
+
+def _merge_moments(a, b):
+    """Pairwise merge of two (count, mean, centred sum of squares) triples.
+
+    Chan, Golub & LeVeque (1983), "Algorithms for computing the sample variance".
+    """
+    na, ma, qa = a
+    nb, mb, qb = b
+    if nb == 0:
+        return a
+    if na == 0:
+        return b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * nb / n, qa + qb + delta * delta * na * nb / n
+
+
+def _mean_se(moments) -> tuple[float, float]:
+    n, mean, q = moments
+    return mean, math.sqrt(q / (n - 1)) / math.sqrt(n)
 
 
 def oracle_truth(dgp: DgpSpec, m: int, oracle_seed: int | None = None) -> OracleTruth:
     """Brute-force oracle: simulate ``m`` units and average potential outcomes.
 
     Uses streams disjoint from :func:`simulate_actual_population` even when the
-    seeds coincide. Because the outcome means are linear, the target means have
-    the closed form b0 + b.E[X]; the Monte Carlo estimates are cross-checked
-    against it (6 standard errors) as an internal consistency guard.
+    seeds coincide. Units are drawn and reduced in chunks of ``_ORACLE_CHUNK``
+    rows, so memory is O(chunk), not O(m): each field keeps one generator
+    across chunks, and per-(stratum, arm) counts, means and centred sums of
+    squares are merged chunk by chunk. No treatment is drawn, since the truths
+    are potential-outcome means. For a fixed ``(oracle_seed, m)`` the truths
+    are reproducible bit for bit. Because the outcome means are linear, the
+    target means have the closed form b0 + b.E[X]; the Monte Carlo estimates
+    are cross-checked against it (6 standard errors) as an internal
+    consistency guard.
     """
     if m < 100_000:
         raise DataError(f"oracle sample size must be >= 1e5, got {m}")
     if oracle_seed is None:
         oracle_seed = dgp.seed
-    x, u_s, _, z0, z1 = _draw_fields(dgp, m, oracle_seed, _ORACLE)
-    s = u_s < dgp.participation_prob(x)
-    if s.sum() < 2 or (~s).sum() < 2:
-        raise DataError("oracle needs at least two units in each participation stratum")
-    ys = (
-        dgp.outcome_mean(0, x) + dgp.noise_sd * z0,
-        dgp.outcome_mean(1, x) + dgp.noise_sd * z1,
-    )
+    x_rngs, s_rng, _, *z_rngs = _field_streams(dgp, oracle_seed, _ORACLE)
 
-    target, se_target = zip(*(_mean_se(ya) for ya in ys))
-    nonrand, se_nonrand = zip(*(_mean_se(ya[~s]) for ya in ys))
-    rand, se_rand = zip(*(_mean_se(ya[s]) for ya in ys))
-    pr = float(s.mean())
+    # moments[stratum][arm], stratum 1 = trial participants (S = 1)
+    moments = [[_NO_MOMENTS, _NO_MOMENTS], [_NO_MOMENTS, _NO_MOMENTS]]
+    n_s1 = 0
+    for start in range(0, m, _ORACLE_CHUNK):
+        k = min(_ORACLE_CHUNK, m - start)
+        x = _draw_covariates(dgp, x_rngs, k)
+        s = s_rng.random(k) < dgp.participation_prob(x)
+        n_s1 += int(np.count_nonzero(s))
+        for arm, z_rng in enumerate(z_rngs):
+            ya = dgp.outcome_mean(arm, x) + dgp.noise_sd * z_rng.standard_normal(k)
+            for stratum, rows in ((0, ~s), (1, s)):
+                moments[stratum][arm] = _merge_moments(moments[stratum][arm], _moments(ya[rows]))
+    if n_s1 < 2 or m - n_s1 < 2:
+        raise DataError("oracle needs at least two units in each participation stratum")
+
+    target, se_target = zip(*(_mean_se(_merge_moments(*pair)) for pair in zip(*moments)))
+    nonrand, se_nonrand = zip(*(_mean_se(mo) for mo in moments[0]))
+    rand, se_rand = zip(*(_mean_se(mo) for mo in moments[1]))
+    pr = n_s1 / m
     se_pr = math.sqrt(pr * (1.0 - pr) / m)
 
     ex = dgp.covariate_expectations()

@@ -26,6 +26,7 @@ from .domain import (
     NonNested,
     ObservedDataset,
     SubsampledNested,
+    SubsampledNestedCovariate,
     design_name,
 )
 from .errors import NotIdentifiable, TrialportError
@@ -188,6 +189,17 @@ class ExperimentConfig:
             raise ValueError("population size must be >= 1")
         if self.bootstrap_b < 0:
             raise ValueError("bootstrap_b must be >= 0")
+        # a misspecified fit's basis keeps min(aux_split, p - 1) auxiliary covariates
+        drops_covariate = self.misspecify.participation or self.misspecify.outcome
+        if (
+            drops_covariate
+            and isinstance(self.design, SubsampledNestedCovariate)
+            and min(self.dgp.aux_split, self.dgp.p - 1) < 1
+        ):
+            raise ValueError(
+                "misspecified fits drop the last covariate, which leaves no auxiliary "
+                "covariate for the covariate-dependent sampling design"
+            )
 
 
 @dataclass(frozen=True)
@@ -354,6 +366,12 @@ def _design_c(design: Design) -> float | None:
     return None  # covariate-dependent or unknown
 
 
+def _oracle_seed(cfg: ExperimentConfig) -> int:
+    if cfg.oracle_seed is not None:
+        return cfg.oracle_seed
+    return mix_seed(cfg.master_seed, _ORACLE_TAG)
+
+
 def run_experiment(
     cfg: ExperimentConfig, workers: int = 1, oracle: OracleTruth | None = None
 ) -> ExperimentSummary:
@@ -364,13 +382,7 @@ def run_experiment(
     A precomputed ``oracle`` (matching ``cfg.dgp``) skips the truth run.
     """
     if oracle is None:
-        oracle = oracle_truth(
-            cfg.dgp,
-            cfg.oracle_m,
-            cfg.oracle_seed
-            if cfg.oracle_seed is not None
-            else mix_seed(cfg.master_seed, _ORACLE_TAG),
-        )
+        oracle = oracle_truth(cfg.dgp, cfg.oracle_m, _oracle_seed(cfg))
 
     tasks = [(cfg, r) for r in range(cfg.replications)]
     if workers > 1:
@@ -418,13 +430,22 @@ def run_experiment(
 
 
 def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
-    """Run each grid cell and concatenate summary rows (one sweep table)."""
+    """Run each grid cell and concatenate summary rows (one sweep table).
+
+    The truth is a property of the superpopulation, not of the design, so the
+    oracle runs once per distinct (DGP, oracle m, oracle seed) in the grid and
+    is shared by every cell that has it.
+    """
     configs = tuple(configs)
     if not configs:
         raise ValueError("design grid must be nonempty")
+    oracles = {}
     rows = []
     for cfg in configs:
-        rows.extend(run_experiment(cfg, workers=workers).rows)
+        key = (cfg.dgp, cfg.oracle_m, _oracle_seed(cfg))
+        if key not in oracles:
+            oracles[key] = oracle_truth(*key)
+        rows.extend(run_experiment(cfg, workers=workers, oracle=oracles[key]).rows)
     return tuple(rows)
 
 

@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import trialport as tp
-from trialport import dataio
+from trialport import cli, dataio
 from trialport.cli import main
 
 from support import oracles
@@ -29,6 +30,10 @@ def simulate(tmp_path, design=None, n=4_000, extra_args=(), name="data"):
     code = main(["simulate", str(cfg), str(out), *extra_args])
     assert code == 0
     return out
+
+
+def _reject_non_finite(token):
+    raise ValueError(f"{token} is not valid JSON")
 
 
 def run_json(capsys, args):
@@ -188,6 +193,27 @@ class TestDiagnose:
         for arm in report["arms"]:
             assert abs(arm["difference"]) <= 4 * arm["difference_bootstrap_se"]
 
+    @pytest.mark.parametrize("b", [-5, 0, 1])
+    def test_too_few_bootstrap_resamples_exit_2(self, tmp_path, capsys, b):
+        out = simulate(tmp_path)
+        code, captured = run_json(capsys, ["diagnose", str(out), "--bootstrap-b", str(b)])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_undefined_bootstrap_se_is_json_null(self, tmp_path, capsys, monkeypatch):
+        # every resample failing leaves no SE; stdout must stay strict JSON
+        def all_failed(data, stat_fn, b, seed):
+            return np.full(b, np.nan)
+
+        monkeypatch.setattr(cli, "bootstrap_replicates", all_failed)
+        out = simulate(tmp_path)
+        code, captured = run_json(capsys, ["diagnose", str(out), "--bootstrap-b", "2"])
+        assert code == 0
+        doc = json.loads(captured.out, parse_constant=_reject_non_finite)
+        assert [arm["difference_bootstrap_se"] for arm in doc["arms"]] == [None, None]
+        assert all(math.isfinite(arm["difference"]) for arm in doc["arms"])
+
     def test_missing_external_stratum_exits_4(self, tmp_path, capsys):
         out = simulate(tmp_path)
         csv_path = out.with_suffix(".csv")
@@ -234,6 +260,18 @@ class TestExperiment:
         assert main(["experiment", str(cfg), str(out1), "--workers", "1"]) == 0
         assert main(["experiment", str(cfg), str(out2), "--workers", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_misspecified_covariate_design_without_auxiliary_left_exits_2(self, tmp_path, capsys):
+        design = {"variant": "subsampled_nested_covariate",
+                  "c_table": {"type": "step", "coord": 0, "cutoff": 0.0, "low": 0.2, "high": 0.8}}
+        doc = self.experiment_doc(design=design, misspecify={"participation": True})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "summary.csv"
+        capsys.readouterr()
+        assert main(["experiment", str(cfg), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "auxiliary covariate" in err
+        assert not out.exists()
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, self.experiment_doc(replications=6))

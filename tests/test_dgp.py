@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import trialport as tp
+from trialport import dgp as dgp_module
 
 from support import oracles
 
@@ -143,3 +145,38 @@ class TestOracle:
     def test_rejects_small_m(self, dgp1):
         with pytest.raises(tp.DataError):
             tp.oracle_truth(dgp1, 10_000)
+
+    def test_streamed_oracle_matches_an_unchunked_reference(self, dgp1):
+        # a partial last chunk; the reference draws every field in one piece
+        m, seed = dgp_module._ORACLE_CHUNK + 12_345, 4242
+        truth = tp.oracle_truth(dgp1, m, oracle_seed=seed)
+
+        def rng(*key):
+            return dgp_module._stream(seed, dgp_module._ORACLE, *key)
+
+        x = np.column_stack([d.sample(rng(0, j), m) for j, d in enumerate(dgp1.covariates)])
+        s = rng(1, 0).random(m) < dgp1.participation_prob(x)
+        assert truth.pr_s1 == s.mean()
+        for arm in (0, 1):
+            y = dgp1.outcome_mean(arm, x) + dgp1.noise_sd * rng(1, 2 + arm).standard_normal(m)
+            for got, got_se, rows in (
+                (truth.mean_target, truth.se_mean_target, slice(None)),
+                (truth.mean_nonrandomized, truth.se_mean_nonrandomized, ~s),
+                (truth.mean_randomized, truth.se_mean_randomized, s),
+            ):
+                v = y[rows]
+                assert got[arm] == pytest.approx(v.mean(), rel=1e-12, abs=0)
+                se = v.std(ddof=1) / math.sqrt(v.size)
+                assert got_se[arm] == pytest.approx(se, rel=1e-12, abs=0)
+
+    def test_oracle_memory_is_flat_in_m(self, dgp1):
+        def peak_bytes(m):
+            tracemalloc.start()
+            try:
+                tp.oracle_truth(dgp1, m)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunk = dgp_module._ORACLE_CHUNK
+        assert peak_bytes(8 * chunk) <= 1.25 * peak_bytes(2 * chunk)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import trialport as tp
+from trialport import experiment
 from trialport.estimators import Method, StudyPopulation
 from trialport.experiment import splitmix64
 
@@ -139,6 +140,33 @@ class TestRunExperiment:
         assert abs(row.bias) > 6 * row.sd / math.sqrt(40)
 
 
+class TestExperimentConfig:
+    def test_rejects_misspecified_fit_that_leaves_no_auxiliary_covariate(self, dgp1):
+        # DGP-1 has one covariate, and it is the auxiliary block the design samples on
+        design = tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8))
+        for mis in (tp.MisspecifySpec(participation=True), tp.MisspecifySpec(outcome=True)):
+            with pytest.raises(ValueError, match="auxiliary covariate"):
+                small_config(dgp1, design, misspecify=mis)
+        small_config(dgp1, design)
+        small_config(dgp1, tp.CensusNested(), misspecify=tp.MisspecifySpec(participation=True))
+
+    def test_misspecified_fit_keeps_a_remaining_auxiliary_covariate(self, dgp1):
+        dgp2 = dataclasses.replace(
+            dgp1,
+            covariates=(tp.Normal(0.0, 1.0), tp.Normal(0.0, 1.0)),
+            participation_logit=(-1.0, 0.5, 0.3),
+            outcome_mean_a0=(1.0, 1.0, 0.5),
+            outcome_mean_a1=(2.0, 1.3, 0.5),
+        )
+        cfg = small_config(
+            dgp2,
+            tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
+            replications=4,
+            misspecify=tp.MisspecifySpec(participation=True, outcome=True),
+        )
+        assert all(row.n_failed == 0 for row in tp.run_experiment(cfg).rows)
+
+
 class TestEquivalenceOfObjectives:
     def test_weighted_and_census_fits_share_their_limit(self, dgp1):
         # two-sample comparison of fitted coefficients over replications
@@ -217,6 +245,33 @@ class TestDesignComparison:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             tp.design_comparison([])
+
+    def test_computes_each_distinct_oracle_once(self, dgp1, monkeypatch):
+        calls = []
+        original = experiment.oracle_truth
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiment, "oracle_truth", counting)
+        est = (spec("gformula", "target"), spec("trial_only", "randomized"))
+        shared = [
+            small_config(dgp1, design, replications=4, estimators=est)
+            for design in (tp.CensusNested(), tp.SubsampledNested(c=0.5), tp.NonNested(u_hidden=0.3))
+        ]
+        tp.design_comparison(shared)
+        assert len(calls) == 1
+
+        grid = shared + [
+            dataclasses.replace(shared[0], oracle_m=300_000),
+            dataclasses.replace(shared[1], oracle_seed=5),
+        ]
+        calls.clear()
+        rows = tp.design_comparison(grid)
+        assert len(calls) == 3
+        separately = [row for cfg in grid for row in tp.run_experiment(cfg).rows]
+        assert experiment.summary_rows_to_csv(rows) == experiment.summary_rows_to_csv(separately)
 
     def test_sd_does_not_degrade_with_fuller_sampling(self, dgp1):
         est = (spec("gformula", "target"),)
