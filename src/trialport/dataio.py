@@ -34,10 +34,44 @@ from .estimators import Method, StudyPopulation
 from .experiment import EstimatorSpec, ExperimentConfig, MisspecifySpec
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 def _require(d: dict, key: str, where: str):
-    if key not in d:
+    if key not in _object(d, where):
         raise ConfigError(f"missing required key '{key}' in {where}")
     return d[key]
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as float; anything else (strings, booleans, null) is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer (an integral float such as 1e5 included) as int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _numbers(value, what: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{what}[{i}]") for i, v in enumerate(value))
 
 
 # ---------------------------------------------------------------------------
@@ -76,22 +110,23 @@ def design_from_dict(d: dict, where: str = "design") -> Design:
     if variant == "census_nested":
         return CensusNested()
     if variant == "subsampled_nested":
-        return SubsampledNested(c=float(_require(d, "c", where)))
+        return SubsampledNested(c=_number(_require(d, "c", where), f"{where}.c"))
     if variant == "subsampled_nested_covariate":
         table = _require(d, "c_table", where)
-        if table.get("type", "step") != "step":
+        where += ".c_table"
+        if _object(table, where).get("type", "step") != "step":
             raise ConfigError(f"unsupported c_table type {table.get('type')!r} in {where}")
         return SubsampledNestedCovariate(
             c_rule=StepRule(
-                coord=int(table.get("coord", 0)),
-                cutoff=float(table.get("cutoff", 0.0)),
-                low=float(_require(table, "low", f"{where}.c_table")),
-                high=float(_require(table, "high", f"{where}.c_table")),
+                coord=_integer(table.get("coord", 0), f"{where}.coord"),
+                cutoff=_number(table.get("cutoff", 0.0), f"{where}.cutoff"),
+                low=_number(_require(table, "low", where), f"{where}.low"),
+                high=_number(_require(table, "high", where), f"{where}.high"),
             )
         )
     if variant == "non_nested":
         u = d.get("u_hidden")
-        return NonNested(u_hidden=float(u) if u is not None else None)
+        return NonNested(u_hidden=_number(u, f"{where}.u_hidden") if u is not None else None)
     raise ConfigError(f"unknown design variant '{variant}' in {where}")
 
 
@@ -113,9 +148,9 @@ def _dist_to_dict(dist: CovariateDist) -> dict:
 
 def _dist_from_dict(d: dict, where: str) -> CovariateDist:
     kind = _require(d, "dist", where)
-    if kind not in _DIST_KEYS:
+    if not isinstance(kind, str) or kind not in _DIST_KEYS:
         raise ConfigError(f"unknown covariate distribution '{kind}' in {where}")
-    args = {k: float(_require(d, k, where)) for k in _DIST_KEYS[kind]}
+    args = {k: _number(_require(d, k, where), f"{where}.{k}") for k in _DIST_KEYS[kind]}
     return {"normal": Normal, "bernoulli": Bernoulli, "uniform": Uniform}[kind](**args)
 
 
@@ -143,13 +178,21 @@ def dgp_from_dict(d: dict, where: str = "dgp") -> DgpSpec:
             covariates=tuple(
                 _dist_from_dict(c, f"{where}.covariates[{i}]") for i, c in enumerate(covs)
             ),
-            participation_logit=tuple(_require(d, "participation_logit", where)),
-            treatment_prob=float(_require(d, "treatment_prob", where)),
-            outcome_mean_a0=tuple(_require(d, "outcome_mean_a0", where)),
-            outcome_mean_a1=tuple(_require(d, "outcome_mean_a1", where)),
-            noise_sd=float(_require(d, "noise_sd", where)),
-            seed=int(_require(d, "seed", where)),
-            aux_split=int(d.get("aux_split", 0)),
+            participation_logit=_numbers(
+                _require(d, "participation_logit", where), f"{where}.participation_logit"
+            ),
+            treatment_prob=_number(
+                _require(d, "treatment_prob", where), f"{where}.treatment_prob"
+            ),
+            outcome_mean_a0=_numbers(
+                _require(d, "outcome_mean_a0", where), f"{where}.outcome_mean_a0"
+            ),
+            outcome_mean_a1=_numbers(
+                _require(d, "outcome_mean_a1", where), f"{where}.outcome_mean_a1"
+            ),
+            noise_sd=_number(_require(d, "noise_sd", where), f"{where}.noise_sd"),
+            seed=_integer(_require(d, "seed", where), f"{where}.seed"),
+            aux_split=_integer(d.get("aux_split", 0), f"{where}.aux_split"),
         )
     except DataError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
@@ -196,10 +239,13 @@ def _parse_cell(text: str, what: str, line: int) -> float:
 
 
 def read_dataset(csv_path, sidecar_path) -> ObservedDataset:
-    sidecar = json.loads(Path(sidecar_path).read_text())
+    sidecar = load_json(sidecar_path)
     design = design_from_dict(_require(sidecar, "design", "sidecar"), "sidecar.design")
 
-    rows = list(csv.reader(Path(csv_path).read_text().splitlines()))
+    try:
+        rows = list(csv.reader(Path(csv_path).read_text().splitlines()))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {csv_path}: {exc}") from exc
     if not rows:
         raise DataError(f"{csv_path}: empty dataset file")
     header = rows[0]
@@ -232,10 +278,13 @@ def read_dataset(csv_path, sidecar_path) -> ObservedDataset:
         a=np.asarray(a),
         y=np.asarray(y),
         design=design,
-        k=int(sidecar.get("k", 0)),
-        treatment_prob=float(sidecar.get("treatment_prob", 0.5)),
+        k=_integer(sidecar.get("k", 0), "sidecar.k"),
+        treatment_prob=_number(sidecar.get("treatment_prob", 0.5), "sidecar.treatment_prob"),
         n_unsampled_nonrandomized=(
-            int(_require(sidecar, "n_unsampled_nonrandomized", "sidecar"))
+            _integer(
+                _require(sidecar, "n_unsampled_nonrandomized", "sidecar"),
+                "sidecar.n_unsampled_nonrandomized",
+            )
             if is_nested(design)
             else None
         ),
@@ -250,9 +299,11 @@ def simulate_config_from_dict(d: dict):
     """Returns (dgp, design, n, sampling_seed)."""
     dgp = dgp_from_dict(_require(d, "dgp", "config"))
     design = design_from_dict(_require(d, "design", "config"), "config.design")
-    n = int(_require(d, "n", "config"))
+    n = _integer(_require(d, "n", "config"), "config.n")
     sampling_seed = d.get("sampling_seed")
-    return dgp, design, n, (int(sampling_seed) if sampling_seed is not None else None)
+    if sampling_seed is not None:
+        sampling_seed = _integer(sampling_seed, "config.sampling_seed")
+    return dgp, design, n, sampling_seed
 
 
 def estimator_spec_from_dict(d: dict, where: str) -> EstimatorSpec:
@@ -260,7 +311,7 @@ def estimator_spec_from_dict(d: dict, where: str) -> EstimatorSpec:
         return EstimatorSpec(
             method=Method(_require(d, "method", where)),
             population=StudyPopulation(_require(d, "population", where)),
-            arm=int(_require(d, "arm", where)),
+            arm=_integer(_require(d, "arm", where), f"{where}.arm"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid estimator in {where}: {exc}") from exc
@@ -273,28 +324,33 @@ def estimator_spec_to_dict(spec: EstimatorSpec) -> dict:
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     kwargs = {}
     if "estimators" in d:
+        if not isinstance(d["estimators"], list):
+            raise ConfigError("'estimators' must be a list")
         kwargs["estimators"] = tuple(
             estimator_spec_from_dict(e, f"config.estimators[{i}]")
             for i, e in enumerate(d["estimators"])
         )
-    mis = d.get("misspecify", {})
-    if not isinstance(mis, dict):
-        raise ConfigError("'misspecify' must be an object")
+    mis = _object(d.get("misspecify", {}), "config.misspecify")
+    oracle_seed = d.get("oracle_seed")
     try:
         return ExperimentConfig(
             dgp=dgp_from_dict(_require(d, "dgp", "config")),
             design=design_from_dict(_require(d, "design", "config"), "config.design"),
-            n=int(_require(d, "n", "config")),
-            replications=int(_require(d, "replications", "config")),
-            master_seed=int(_require(d, "master_seed", "config")),
+            n=_integer(_require(d, "n", "config"), "config.n"),
+            replications=_integer(_require(d, "replications", "config"), "config.replications"),
+            master_seed=_integer(_require(d, "master_seed", "config"), "config.master_seed"),
             misspecify=MisspecifySpec(
-                participation=bool(mis.get("participation", False)),
-                outcome=bool(mis.get("outcome", False)),
-                s_shift=float(mis.get("s_shift", 0.0)),
+                participation=_flag(
+                    mis.get("participation", False), "config.misspecify.participation"
+                ),
+                outcome=_flag(mis.get("outcome", False), "config.misspecify.outcome"),
+                s_shift=_number(mis.get("s_shift", 0.0), "config.misspecify.s_shift"),
             ),
-            bootstrap_b=int(d.get("bootstrap_b", 0)),
-            oracle_m=int(d.get("oracle_m", 1_000_000)),
-            oracle_seed=int(d["oracle_seed"]) if d.get("oracle_seed") is not None else None,
+            bootstrap_b=_integer(d.get("bootstrap_b", 0), "config.bootstrap_b"),
+            oracle_m=_integer(d.get("oracle_m", 1_000_000), "config.oracle_m"),
+            oracle_seed=(
+                _integer(oracle_seed, "config.oracle_seed") if oracle_seed is not None else None
+            ),
             **kwargs,
         )
     except ValueError as exc:
@@ -325,7 +381,7 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
 def load_json(path) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)

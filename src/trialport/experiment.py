@@ -25,6 +25,7 @@ from .domain import (
     Design,
     NonNested,
     ObservedDataset,
+    StepRule,
     SubsampledNested,
     SubsampledNestedCovariate,
     design_name,
@@ -189,17 +190,23 @@ class ExperimentConfig:
             raise ValueError("population size must be >= 1")
         if self.bootstrap_b < 0:
             raise ValueError("bootstrap_b must be >= 0")
-        # a misspecified fit's basis keeps min(aux_split, p - 1) auxiliary covariates
-        drops_covariate = self.misspecify.participation or self.misspecify.outcome
-        if (
-            drops_covariate
-            and isinstance(self.design, SubsampledNestedCovariate)
-            and min(self.dgp.aux_split, self.dgp.p - 1) < 1
-        ):
-            raise ValueError(
-                "misspecified fits drop the last covariate, which leaves no auxiliary "
-                "covariate for the covariate-dependent sampling design"
-            )
+        if isinstance(self.design, SubsampledNestedCovariate):
+            # a misspecified fit's basis keeps min(aux_split, p - 1) auxiliary covariates
+            drops_covariate = self.misspecify.participation or self.misspecify.outcome
+            kept = self.dgp.aux_split
+            if drops_covariate:
+                kept = min(kept, self.dgp.p - 1)
+                if kept < 1:
+                    raise ValueError(
+                        "misspecified fits drop the last covariate, which leaves no auxiliary "
+                        "covariate for the covariate-dependent sampling design"
+                    )
+            rule = self.design.c_rule
+            if isinstance(rule, StepRule) and rule.coord >= kept:
+                raise ValueError(
+                    f"step rule coordinate {rule.coord} is not among the {kept} auxiliary "
+                    "covariates that the fits keep"
+                )
 
 
 @dataclass(frozen=True)

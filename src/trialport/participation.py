@@ -14,8 +14,16 @@ How it is fit, and what the fitted coefficients mean, depends on the design:
   only the intercept — it is shifted by -ln(u) — so slopes are population
   quantities while the intercept is sample-scale ("shifted").
 
-Fitting is Newton-Raphson with step-halving, stopping when the max-norm of
-the gradient of the size-normalized objective drops below 1e-8.
+Fitting is Newton-Raphson with step-halving on the size-normalized
+objective. Each iterate's linear predictor eta is computed once, by the line
+search that accepts it; one exp(-|eta|) per iterate then gives both the
+objective (through a stable softplus) and the fitted probabilities that the
+gradient and the Hessian use. The rank guard runs on the first Hessian, which
+at coef = 0 is the weighted Gram matrix / 4. The fit stops when the max-norm
+of the gradient in standardized coordinates (covariates centred and scaled by
+their weighted means and SDs) drops below 1e-8, and raises
+``SeparationDetected`` when a standardized coefficient passes 30, so neither
+guard depends on the covariates' units.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .domain import (
     Design,
@@ -105,6 +112,25 @@ class ParticipationModel:
 
 # ---------------------------------------------------------------------------
 # Weighted pseudo-likelihood objective
+#
+# Both helpers take t = exp(-|eta|), so one exp serves the objective and the
+# probabilities, and neither overflows or loses its tail at any |eta|.
+
+
+def _softplus(eta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log(1 + exp(eta)) = max(eta, 0) + log1p(t)."""
+    return np.maximum(eta, 0.0) + np.log1p(t)
+
+
+def _logistic(eta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-eta)): 1 / (1 + t) where eta >= 0, else t / (1 + t)."""
+    return np.where(eta >= 0.0, 1.0, t) / (1.0 + t)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # not `a @ b`: OpenBLAS runs a long ddot on several threads, which then
+    # spin for ~0.1 s and take the cores that other replication workers use
+    return float(np.einsum("i,i", a, b))
 
 
 def log_pseudo_likelihood(coef, xmat, labels, weights, norm: float) -> float:
@@ -116,45 +142,78 @@ def log_pseudo_likelihood(coef, xmat, labels, weights, norm: float) -> float:
     unsampled tally) so that census and weighted fits share a limit.
     """
     eta = xmat @ np.asarray(coef, dtype=float)
-    return float(np.sum(weights * (labels * eta - np.logaddexp(0.0, eta))) / norm)
+    softplus = _softplus(eta, np.exp(-np.abs(eta)))
+    return (_dot(weights * labels, eta) - _dot(weights, softplus)) / norm
 
 
 def log_pseudo_likelihood_gradient(coef, xmat, labels, weights, norm: float) -> np.ndarray:
     """Analytic gradient of :func:`log_pseudo_likelihood` in the coefficients."""
-    prob = expit(xmat @ np.asarray(coef, dtype=float))
+    eta = xmat @ np.asarray(coef, dtype=float)
+    prob = _logistic(eta, np.exp(-np.abs(eta)))
     return xmat.T @ (weights * (labels - prob)) / norm
 
 
 def _newton_fit(xmat, labels, weights, norm):
-    """Maximize the weighted objective; returns (coef, objective, grad_norm, iters)."""
-    n, q = xmat.shape
-    coef = np.zeros(q)
+    """Maximize the weighted objective; returns (coef, objective, grad_norm, iters).
 
-    # rank guard on the weighted design matrix before iterating
-    wpq0 = weights * 0.25
-    hess0 = xmat.T @ (xmat * wpq0[:, None])
-    if np.linalg.matrix_rank(hess0) < q:
+    ``xmat``'s first column is the intercept. The convergence and separation
+    guards work in standardized coordinates eta = a + sum_j b_j (x_j - m_j) / s_j,
+    with m_j and s_j the covariates' weighted means and SDs: the gradient's
+    max-norm in (a, b) is compared with ``GRAD_TOL``, and (a, b) themselves
+    with ``SEPARATION_BOUND``.
+    """
+    n, q = xmat.shape
+    xt = np.ascontiguousarray(xmat.T)
+    xw = xt * weights
+    ws = weights * labels
+    score0 = xt @ ws
+    wsum = float(np.sum(weights))
+    xmean = np.sum(xw[1:], axis=1) / wsum
+    centred = xt[1:] - xmean[:, None]
+    # einsum, not `@`: with one covariate that product is a ddot (see _dot)
+    xsd = np.sqrt(np.einsum("ij,ij,j->i", centred, centred, weights) / wsum)
+
+    def objective(eta, t):
+        return (_dot(ws, eta) - _dot(weights, _softplus(eta, t))) / norm
+
+    def hessian(prob):
+        # unnormalized: X^T diag(w p (1 - p)) X
+        return (xw * (prob * (1.0 - prob))) @ xt.T
+
+    coef = np.zeros(q)
+    obj = objective(np.zeros(n), np.ones(n))  # eta = 0, t = exp(-0)
+    prob = np.full(n, 0.5)
+    hess = hessian(prob)  # the weighted Gram matrix / 4
+    if np.linalg.matrix_rank(hess) < q:
         raise RankDeficient("weighted design matrix is rank deficient")
 
-    obj = log_pseudo_likelihood(coef, xmat, labels, weights, norm)
-    for it in range(1, MAX_ITER + 1):
-        grad = log_pseudo_likelihood_gradient(coef, xmat, labels, weights, norm)
-        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
+    iters = 0
+    while True:
+        grad = (score0 - xw @ prob) / norm
+        # d/da = d/dc_0; d/db_j = (d/dc_j - m_j d/dc_0) / s_j
+        std_grad = np.append(grad[0], (grad[1:] - xmean * grad[0]) / xsd)
+        gnorm = float(np.max(np.abs(std_grad)))
         if gnorm < GRAD_TOL:
-            return coef, obj, gnorm, it - 1
-
-        prob = expit(xmat @ coef)
-        wpq = weights * prob * (1.0 - prob)
-        hess = xmat.T @ (xmat * wpq[:, None]) / norm
+            return coef, obj, gnorm, iters
+        if iters == MAX_ITER:
+            raise NonConvergence(
+                f"no convergence in {MAX_ITER} iterations (gradient max-norm {gnorm:.3e})",
+                gnorm,
+            )
+        if iters:
+            hess = hessian(prob)
+        iters += 1
         try:
-            delta = np.linalg.solve(hess, grad)
+            delta = np.linalg.solve(hess / norm, grad)
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("singular Hessian in participation fit") from exc
 
         step = 1.0
         while True:
             cand = coef + step * delta
-            cand_obj = log_pseudo_likelihood(cand, xmat, labels, weights, norm)
+            cand_eta = cand @ xt
+            cand_t = np.exp(-np.abs(cand_eta))
+            cand_obj = objective(cand_eta, cand_t)
             if cand_obj >= obj:
                 break
             step *= 0.5
@@ -163,19 +222,14 @@ def _newton_fit(xmat, labels, weights, norm):
                     f"step halving stalled (gradient max-norm {gnorm:.3e})", gnorm
                 )
         coef, obj = cand, cand_obj
-        if np.max(np.abs(coef)) > SEPARATION_BOUND:
+        # a = c_0 + sum_j c_j m_j; b_j = c_j s_j
+        standardized = np.append(coef[0] + coef[1:] @ xmean, coef[1:] * xsd)
+        if np.max(np.abs(standardized)) > SEPARATION_BOUND:
             raise SeparationDetected(
-                "participation coefficients diverged beyond "
+                "standardized participation coefficients diverged beyond "
                 f"{SEPARATION_BOUND:g}; data are likely separated"
             )
-
-    grad = log_pseudo_likelihood_gradient(coef, xmat, labels, weights, norm)
-    gnorm = float(np.max(np.abs(grad)))
-    if gnorm < GRAD_TOL:
-        return coef, obj, gnorm, MAX_ITER
-    raise NonConvergence(
-        f"no convergence in {MAX_ITER} iterations (gradient max-norm {gnorm:.3e})", gnorm
-    )
+        prob = _logistic(cand_eta, cand_t)
 
 
 def participation_design(data: ObservedDataset, weighted: bool = True):
@@ -282,7 +336,8 @@ def participation_probability(model: ParticipationModel, design: Design, x) -> f
     """
     _require_conditional_participation(design, "conditional trial-participation probability is")
     if model.scale is Scale.POPULATION:
-        return float(expit(_fitted_logit(model, x)))
+        eta = _fitted_logit(model, x)
+        return float(_logistic(eta, np.exp(-abs(eta))))
     odds = float(np.exp(_fitted_logit(model, x))) * _known_fraction(design, x)
     return odds / (1.0 + odds)
 

@@ -273,6 +273,25 @@ class TestExperiment:
         assert err.startswith("error: ") and "auxiliary covariate" in err
         assert not out.exists()
 
+    def test_step_rule_on_a_dropped_covariate_exits_2(self, tmp_path, capsys):
+        # p = 2, both auxiliary; the misspecified fit keeps only x1, the rule reads x2
+        dgp = dgp1_doc(
+            covariates=[{"dist": "normal", "mean": 0.0, "sd": 1.0}] * 2,
+            participation_logit=[-1.0, 0.5, 0.3],
+            outcome_mean_a0=[1.0, 1.0, 0.5],
+            outcome_mean_a1=[2.0, 1.3, 0.5],
+            aux_split=2,
+        )
+        design = {"variant": "subsampled_nested_covariate",
+                  "c_table": {"type": "step", "coord": 1, "cutoff": 0.0, "low": 0.2, "high": 0.8}}
+        doc = self.experiment_doc(dgp=dgp, design=design, misspecify={"participation": True})
+        out = tmp_path / "summary.csv"
+        capsys.readouterr()
+        assert main(["experiment", str(write_config(tmp_path, doc)), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "step rule coordinate 1" in err
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, self.experiment_doc(replications=6))
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -310,3 +329,116 @@ class TestSweep:
         cfg = write_config(tmp_path, doc)
         assert main(["sweep", str(cfg), str(tmp_path / "x.csv")]) == 2
         assert "grid" in capsys.readouterr().err
+
+
+def _delete(path):
+    path.unlink()
+
+
+def _write(text):
+    return lambda path: path.write_text(text)
+
+
+def _edit_json(edit):
+    def mutate(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
+    return mutate
+
+
+class TestMalformedInput:
+    """Malformed files and configs exit 2 with an error line, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["estimate", "diagnose"])
+    @pytest.mark.parametrize(
+        "suffix, mutate",
+        [
+            (".json", _delete),
+            (".json", _write("{not json")),
+            (".json", _write("[1, 2]")),
+            (".json", _edit_json(lambda d: d.update(k="one"))),
+            (".json", _edit_json(lambda d: d.update(n_unsampled_nonrandomized=None))),
+            (".json", _edit_json(lambda d: d["design"].update(c="x"))),
+            (".json", _edit_json(lambda d: d.update(design="census_nested"))),
+            (".csv", _delete),
+            (".csv", lambda path: path.write_bytes(b"\xff\xfe\x00role")),
+        ],
+        ids=[
+            "missing_sidecar", "sidecar_not_json", "sidecar_not_object", "k_not_integer",
+            "unsampled_count_null", "c_not_number", "design_not_object",
+            "missing_csv", "csv_not_text",
+        ],
+    )
+    def test_bad_dataset_exits_2(self, tmp_path, capsys, command, suffix, mutate):
+        out = simulate(tmp_path, design={"variant": "subsampled_nested", "c": 0.5}, n=2_000)
+        mutate(out.with_suffix(suffix))
+        args = ["estimate", str(out), "--estimand", "target"]
+        if command == "diagnose":
+            args = ["diagnose", str(out), "--bootstrap-b", "2"]
+        code, captured = run_json(capsys, args)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(n="abc"),
+            lambda d: d.update(n=2.5),
+            lambda d: d.update(n=True),
+            lambda d: d.update(design={"variant": "subsampled_nested", "c": "x"}),
+            lambda d: d.update(design=["census_nested"]),
+            lambda d: d["dgp"].update(covariates=[5]),
+            lambda d: d["dgp"].update(covariates=["normal"]),
+            lambda d: d["dgp"]["covariates"][0].update(sd="1"),
+            lambda d: d["dgp"]["covariates"][0].update(dist=["normal"]),
+            lambda d: d["dgp"].update(participation_logit=[-1.0, "0.5"]),
+            lambda d: d["dgp"].update(participation_logit=0.5),
+            lambda d: d["dgp"].update(seed=None),
+            lambda d: d.update(sampling_seed="7"),
+        ],
+        ids=[
+            "n_string", "n_fraction", "n_bool", "c_not_number", "design_not_object",
+            "covariate_number", "covariate_string", "sd_string", "dist_list", "logit_entry_string",
+            "logit_not_list", "seed_null", "sampling_seed_string",
+        ],
+    )
+    def test_bad_simulate_config_exits_2(self, tmp_path, capsys, edit):
+        doc = {"dgp": dgp1_doc(), "design": {"variant": "census_nested"}, "n": 500}
+        edit(doc)
+        out = tmp_path / "data"
+        code, captured = run_json(capsys, ["simulate", str(write_config(tmp_path, doc)), str(out)])
+        assert code == 2
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert not out.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(replications="ten"),
+            lambda d: d.update(estimators={"method": "gformula"}),
+            lambda d: d.update(estimators=["gformula"]),
+            lambda d: d.update(estimators=[{"method": "gformula", "population": "target",
+                                            "arm": [1]}]),
+            lambda d: d.update(misspecify={"participation": "false"}),
+            lambda d: d.update(misspecify=[]),
+            lambda d: d.update(oracle_seed="1"),
+            lambda d: d["dgp"].update(covariates=[None]),
+        ],
+        ids=[
+            "replications_string", "estimators_not_list", "estimator_not_object",
+            "arm_list", "flag_string", "misspecify_not_object", "oracle_seed_string",
+            "covariate_null",
+        ],
+    )
+    def test_bad_experiment_config_exits_2(self, tmp_path, capsys, edit):
+        doc = TestExperiment().experiment_doc()
+        edit(doc)
+        out = tmp_path / "summary.csv"
+        cfg = write_config(tmp_path, doc)
+        code, captured = run_json(capsys, ["experiment", str(cfg), str(out)])
+        assert code == 2
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert not out.exists()

@@ -167,6 +167,29 @@ class TestExperimentConfig:
         assert all(row.n_failed == 0 for row in tp.run_experiment(cfg).rows)
 
 
+    def test_rejects_step_rule_on_a_covariate_the_fits_drop(self, dgp1):
+        dgp2 = dataclasses.replace(
+            dgp1,
+            covariates=(tp.Normal(0.0, 1.0), tp.Normal(0.0, 1.0)),
+            participation_logit=(-1.0, 0.5, 0.3),
+            outcome_mean_a0=(1.0, 1.0, 0.5),
+            outcome_mean_a1=(2.0, 1.3, 0.5),
+            aux_split=2,
+        )
+        on_x2 = tp.SubsampledNestedCovariate(c_rule=tp.StepRule(coord=1, low=0.2, high=0.8))
+        for mis in (tp.MisspecifySpec(participation=True), tp.MisspecifySpec(outcome=True)):
+            with pytest.raises(ValueError, match="step rule coordinate 1"):
+                small_config(dgp2, on_x2, misspecify=mis)
+        # the correctly specified fits keep both auxiliary covariates
+        small_config(dgp2, on_x2)
+        # a rule past the auxiliary block is rejected with or without misspecification
+        with pytest.raises(ValueError, match="step rule coordinate 1"):
+            small_config(dataclasses.replace(dgp2, aux_split=1), on_x2)
+        # a rule on the kept covariate still runs under misspecification
+        on_x1 = tp.SubsampledNestedCovariate(c_rule=tp.StepRule(coord=0, low=0.2, high=0.8))
+        small_config(dgp2, on_x1, misspecify=tp.MisspecifySpec(participation=True))
+
+
 class TestEquivalenceOfObjectives:
     def test_weighted_and_census_fits_share_their_limit(self, dgp1):
         # two-sample comparison of fitted coefficients over replications

@@ -1,17 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import trialport as tp
 from trialport.participation import (
+    GRAD_TOL,
+    MAX_ITER,
     Scale,
+    _newton_fit,
     log_pseudo_likelihood,
     log_pseudo_likelihood_gradient,
     participation_design,
 )
 
 from support import oracles
+
+# an overflow or invalid value in the fit's kernel fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def intercept_only_dataset(n_trial, n_external, design):
@@ -94,6 +102,22 @@ class TestFit:
         with pytest.raises(tp.SeparationDetected):
             tp.fit_participation(data)
 
+    @pytest.mark.parametrize(
+        "covariate, logit, slope_tol",
+        [
+            # DGP-1's 0.5-per-SD effect in small units and far from the origin;
+            # both tolerances are 0.04 per SD of the covariate
+            (tp.Normal(0.0, 0.01), (-1.0, 50.0), 4.0),
+            (tp.Normal(1000.0, 1.0), (-501.0, 0.5), 0.04),
+        ],
+    )
+    def test_separation_guard_is_scale_free(self, dgp1, covariate, logit, slope_tol):
+        dgp = dataclasses.replace(dgp1, covariates=(covariate,), participation_logit=logit)
+        pop = tp.simulate_actual_population(dgp, 100_000)
+        model = tp.fit_participation(tp.apply_design(pop, tp.CensusNested(), seed=30))
+        assert model.coefficients[1] == pytest.approx(logit[1], abs=slope_tol)
+        assert model.grad_norm < GRAD_TOL
+
     def test_duplicate_column_is_rank_deficient(self, dgp1):
         pop = tp.simulate_actual_population(dgp1, 2_000)
         base = tp.apply_design(pop, tp.CensusNested(), seed=24)
@@ -121,6 +145,83 @@ class TestFit:
         assert np.array_equal(clone.coefficients, model.coefficients)
         assert clone.scale is model.scale
         assert clone.objective == model.objective
+
+
+def reference_newton_fit(xmat, labels, weights, norm):
+    """Newton fit with the objective from np.logaddexp and probabilities from expit."""
+
+    def objective(coef):
+        eta = xmat @ coef
+        return float(np.sum(weights * (labels * eta - np.logaddexp(0.0, eta))) / norm)
+
+    def gradient(coef):
+        return xmat.T @ (weights * (labels - expit(xmat @ coef))) / norm
+
+    coef = np.zeros(xmat.shape[1])
+    obj = objective(coef)
+    for it in range(MAX_ITER):
+        grad = gradient(coef)
+        if np.max(np.abs(grad)) < GRAD_TOL:
+            return coef, obj, it
+        prob = expit(xmat @ coef)
+        hess = xmat.T @ (xmat * (weights * prob * (1.0 - prob))[:, None]) / norm
+        delta = np.linalg.solve(hess, grad)
+        step = 1.0
+        while objective(coef + step * delta) < obj:
+            step *= 0.5
+        coef = coef + step * delta
+        obj = objective(coef)
+    raise AssertionError("reference fit did not converge")
+
+
+class TestKernel:
+    @pytest.mark.parametrize(
+        "design",
+        [
+            tp.CensusNested(),
+            tp.SubsampledNested(c=0.3),
+            tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
+            tp.NonNested(u_hidden=0.2),
+        ],
+        ids=["census", "c=0.3", "step_rule", "non_nested"],
+    )
+    def test_fit_matches_reference_newton(self, dgp1, design):
+        pop = tp.simulate_actual_population(dgp1, 40_000)
+        xmat, labels, weights, norm = participation_design(tp.apply_design(pop, design, seed=31))
+        coef, obj, gnorm, iters = _newton_fit(xmat, labels, weights, norm)
+        ref_coef, ref_obj, ref_iters = reference_newton_fit(xmat, labels, weights, norm)
+        assert iters == ref_iters
+        np.testing.assert_allclose(coef, ref_coef, rtol=1e-12, atol=0)
+        assert obj == pytest.approx(ref_obj, rel=1e-12)
+        assert gnorm < GRAD_TOL
+
+    def test_objective_and_gradient_stay_finite_at_extreme_eta(self):
+        # eta = 200 * x spans [-800, 800]; labels disagree with the sign of eta on
+        # every other row, so both tails of the softplus and the logistic are hit
+        x = np.linspace(-4.0, 4.0, 401)
+        xmat = np.column_stack([np.ones_like(x), x])
+        labels = (np.arange(x.size) % 2).astype(float)
+        weights = np.linspace(0.5, 2.0, x.size)
+        norm = float(x.size)
+        coef = np.array([0.0, 200.0])
+        value = log_pseudo_likelihood(coef, xmat, labels, weights, norm)
+        grad = log_pseudo_likelihood_gradient(coef, xmat, labels, weights, norm)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        eta = xmat @ coef
+        expected = np.sum(weights * (labels * eta - np.logaddexp(0.0, eta))) / norm
+        assert value == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(
+            grad, xmat.T @ (weights * (labels - expit(eta))) / norm, rtol=1e-12
+        )
+        step = 1e-6
+        for j in range(2):
+            bump = np.zeros(2)
+            bump[j] = step
+            fd = (
+                log_pseudo_likelihood(coef + bump, xmat, labels, weights, norm)
+                - log_pseudo_likelihood(coef - bump, xmat, labels, weights, norm)
+            ) / (2 * step)
+            assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 class TestObjective:
