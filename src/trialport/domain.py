@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DataError, NotIdentifiable
+from .errors import DataError, NoExternalRows, NotIdentifiable
 
 
 class Estimand(enum.Enum):
@@ -269,13 +270,18 @@ class ObservedDataset:
     def p(self) -> int:
         return self.x.shape[1]
 
+    @cached_property
+    def inputs(self) -> "EstimatorInputs":
+        """The estimator inputs of this dataset, derived once on first use."""
+        return EstimatorInputs(self)
+
     @property
     def trial_mask(self) -> np.ndarray:
-        return self.s == 1
+        return self.inputs.trial
 
     @property
     def external_mask(self) -> np.ndarray:
-        return self.s == 0
+        return self.inputs.external
 
     @property
     def n_trial(self) -> int:
@@ -295,3 +301,131 @@ class ObservedDataset:
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         return self.treatment_prob if arm == 1 else 1.0 - self.treatment_prob
+
+
+# ---------------------------------------------------------------------------
+# Estimator inputs
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _weight_diagnostics(weights: np.ndarray) -> tuple[float, float]:
+    """(max normalized weight, effective sample size) of the positive weights."""
+    w = weights[weights > 0]
+    v = w / w.sum()
+    return float(v.max()), float(1.0 / np.sum(v * v))
+
+
+@dataclass(frozen=True)
+class _WeightedSample:
+    """Per-record standardization weights with their total and diagnostics."""
+
+    weights: np.ndarray
+    total: float
+    diagnostics: tuple[float, float]  # see _weight_diagnostics
+
+    @classmethod
+    def of(cls, weights: np.ndarray) -> "_WeightedSample":
+        total = float(weights.sum())
+        if np.any(weights < 0) or total <= 0:
+            raise ValueError("weights must be non-negative with positive total")
+        return cls(_read_only(weights), total, _weight_diagnostics(weights))
+
+
+@dataclass(frozen=True)
+class _ArmRows:
+    """One treatment arm's trial rows: their mask, covariates and outcomes."""
+
+    rows: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+
+class EstimatorInputs:
+    """What the estimators and fits on one dataset share, each piece derived once.
+
+    Every g-formula and weighting estimator under a design standardizes over
+    the same rows with the same known design weights, so these are built on
+    first use and kept for the dataset's lifetime. The dataset is frozen and
+    its arrays are read-only, so nothing here can go stale; every array here
+    is read-only too. A piece that the design does not identify raises on
+    each access instead of being kept.
+    """
+
+    def __init__(self, data: ObservedDataset):
+        # the dataset's arrays, not the dataset itself: a back reference would
+        # form a cycle that only the garbage collector frees
+        self._x, self._a, self._y = data.x, data.a, data.y
+        self._aux, self._design = data.aux, data.design
+        self.trial = _read_only(data.s == 1)
+        self.external = _read_only(data.s == 0)
+
+    def arm(self, arm: int) -> _ArmRows:
+        """The trial rows of treatment arm ``arm`` (0 or 1)."""
+        if arm not in (0, 1):
+            raise ValueError(f"arm must be 0 or 1, got {arm}")
+        return self._arms[arm]
+
+    @cached_property
+    def _arms(self) -> tuple[_ArmRows, _ArmRows]:
+        out = []
+        for arm in (0, 1):
+            rows = _read_only(self.trial & (self._a == arm))
+            out.append(_ArmRows(rows, _read_only(self._x[rows]), _read_only(self._y[rows])))
+        return tuple(out)
+
+    @cached_property
+    def trial_x(self) -> np.ndarray:
+        return _read_only(self._x[self.trial])
+
+    @cached_property
+    def external_x(self) -> np.ndarray:
+        return _read_only(self._x[self.external])
+
+    @cached_property
+    def fractions(self) -> np.ndarray:
+        """The design's known sampling fraction c(X1) evaluated at every row.
+
+        On external rows it is the row's sampling probability; on trial rows
+        it converts sample-scale participation odds to population odds.
+        Raises :class:`NotIdentifiable` under a non-nested design.
+        """
+        return _read_only(known_sampling_fractions(self._design, self._aux))
+
+    @cached_property
+    def design_weights(self) -> np.ndarray:
+        """1 on trial rows and 1/c (or 1/c(X1)) on external rows; nested designs only."""
+        return _read_only(np.where(self.trial, 1.0, 1.0 / self.fractions))
+
+    @cached_property
+    def target(self) -> _WeightedSample:
+        """Weights whose empirical law is the target covariate distribution.
+
+        The design weights: trial rows count once and each sampled external
+        row stands for 1/c units. Requires a nested design — without a known
+        fraction the target distribution cannot be reconstructed.
+        """
+        if Estimand.MEAN_TARGET not in identification_matrix(self._design):
+            raise NotIdentifiable(
+                "the target-population covariate distribution is "
+                "not identifiable under non-nested design"
+            )
+        return _WeightedSample.of(self.design_weights)
+
+    @cached_property
+    def nonrandomized(self) -> _WeightedSample:
+        """Weights representing the covariate law of the S=0 stratum.
+
+        Zero on trial rows. External rows get weight 1 when the sampling
+        fraction is constant (any constant — it cancels), and 1/c(X1) under
+        covariate-dependent sampling, where the sampled externals are not a
+        simple random sample of the stratum.
+        """
+        if not self.external.any():
+            raise NoExternalRows("dataset has no sampled non-randomized rows")
+        if is_nested(self._design):
+            return _WeightedSample.of(np.where(self.external, self.design_weights, 0.0))
+        return _WeightedSample.of(self.external.astype(float))

@@ -6,10 +6,18 @@ participation-probability (or odds) weighting of trial outcomes. Every
 estimator first checks the study design's identification gate and raises
 :class:`NotIdentifiable` rather than silently returning a number.
 
+The estimator inputs — trial, external and per-arm rows, the known design
+weights, and the target and non-randomized weight sets with their totals and
+diagnostics — are derived once per dataset (``ObservedDataset.inputs``) and
+shared by every estimator and fit on it; each estimator adds only the work
+that depends on its model and arm.
+
 The non-randomized-mean weighting estimator is deliberately built from
 intercept-free slope scores: multiplicative constants in the participation
 odds cancel in its ratio, and dropping the intercept before exponentiation
-makes that cancellation exact down to the bit level.
+makes that cancellation exact down to the bit level. A sample-scale model fit
+under covariate-dependent sampling is off by ln c(X1), which is no constant,
+so that term is added to its scores.
 """
 
 from __future__ import annotations
@@ -21,14 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .domain import (
-    Design,
-    Estimand,
-    ObservedDataset,
-    identification_matrix,
-    known_sampling_fractions,
-)
-from .errors import InsufficientData, NoExternalRows, NotIdentifiable
+from .domain import ObservedDataset, SubsampledNestedCovariate, _weight_diagnostics
 from .outcome import OutcomeModel, predict
 from .participation import ParticipationModel, Scale
 
@@ -46,73 +47,6 @@ class StudyPopulation(enum.Enum):
     TARGET = "target"
     NONRANDOMIZED = "nonrandomized"
     RANDOMIZED = "randomized"
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """Per-record standardization weights representing a covariate distribution."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be non-negative with positive total")
-        object.__setattr__(self, "weights", w)
-        w.flags.writeable = False
-
-    @classmethod
-    def target_population(cls, data: ObservedDataset) -> "WeightedSample":
-        """Weights whose empirical law is the target covariate distribution.
-
-        Trial rows get weight 1; sampled external rows get the inverse of
-        their known sampling fraction (1 for a census). Requires a nested
-        design — without a known fraction the target distribution cannot be
-        reconstructed.
-        """
-        if Estimand.MEAN_TARGET not in identification_matrix(data.design):
-            raise NotIdentifiable(
-                "the target-population covariate distribution is "
-                "not identifiable under non-nested design"
-            )
-        w = np.ones(data.n_rows)
-        ext = data.external_mask
-        w[ext] = 1.0 / known_sampling_fractions(data.design, data.aux[ext])
-        return cls(w)
-
-    @classmethod
-    def nonrandomized_population(cls, data: ObservedDataset) -> "WeightedSample":
-        """Weights representing the covariate law of the S=0 stratum.
-
-        Zero on trial rows. External rows get weight 1 when the sampling
-        fraction is constant (any constant — it cancels), and 1/c(X1) under
-        covariate-dependent sampling, where the sampled externals are not a
-        simple random sample of the stratum.
-        """
-        if data.n_external == 0:
-            raise NoExternalRows("dataset has no sampled non-randomized rows")
-        w = np.zeros(data.n_rows)
-        ext = data.external_mask
-        try:
-            w[ext] = 1.0 / known_sampling_fractions(data.design, data.aux[ext])
-        except NotIdentifiable:
-            w[ext] = 1.0  # unknown constant fraction cancels
-        return cls(w)
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-    def normalized(self) -> np.ndarray:
-        return self.weights / self.total
-
-
-def _weight_diagnostics(weights: np.ndarray) -> tuple[float, float]:
-    """(max normalized weight, effective sample size) of the positive weights."""
-    w = weights[weights > 0]
-    total = w.sum()
-    v = w / total
-    return float(v.max()), float(1.0 / np.sum(v * v))
 
 
 @dataclass(frozen=True)
@@ -162,8 +96,8 @@ class EstimateReport:
         return ",".join(cells)
 
 
-def _report(estimand, arm, method, value, weights, extra_warnings=()):
-    max_w, ess = _weight_diagnostics(weights)
+def _report(estimand, arm, method, value, diagnostics, extra_warnings=()):
+    max_w, ess = diagnostics
     warnings = tuple(extra_warnings)
     if max_w > EXTREME_WEIGHT_THRESHOLD:
         warnings = warnings + (
@@ -191,10 +125,10 @@ def gformula_mean_target(data: ObservedDataset, model: OutcomeModel, arm: int) -
     Weighted average of per-row predictions with target-population weights; a
     plain average over all rows for a census.
     """
-    sample = WeightedSample.target_population(data)
+    sample = data.inputs.target
     preds = predict(model, arm, data.x)
     value = float(np.sum(sample.weights * preds) / sample.total)
-    return _report(StudyPopulation.TARGET, arm, Method.GFORMULA, value, sample.weights)
+    return _report(StudyPopulation.TARGET, arm, Method.GFORMULA, value, sample.diagnostics)
 
 
 def gformula_mean_nonrandomized(
@@ -204,23 +138,23 @@ def gformula_mean_nonrandomized(
 
     Identifiable under every design, non-nested included.
     """
-    sample = WeightedSample.nonrandomized_population(data)
-    ext = data.external_mask
-    preds = predict(model, arm, data.x[ext])
-    value = float(np.sum(sample.weights[ext] * preds) / sample.total)
-    return _report(StudyPopulation.NONRANDOMIZED, arm, Method.GFORMULA, value, sample.weights)
+    inputs = data.inputs
+    sample = inputs.nonrandomized
+    preds = predict(model, arm, inputs.external_x)
+    value = float(np.sum(sample.weights[inputs.external] * preds) / sample.total)
+    return _report(
+        StudyPopulation.NONRANDOMIZED, arm, Method.GFORMULA, value, sample.diagnostics
+    )
 
 
 def gformula_mean_randomized(
     data: ObservedDataset, model: OutcomeModel, arm: int
 ) -> EstimateReport:
     """Average the trial outcome regression over trial rows (the S=1 stratum)."""
-    trial = data.trial_mask
-    preds = predict(model, arm, data.x[trial])
-    value = float(np.mean(preds))
-    return _report(
-        StudyPopulation.RANDOMIZED, arm, Method.GFORMULA, value, np.ones(int(trial.sum()))
-    )
+    trial_x = data.inputs.trial_x
+    value = float(np.mean(predict(model, arm, trial_x)))
+    diagnostics = _weight_diagnostics(np.ones(len(trial_x)))
+    return _report(StudyPopulation.RANDOMIZED, arm, Method.GFORMULA, value, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +186,24 @@ def ipw_mean_target(
     """
     if variant not in ("ht", "hajek"):
         raise ValueError(f"variant must be 'ht' or 'hajek', got {variant!r}")
-    target = WeightedSample.target_population(data)  # also enforces the gate
+    inputs = data.inputs
+    target = inputs.target  # also enforces the gate
     if model.scale is not Scale.POPULATION:
         raise ValueError(
             "target-mean weighting needs a population-scale participation model; "
             "refit with design weights"
         )
-    rows = data.trial_mask & (data.a == arm)
-    prob = expit(model.coefficients[0] + model.slope_score(data.x[rows]))
+    rows = inputs.arm(arm)
+    prob = expit(model.coefficients[0] + model.slope_score(rows.x))
     w = 1.0 / (prob * data.prob_treatment(arm))
     w, notes = _truncate(w, truncate_q)
-    y = data.y[rows]
     if variant == "ht":
-        value = float(np.sum(y * w) / target.total)
+        value = float(np.sum(rows.y * w) / target.total)
         method = Method.IPW_HT
     else:
-        value = float(np.sum(y * w) / np.sum(w))
+        value = float(np.sum(rows.y * w) / np.sum(w))
         method = Method.IPW_HAJEK
-    return _report(StudyPopulation.TARGET, arm, method, value, w, notes)
+    return _report(StudyPopulation.TARGET, arm, method, value, _weight_diagnostics(w), notes)
 
 
 def ipw_mean_nonrandomized(
@@ -284,15 +218,22 @@ def ipw_mean_nonrandomized(
     and denominator through the same factor, so unknown multiplicative
     constants in the odds cancel. Weights are computed from intercept-free
     slope scores (centered at their minimum before exponentiation), so any
-    intercept shift of the model leaves the estimate bit-identical.
+    intercept shift of the model leaves the estimate bit-identical. A
+    sample-scale (SHIFTED) model fit under covariate-dependent sampling
+    understates each row's population log odds by ln c(X1), which varies by
+    row, so that term is added to the scores.
     """
-    rows = data.trial_mask & (data.a == arm)
-    score = model.slope_score(data.x[rows])
+    inputs = data.inputs
+    rows = inputs.arm(arm)
+    score = model.slope_score(rows.x)
+    if model.scale is Scale.SHIFTED and isinstance(data.design, SubsampledNestedCovariate):
+        score = score + np.log(inputs.fractions[rows.rows])
     w = np.exp(score.min() - score) / data.prob_treatment(arm)
     w, notes = _truncate(w, truncate_q)
-    y = data.y[rows]
-    value = float(np.sum(y * w) / np.sum(w))
-    return _report(StudyPopulation.NONRANDOMIZED, arm, Method.IPW_HAJEK, value, w, notes)
+    value = float(np.sum(rows.y * w) / np.sum(w))
+    return _report(
+        StudyPopulation.NONRANDOMIZED, arm, Method.IPW_HAJEK, value, _weight_diagnostics(w), notes
+    )
 
 
 def trial_only_mean(data: ObservedDataset, arm: int) -> EstimateReport:
@@ -302,10 +243,8 @@ def trial_only_mean(data: ObservedDataset, arm: int) -> EstimateReport:
     randomization; its contrast with the non-randomized estimates is the
     basic transportability diagnostic.
     """
-    rows = data.trial_mask & (data.a == arm)
-    if not rows.any():
-        raise InsufficientData(f"no trial rows in arm {arm}")
-    value = float(np.mean(data.y[rows]))
+    y = data.inputs.arm(arm).y
     return _report(
-        StudyPopulation.RANDOMIZED, arm, Method.TRIAL_ONLY, value, np.ones(int(rows.sum()))
+        StudyPopulation.RANDOMIZED, arm, Method.TRIAL_ONLY, float(np.mean(y)),
+        _weight_diagnostics(np.ones(y.size)),
     )

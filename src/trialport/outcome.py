@@ -74,21 +74,22 @@ def _ols_qr(xmat: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def fit_outcome(data: ObservedDataset) -> OutcomeModel:
     """OLS fit of the outcome on covariates within each treatment arm's trial rows."""
-    trial = data.trial_mask
     coefs, variances, sizes = [], [], []
     for arm in (0, 1):
-        rows = trial & (data.a == arm)
-        n_arm = int(rows.sum())
+        rows = data.inputs.arm(arm)
+        n_arm = rows.y.size
         if n_arm < data.p + 2:
             raise InsufficientData(
                 f"arm {arm} has {n_arm} trial rows; need at least p+2 = {data.p + 2}"
             )
-        xmat = np.column_stack([np.ones(n_arm), data.x[rows]])
-        y = data.y[rows]
-        coef = _ols_qr(xmat, y)
-        resid = y - xmat @ coef
+        xmat = np.column_stack([np.ones(n_arm), rows.x])
+        coef = _ols_qr(xmat, rows.y)
+        # einsum, not `@`: OpenBLAS runs long dot and matrix-vector products
+        # on several threads, which then spin for ~0.1 s on cores that other
+        # replication workers use
+        resid = rows.y - np.einsum("ij,j->i", xmat, coef)
         dof = n_arm - (data.p + 1)
-        variances.append(float(resid @ resid / dof) if dof > 0 else 0.0)
+        variances.append(float(np.einsum("i,i", resid, resid) / dof) if dof > 0 else 0.0)
         coefs.append(coef)
         sizes.append(n_arm)
     return OutcomeModel(
@@ -109,4 +110,4 @@ def predict(model: OutcomeModel, arm: int, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim <= 1:
         return float(coef[0] + x @ coef[1:])
-    return coef[0] + x @ coef[1:]
+    return coef[0] + np.einsum("ij,j->i", x, coef[1:])  # not `@`, see fit_outcome

@@ -85,7 +85,9 @@ class ParticipationModel:
 
     def slope_score(self, x: np.ndarray) -> np.ndarray:
         """Intercept-free part of the log odds, vectorized over rows."""
-        return np.atleast_2d(x) @ self.coefficients[1:]
+        # einsum, not `@`: a long matrix-vector product runs on several BLAS
+        # threads, which spin on after it (see _dot)
+        return np.einsum("ij,j->i", np.atleast_2d(x), self.coefficients[1:])
 
     def to_dict(self) -> dict:
         return {
@@ -243,15 +245,9 @@ def participation_design(data: ObservedDataset, weighted: bool = True):
     n = data.n_rows
     xmat = np.column_stack([np.ones(n), data.x])
     labels = data.s.astype(float)
-    weights = np.ones(n)
-    if is_nested(data.design):
-        if weighted:
-            ext = data.external_mask
-            frac = known_sampling_fractions(data.design, data.aux[ext])
-            weights[ext] = 1.0 / frac
-        norm = float(n + (data.n_unsampled_nonrandomized or 0))
-    else:
-        norm = float(n)
+    nested = is_nested(data.design)
+    weights = data.inputs.design_weights if nested and weighted else np.ones(n)
+    norm = float(n + (data.n_unsampled_nonrandomized or 0)) if nested else float(n)
     return xmat, labels, weights, norm
 
 
@@ -274,9 +270,8 @@ def fit_participation(data: ObservedDataset, weighted: bool = True) -> Participa
         else:
             # an unweighted fit is still population-scale when the design
             # would not have down-sampled anyone (census, c = 1)
-            ext = data.external_mask
-            frac = known_sampling_fractions(data.design, data.aux[ext])
-            population_scale = bool(np.all(frac == 1.0))
+            inputs = data.inputs
+            population_scale = bool(np.all(inputs.fractions[inputs.external] == 1.0))
     else:
         population_scale = False
     return ParticipationModel(
@@ -304,10 +299,9 @@ def marginal_participation_probability(data: ObservedDataset) -> float:
             "marginal trial-participation probability is "
             "not identifiable under non-nested design"
         )
-    ext = data.external_mask
-    frac = known_sampling_fractions(data.design, data.aux[ext])
+    inputs = data.inputs
     n1 = float(data.n_trial)
-    return n1 / (n1 + float(np.sum(1.0 / frac)))
+    return n1 / (n1 + float(np.sum(inputs.design_weights[inputs.external])))
 
 
 def _fitted_logit(model: ParticipationModel, x) -> float:

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 import trialport as tp
+from trialport.domain import _WeightedSample
 from trialport.estimators import EXTREME_WEIGHT_THRESHOLD, Method, StudyPopulation
 from trialport.participation import Scale
 
@@ -194,6 +196,44 @@ class TestIpwNonrandomized:
         b = tp.ipw_mean_nonrandomized(data, shifted, 1).value
         assert a == b
 
+    def test_shifted_model_under_covariate_sampling_matches_weighted_fit(self):
+        # An unweighted fit under c(X1) sampling is off the population log odds
+        # by ln c(X1), which varies by row and so does not cancel in the ratio.
+        # X1 is binary here, so ln c(X1) is linear in it and the main-effects
+        # sample-scale model is correctly specified; under a continuous X1 the
+        # step in ln c(X1) misspecifies it, whatever the conversion.
+        logit, coef_a1 = (-1.0, 0.8, 0.5), (2.0, 1.0, 1.3)
+        dgp = tp.DgpSpec(
+            covariates=(tp.Bernoulli(0.5), tp.Normal(0.0, 1.0)),
+            participation_logit=logit, treatment_prob=0.5,
+            outcome_mean_a0=(1.0, 0.5, 1.0), outcome_mean_a1=coef_a1,
+            noise_sd=1.0, seed=7000, aux_split=1,
+        )
+        design = tp.SubsampledNestedCovariate(
+            c_rule=tp.StepRule(coord=0, cutoff=0.5, low=0.2, high=0.8)
+        )
+        unweighted, weighted = [], []
+        for r in range(5):
+            pop = tp.simulate_actual_population(dgp, 100_000, seed=7100 + r)
+            data = tp.apply_design(pop, design, seed=7200 + r)
+            shifted = tp.fit_participation(data, weighted=False)
+            assert shifted.scale is Scale.SHIFTED
+            unweighted.append(tp.ipw_mean_nonrandomized(data, shifted, 1).value)
+            weighted.append(tp.ipw_mean_nonrandomized(data, tp.fit_participation(data), 1).value)
+
+        # E[Y^1 | S=0]: exact over X1, Gauss-Hermite over X2
+        z, w = np.polynomial.hermite_e.hermegauss(101)
+        num = den = 0.0
+        for x1 in (0.0, 1.0):
+            p_s0 = 1.0 - expit(logit[0] + logit[1] * x1 + logit[2] * z)
+            num += np.sum(w * p_s0 * (coef_a1[0] + coef_a1[1] * x1 + coef_a1[2] * z))
+            den += np.sum(w * p_s0)
+        truth = num / den
+
+        se = np.std(unweighted, ddof=1) / math.sqrt(len(unweighted))
+        assert abs(np.mean(unweighted) - truth) <= 3 * se
+        assert abs(np.mean(unweighted) - np.mean(weighted)) <= 3 * se
+
     def test_agrees_with_gformula_non_nested(self, nonnested_1m):
         pmodel = tp.fit_participation(nonnested_1m)
         omodel = tp.fit_outcome(nonnested_1m)
@@ -328,8 +368,9 @@ class TestReports:
             )
 
     def test_weighted_sample_diagnostics(self):
-        ws = tp.WeightedSample(np.array([1.0, 1.0, 2.0]))
+        ws = _WeightedSample.of(np.array([1.0, 1.0, 2.0]))
         assert ws.total == 4.0
-        assert ws.normalized().tolist() == [0.25, 0.25, 0.5]
+        # normalized weights 0.25, 0.25, 0.5
+        assert ws.diagnostics == (0.5, 1.0 / (0.25**2 + 0.25**2 + 0.5**2))
         with pytest.raises(ValueError):
-            tp.WeightedSample(np.array([-1.0, 2.0]))
+            _WeightedSample.of(np.array([-1.0, 2.0]))

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +65,85 @@ class TestEstimatorSpec:
         ]
         for s, expected in cases:
             assert s.fit_and_evaluate(data) == expected
+
+
+ALL_SPECS = tp.default_estimators() + tuple(
+    tp.EstimatorSpec(Method.IPW_HT, StudyPopulation.TARGET, arm) for arm in (0, 1)
+)
+
+DESIGNS = pytest.mark.parametrize(
+    "design",
+    [
+        tp.CensusNested(),
+        tp.SubsampledNested(c=0.3),
+        tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
+        tp.NonNested(u_hidden=0.2),
+    ],
+    ids=["census", "c=0.3", "step_rule", "non_nested"],
+)
+
+
+def _reports(specs, data, pmodel, omodel) -> dict:
+    out = {}
+    for s in specs:
+        try:
+            out[s] = s.evaluate(data, pmodel, omodel).to_dict()
+        except tp.NotIdentifiable:
+            out[s] = "not identifiable"
+    return out
+
+
+def _arrays(value) -> list:
+    """Every array reachable from ``value`` through attributes and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    if hasattr(value, "__dict__"):
+        return [a for v in vars(value).values() for a in _arrays(v)]
+    return []
+
+
+class TestSharedInputs:
+    """Each dataset derives its estimator inputs once; sharing them changes nothing."""
+
+    @DESIGNS
+    def test_order_and_fresh_copies_give_equal_reports(self, dgp1, design):
+        pop = tp.simulate_actual_population(dgp1, 20_000)
+        data = tp.apply_design(pop, design, seed=41)
+        pmodel, omodel = experiment.fit_models(ALL_SPECS, data)
+        forward = _reports(ALL_SPECS, data, pmodel, omodel)
+        backward = _reports(ALL_SPECS[::-1], data, pmodel, omodel)
+        fresh = {}
+        for s in ALL_SPECS:
+            fresh.update(_reports([s], dataclasses.replace(data), pmodel, omodel))
+        assert forward == backward == fresh
+
+        arrays = _arrays(data.inputs)
+        assert len(arrays) >= 12
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_sampling_fractions_are_computed_once_per_replication(self, dgp1, monkeypatch):
+        calls = collections.Counter()
+        modules = [m for k, m in sys.modules.items() if k.startswith("trialport.")]
+        original = tp.domain.known_sampling_fractions
+        for module in modules:
+            if getattr(module, "known_sampling_fractions", None) is original:
+
+                def counting(*args, _name=module.__name__, **kwargs):
+                    calls[_name] += 1
+                    return original(*args, **kwargs)
+
+                monkeypatch.setattr(module, "known_sampling_fractions", counting)
+        design = tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8))
+        cfg = small_config(dgp1, design, estimators=ALL_SPECS, replications=1)
+        results = experiment._run_replication(cfg, 0)
+        assert [status for status, _, _ in results] == [experiment.OK] * len(ALL_SPECS)
+        # once for the dataset's inputs, once for the thinning that made it
+        assert calls == {"trialport.domain": 1, "trialport.sampling": 1}
 
 
 class TestRunExperiment:

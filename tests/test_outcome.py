@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 import trialport as tp
 
 from conftest import make_tiny_dataset
+from support import oracles
 
 
 def constant_outcome_dataset(value=5.0, n_trial=20, n_external=5):
@@ -123,3 +125,45 @@ class TestPredict:
     def test_rejects_unknown_arm(self, model):
         with pytest.raises(ValueError):
             tp.predict(model, 2, (0.0,))
+
+
+def _cpu_burnt_while_sleeping(call) -> float:
+    """CPU time of this process during a 0.2 s sleep right after ``call()``."""
+    time.sleep(0.3)  # let threads woken by earlier work go idle first
+    call()
+    start = time.process_time()
+    time.sleep(0.2)
+    return time.process_time() - start
+
+
+class TestBlasThreads:
+    """Long products must not leave threaded-BLAS workers spinning.
+
+    OpenBLAS runs a long dot or matrix-vector product on several threads,
+    which then spin for about 0.1 s on cores that other replication workers
+    use; the process burns CPU while it sleeps. Only visible on >= 2 cores.
+    """
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        x = np.random.Generator(np.random.Philox(5)).normal(size=(100_000, 8))
+        coef = np.linspace(-1.0, 1.0, 9)
+        outcome = tp.OutcomeModel(coef, coef, (1.0, 1.0), (10, 10))
+        participation = tp.ParticipationModel(
+            coefficients=coef, scale=tp.Scale.POPULATION,
+            objective=0.0, grad_norm=0.0, iterations=0,
+        )
+        return x, outcome, participation
+
+    def test_fit_outcome(self):
+        pop = tp.simulate_actual_population(oracles.make_dgp1(seed=81), 100_000)
+        data = tp.apply_design(pop, tp.CensusNested(), seed=82)
+        assert _cpu_burnt_while_sleeping(lambda: tp.fit_outcome(data)) < 0.05
+
+    def test_predict(self, wide):
+        x, outcome, _ = wide
+        assert _cpu_burnt_while_sleeping(lambda: tp.predict(outcome, 1, x)) < 0.05
+
+    def test_slope_score(self, wide):
+        x, _, participation = wide
+        assert _cpu_burnt_while_sleeping(lambda: participation.slope_score(x)) < 0.05
