@@ -65,8 +65,6 @@ from .participation import (
     Scale,
     fit_participation,
     marginal_participation_probability,
-    odds_population,
-    participation_odds_up_to_constant,
     participation_probability,
 )
 from .sampling import apply_design, sampling_indicator_independence_check
@@ -120,9 +118,7 @@ __all__ = [
     "ipw_mean_target",
     "marginal_participation_probability",
     "mix_seed",
-    "odds_population",
     "oracle_truth",
-    "participation_odds_up_to_constant",
     "participation_probability",
     "predict",
     "run_experiment",

@@ -103,6 +103,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     method = "ipw_hajek" if args.method == "ipw" else args.method
+    if args.truncate_q is not None:
+        if method not in ("ipw_ht", "ipw_hajek"):
+            raise ConfigError(f"--truncate-q applies only to the ipw methods, not {args.method}")
+        if not 0.0 < args.truncate_q <= 1.0:  # also rejects nan
+            raise ConfigError(f"--truncate-q must be in (0, 1], got {args.truncate_q}")
     arms = [0, 1] if args.arm == "both" else [int(args.arm)]
     specs = [
         dataio.estimator_spec_from_dict(

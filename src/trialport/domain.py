@@ -386,19 +386,15 @@ class EstimatorInputs:
         return _read_only(self._x[self.external])
 
     @cached_property
-    def fractions(self) -> np.ndarray:
-        """The design's known sampling fraction c(X1) evaluated at every row.
-
-        On external rows it is the row's sampling probability; on trial rows
-        it converts sample-scale participation odds to population odds.
-        Raises :class:`NotIdentifiable` under a non-nested design.
-        """
-        return _read_only(known_sampling_fractions(self._design, self._aux))
-
-    @cached_property
     def design_weights(self) -> np.ndarray:
-        """1 on trial rows and 1/c (or 1/c(X1)) on external rows; nested designs only."""
-        return _read_only(np.where(self.trial, 1.0, 1.0 / self.fractions))
+        """1 on trial rows and 1/c (or 1/c(X1)) on external rows.
+
+        The known fraction c(X1) is evaluated at every row, which also
+        range-checks a custom rule there. Raises :class:`NotIdentifiable`
+        under a non-nested design.
+        """
+        fractions = known_sampling_fractions(self._design, self._aux)
+        return _read_only(np.where(self.trial, 1.0, 1.0 / fractions))
 
     @cached_property
     def target(self) -> _WeightedSample:

@@ -15,9 +15,10 @@ that depends on its model and arm.
 The non-randomized-mean weighting estimator is deliberately built from
 intercept-free slope scores: multiplicative constants in the participation
 odds cancel in its ratio, and dropping the intercept before exponentiation
-makes that cancellation exact down to the bit level. A sample-scale model fit
-under covariate-dependent sampling is off by ln c(X1), which is no constant,
-so that term is added to its scores.
+makes that cancellation exact down to the bit level. Only a constant
+cancels: a nested fit is on the population scale and a non-nested fit is
+shifted by a constant, but a shifted model under covariate-dependent sampling
+would be off by ln c(X1), which varies by row, so it is refused.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .domain import ObservedDataset, SubsampledNestedCovariate, _weight_diagnostics
 from .outcome import OutcomeModel, predict
-from .participation import ParticipationModel, Scale
+from .participation import ParticipationModel, Scale, participation_probability
 
 EXTREME_WEIGHT_THRESHOLD = 0.1
 
@@ -188,13 +188,8 @@ def ipw_mean_target(
         raise ValueError(f"variant must be 'ht' or 'hajek', got {variant!r}")
     inputs = data.inputs
     target = inputs.target  # also enforces the gate
-    if model.scale is not Scale.POPULATION:
-        raise ValueError(
-            "target-mean weighting needs a population-scale participation model; "
-            "refit with design weights"
-        )
     rows = inputs.arm(arm)
-    prob = expit(model.coefficients[0] + model.slope_score(rows.x))
+    prob = participation_probability(model, data.design, rows.x)
     w = 1.0 / (prob * data.prob_treatment(arm))
     w, notes = _truncate(w, truncate_q)
     if variant == "ht":
@@ -214,20 +209,21 @@ def ipw_mean_nonrandomized(
 ) -> EstimateReport:
     """Ratio estimator of the non-randomized mean from inverse participation odds.
 
-    Works for every design and either model scale: the weights enter numerator
-    and denominator through the same factor, so unknown multiplicative
-    constants in the odds cancel. Weights are computed from intercept-free
-    slope scores (centered at their minimum before exponentiation), so any
-    intercept shift of the model leaves the estimate bit-identical. A
-    sample-scale (SHIFTED) model fit under covariate-dependent sampling
-    understates each row's population log odds by ln c(X1), which varies by
-    row, so that term is added to the scores.
+    Works for every design: the weights enter numerator and denominator
+    through the same factor, so unknown multiplicative constants in the odds
+    cancel. Weights are computed from intercept-free slope scores (centered at
+    their minimum before exponentiation), so any intercept shift of the model
+    leaves the estimate bit-identical. A SHIFTED model under
+    covariate-dependent sampling raises ``ValueError``: its log odds would be
+    off by ln c(X1), which is no constant.
     """
-    inputs = data.inputs
-    rows = inputs.arm(arm)
-    score = model.slope_score(rows.x)
     if model.scale is Scale.SHIFTED and isinstance(data.design, SubsampledNestedCovariate):
-        score = score + np.log(inputs.fractions[rows.rows])
+        raise ValueError(
+            "a shifted participation model is off by ln c(X1) under covariate-dependent "
+            "sampling; fit it on the nested design"
+        )
+    rows = data.inputs.arm(arm)
+    score = model.slope_score(rows.x)
     w = np.exp(score.min() - score) / data.prob_treatment(arm)
     w, notes = _truncate(w, truncate_q)
     value = float(np.sum(rows.y * w) / np.sum(w))

@@ -1,4 +1,4 @@
-"""Trial-participation model: weighted maximum likelihood and probability/odds conversions.
+"""Trial-participation model: design-weighted maximum likelihood and probabilities.
 
 The participation probability Pr[S=1|X] is modeled as main-effects logistic.
 How it is fit, and what the fitted coefficients mean, depends on the design:
@@ -13,6 +13,9 @@ How it is fit, and what the fitted coefficients mean, depends on the design:
   logistic model, unknown constant sub-sampling of the S=0 stratum distorts
   only the intercept — it is shifted by -ln(u) — so slopes are population
   quantities while the intercept is sample-scale ("shifted").
+
+So a nested fit is on the population scale and a non-nested fit is shifted.
+A sample-scale fit of nested rows is the non-nested fit of the same rows.
 
 Fitting is Newton-Raphson with step-halving on the size-normalized
 objective. Each iterate's linear predictor eta is computed once, by the line
@@ -33,6 +36,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .domain import (
     Design,
@@ -40,7 +44,6 @@ from .domain import (
     ObservedDataset,
     identification_matrix,
     is_nested,
-    known_sampling_fractions,
 )
 from .errors import (
     InsufficientData,
@@ -66,8 +69,8 @@ class ParticipationModel:
 
     ``coefficients`` is (intercept, slope_1..slope_p). With ``POPULATION``
     scale the model directly parameterizes Pr[S=1|X]; with ``SHIFTED`` scale
-    the intercept absorbs an unknown (or uncorrected) log sampling fraction
-    and only odds ratios / slopes carry population meaning.
+    the intercept absorbs an unknown log sampling fraction and only odds
+    ratios / slopes carry population meaning.
     """
 
     coefficients: np.ndarray
@@ -234,49 +237,33 @@ def _newton_fit(xmat, labels, weights, norm):
         prob = _logistic(cand_eta, cand_t)
 
 
-def participation_design(data: ObservedDataset, weighted: bool = True):
+def participation_design(data: ObservedDataset):
     """Design matrix, labels, weights, and normalization for the participation fit.
 
-    Returns ``(xmat, labels, weights, norm)``. Weights are 1 on trial rows and,
-    when ``weighted`` and the design is nested, 1/c (or 1/c(X1)) on external
-    rows; non-nested data always gets unit weights. ``norm`` is the known
-    actual-population size for nested designs and the row count otherwise.
+    Returns ``(xmat, labels, weights, norm)``. Nested designs get the design
+    weights (1 on trial rows, 1/c or 1/c(X1) on external rows) and the known
+    actual-population size as ``norm``; non-nested data gets unit weights and
+    the row count.
     """
     n = data.n_rows
     xmat = np.column_stack([np.ones(n), data.x])
     labels = data.s.astype(float)
-    nested = is_nested(data.design)
-    weights = data.inputs.design_weights if nested and weighted else np.ones(n)
-    norm = float(n + (data.n_unsampled_nonrandomized or 0)) if nested else float(n)
-    return xmat, labels, weights, norm
+    if is_nested(data.design):
+        return xmat, labels, data.inputs.design_weights, float(n + data.n_unsampled_nonrandomized)
+    return xmat, labels, np.ones(n), float(n)
 
 
-def fit_participation(data: ObservedDataset, weighted: bool = True) -> ParticipationModel:
-    """Fit the logistic participation model by (weighted) maximum likelihood.
+def fit_participation(data: ObservedDataset) -> ParticipationModel:
+    """Fit the logistic participation model by (design-weighted) maximum likelihood.
 
-    ``weighted=False`` on a nested sub-sampled design fits the sample-scale
-    model instead (useful as the odds-correction cross-check route); the
-    resulting model is marked SHIFTED unless all weights would have been 1
-    anyway. Non-nested data is always fit unweighted and marked SHIFTED.
+    A nested fit is on the population scale and a non-nested fit is SHIFTED.
     """
     if data.n_trial == 0 or data.n_external == 0:
         raise InsufficientData("participation fit needs both trial and external records")
-    xmat, labels, weights, norm = participation_design(data, weighted)
-    coef, obj, gnorm, iters = _newton_fit(xmat, labels, weights, norm)
-
-    if is_nested(data.design):
-        if weighted:
-            population_scale = True
-        else:
-            # an unweighted fit is still population-scale when the design
-            # would not have down-sampled anyone (census, c = 1)
-            inputs = data.inputs
-            population_scale = bool(np.all(inputs.fractions[inputs.external] == 1.0))
-    else:
-        population_scale = False
+    coef, obj, gnorm, iters = _newton_fit(*participation_design(data))
     return ParticipationModel(
         coefficients=coef,
-        scale=Scale.POPULATION if population_scale else Scale.SHIFTED,
+        scale=Scale.POPULATION if is_nested(data.design) else Scale.SHIFTED,
         objective=obj,
         grad_norm=gnorm,
         iterations=iters,
@@ -284,7 +271,7 @@ def fit_participation(data: ObservedDataset, weighted: bool = True) -> Participa
 
 
 # ---------------------------------------------------------------------------
-# Probability / odds identities
+# Participation probabilities
 
 
 def marginal_participation_probability(data: ObservedDataset) -> float:
@@ -304,57 +291,21 @@ def marginal_participation_probability(data: ObservedDataset) -> float:
     return n1 / (n1 + float(np.sum(inputs.design_weights[inputs.external])))
 
 
-def _fitted_logit(model: ParticipationModel, x) -> float:
-    """Fitted log odds (intercept + slopes . x) at one covariate row ``x``."""
-    return float(model.coefficients[0] + np.asarray(x, dtype=float) @ model.coefficients[1:])
+def participation_probability(model: ParticipationModel, design: Design, x) -> np.ndarray:
+    """Pr[S=1 | X=x] at each row of the (n, p) covariate block ``x``.
 
-
-def _known_fraction(design: Design, x) -> float:
-    # auxiliary covariates are the leading coordinates, so a full row is a
-    # safe superset of the auxiliary block
-    return float(known_sampling_fractions(design, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
-def _require_conditional_participation(design: Design, what: str) -> None:
+    Not identifiable under a non-nested design, whatever the model's scale.
+    Needs a population-scale model: a SHIFTED model's intercept is off by an
+    unknown constant.
+    """
     if Estimand.CONDITIONAL_PARTICIPATION not in identification_matrix(design):
-        raise NotIdentifiable(f"{what} not identifiable under non-nested design")
-
-
-def participation_probability(model: ParticipationModel, design: Design, x) -> float:
-    """Population-scale Pr[S=1 | X=x].
-
-    Population-scale models evaluate directly. A shifted (sample-scale) model
-    is converted with the design's known sampling fraction: population odds
-    equal sample odds times c(x). Under a non-nested design the probability is
-    not identifiable, whatever the model's scale.
-    """
-    _require_conditional_participation(design, "conditional trial-participation probability is")
-    if model.scale is Scale.POPULATION:
-        eta = _fitted_logit(model, x)
-        return float(_logistic(eta, np.exp(-abs(eta))))
-    odds = float(np.exp(_fitted_logit(model, x))) * _known_fraction(design, x)
-    return odds / (1.0 + odds)
-
-
-def participation_odds_up_to_constant(model: ParticipationModel, x) -> float:
-    """exp(intercept + slopes . x).
-
-    Equals the population odds of trial participation times an unknown
-    positive constant; the constant is 1 for population-scale models.
-    """
-    return float(np.exp(_fitted_logit(model, x)))
-
-
-def odds_population(model: ParticipationModel, design: Design, x) -> float:
-    """Population-scale odds of trial participation at ``x``.
-
-    For population-scale models this is exp(log-odds) directly; for
-    sample-scale models fit on nested data the known fraction converts:
-    population odds = sample odds * c(x). Both routes agree to solver
-    tolerance when applied to the same data.
-    """
-    _require_conditional_participation(design, "population odds of trial participation are")
-    raw = float(np.exp(_fitted_logit(model, x)))
-    if model.scale is Scale.POPULATION:
-        return raw
-    return raw * _known_fraction(design, x)
+        raise NotIdentifiable(
+            "conditional trial-participation probability is "
+            "not identifiable under non-nested design"
+        )
+    if model.scale is not Scale.POPULATION:
+        raise ValueError(
+            "participation probabilities need a population-scale model; "
+            "fit it on a nested design"
+        )
+    return expit(model.coefficients[0] + model.slope_score(x))

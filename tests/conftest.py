@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -42,6 +43,11 @@ def nonnested_1m(dgp1_session):
 @pytest.fixture(scope="session")
 def census_models_1m(census_1m):
     return tp.fit_participation(census_1m), tp.fit_outcome(census_1m)
+
+
+def as_non_nested(data):
+    """The same rows relabelled non-nested: fitting them gives the sample-scale model."""
+    return dataclasses.replace(data, design=tp.NonNested(), n_unsampled_nonrandomized=None)
 
 
 def make_tiny_dataset(

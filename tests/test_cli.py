@@ -383,6 +383,28 @@ class TestMalformedInput:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
+        "method, q",
+        [
+            ("ipw", "0"), ("ipw", "1.5"), ("ipw", "-1"), ("ipw", "nan"), ("ipw_ht", "inf"),
+            ("gformula", "0.9"), ("trial_only", "0.9"),
+        ],
+        ids=[
+            "zero", "above_one", "negative", "nan", "inf",
+            "gformula_ignores_it", "trial_only_ignores_it",
+        ],
+    )
+    def test_bad_truncation_quantile_exits_2(self, tmp_path, capsys, method, q):
+        out = simulate(tmp_path, n=2_000)
+        estimand = "randomized" if method == "trial_only" else "target"
+        code, captured = run_json(capsys, [
+            "estimate", str(out), "--estimand", estimand, "--method", method, "--truncate-q", q,
+        ])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert "--truncate-q" in captured.err
+
+    @pytest.mark.parametrize(
         "edit",
         [
             lambda d: d.update(n="abc"),

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import expit
 
 import trialport as tp
 from trialport.domain import _WeightedSample
 from trialport.estimators import EXTREME_WEIGHT_THRESHOLD, Method, StudyPopulation
 from trialport.participation import Scale
 
-from conftest import make_tiny_dataset
+from conftest import as_non_nested, make_tiny_dataset
 from support import oracles
 
 
@@ -132,7 +131,8 @@ class TestIpwTarget:
     def test_requires_population_scale_model(self, dgp1):
         pop = tp.simulate_actual_population(dgp1, 20_000)
         data = tp.apply_design(pop, tp.SubsampledNested(c=0.3), seed=73)
-        shifted = tp.fit_participation(data, weighted=False)
+        shifted = tp.fit_participation(as_non_nested(data))
+        assert shifted.scale is Scale.SHIFTED
         with pytest.raises(ValueError):
             tp.ipw_mean_target(data, shifted, 1)
 
@@ -196,43 +196,30 @@ class TestIpwNonrandomized:
         b = tp.ipw_mean_nonrandomized(data, shifted, 1).value
         assert a == b
 
-    def test_shifted_model_under_covariate_sampling_matches_weighted_fit(self):
-        # An unweighted fit under c(X1) sampling is off the population log odds
-        # by ln c(X1), which varies by row and so does not cancel in the ratio.
-        # X1 is binary here, so ln c(X1) is linear in it and the main-effects
-        # sample-scale model is correctly specified; under a continuous X1 the
-        # step in ln c(X1) misspecifies it, whatever the conversion.
-        logit, coef_a1 = (-1.0, 0.8, 0.5), (2.0, 1.0, 1.3)
-        dgp = tp.DgpSpec(
-            covariates=(tp.Bernoulli(0.5), tp.Normal(0.0, 1.0)),
-            participation_logit=logit, treatment_prob=0.5,
-            outcome_mean_a0=(1.0, 0.5, 1.0), outcome_mean_a1=coef_a1,
-            noise_sd=1.0, seed=7000, aux_split=1,
-        )
+    def test_covariate_sampling_nested_fit_and_shifted_refusal(self, dgp1):
+        # DGP-1 has a continuous X1, so the step in ln c(X1) at x1 = 0 cannot be
+        # absorbed by a main-effects sample-scale model: the nested fit is the
+        # only route, and a SHIFTED model there is refused rather than converted
         design = tp.SubsampledNestedCovariate(
-            c_rule=tp.StepRule(coord=0, cutoff=0.5, low=0.2, high=0.8)
+            c_rule=tp.StepRule(coord=0, cutoff=0.0, low=0.2, high=0.8)
         )
-        unweighted, weighted = [], []
-        for r in range(5):
-            pop = tp.simulate_actual_population(dgp, 100_000, seed=7100 + r)
+        values = []
+        for r in range(10):
+            pop = tp.simulate_actual_population(dgp1, 100_000, seed=7100 + r)
             data = tp.apply_design(pop, design, seed=7200 + r)
-            shifted = tp.fit_participation(data, weighted=False)
-            assert shifted.scale is Scale.SHIFTED
-            unweighted.append(tp.ipw_mean_nonrandomized(data, shifted, 1).value)
-            weighted.append(tp.ipw_mean_nonrandomized(data, tp.fit_participation(data), 1).value)
+            model = tp.fit_participation(data)
+            assert model.scale is Scale.POPULATION
+            values.append(tp.ipw_mean_nonrandomized(data, model, 1).value)
+        se = np.std(values, ddof=1) / math.sqrt(len(values))
+        assert abs(np.mean(values) - oracles.MEAN_NONRANDOMIZED[1]) <= 3 * se
 
-        # E[Y^1 | S=0]: exact over X1, Gauss-Hermite over X2
-        z, w = np.polynomial.hermite_e.hermegauss(101)
-        num = den = 0.0
-        for x1 in (0.0, 1.0):
-            p_s0 = 1.0 - expit(logit[0] + logit[1] * x1 + logit[2] * z)
-            num += np.sum(w * p_s0 * (coef_a1[0] + coef_a1[1] * x1 + coef_a1[2] * z))
-            den += np.sum(w * p_s0)
-        truth = num / den
-
-        se = np.std(unweighted, ddof=1) / math.sqrt(len(unweighted))
-        assert abs(np.mean(unweighted) - truth) <= 3 * se
-        assert abs(np.mean(unweighted) - np.mean(weighted)) <= 3 * se
+        # the sample-scale model of the same rows: the non-nested fit
+        shifted = tp.fit_participation(as_non_nested(data))
+        assert shifted.scale is Scale.SHIFTED
+        with pytest.raises(ValueError):
+            tp.ipw_mean_nonrandomized(data, shifted, 1)
+        with pytest.raises(ValueError):
+            tp.participation_probability(shifted, data.design, data.x)
 
     def test_agrees_with_gformula_non_nested(self, nonnested_1m):
         pmodel = tp.fit_participation(nonnested_1m)

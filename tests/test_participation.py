@@ -16,6 +16,7 @@ from trialport.participation import (
     participation_design,
 )
 
+from conftest import as_non_nested
 from support import oracles
 
 # an overflow or invalid value in the fit's kernel fails the test instead of warning
@@ -78,14 +79,6 @@ class TestFit:
         assert model.scale is Scale.SHIFTED
         assert model.coefficients[1] == pytest.approx(0.5, abs=0.04)
         assert model.coefficients[0] == pytest.approx(-1.0 - math.log(0.1), abs=0.05)
-
-    def test_unweighted_census_equals_weighted(self, dgp1):
-        pop = tp.simulate_actual_population(dgp1, 50_000)
-        data = tp.apply_design(pop, tp.CensusNested(), seed=23)
-        weighted = tp.fit_participation(data, weighted=True)
-        unweighted = tp.fit_participation(data, weighted=False)
-        assert np.array_equal(weighted.coefficients, unweighted.coefficients)
-        assert unweighted.scale is Scale.POPULATION
 
     def test_separation_detected(self):
         # margin near zero: the separating slope must blow far past the guard
@@ -314,65 +307,79 @@ class TestProbabilityAndOdds:
     def test_shifted_model_corrected_by_known_fraction(self, dgp1):
         pop = tp.simulate_actual_population(dgp1, 400_000)
         data = tp.apply_design(pop, tp.SubsampledNested(c=0.3), seed=27)
-        sample_scale = tp.fit_participation(data, weighted=False)
+        sample_scale = tp.fit_participation(as_non_nested(data))
         assert sample_scale.scale is Scale.SHIFTED
-        prob = tp.participation_probability(sample_scale, data.design, (0.0,))
-        assert prob == pytest.approx(0.26894142137, abs=0.01)
+        with pytest.raises(ValueError):
+            tp.participation_probability(sample_scale, data.design, (0.0,))
+        # population odds = sample odds * c
+        odds = math.exp(sample_scale.coefficients[0]) * 0.3
+        assert odds / (1.0 + odds) == pytest.approx(0.26894142137, abs=0.01)
 
     def test_odds_up_to_constant(self):
+        # a SHIFTED model's odds are known only up to a constant, even where c is known
         model = tp.ParticipationModel(
             coefficients=np.zeros(2), scale=Scale.SHIFTED,
             objective=0.0, grad_norm=0.0, iterations=0,
         )
-        for x in (-3.0, 0.0, 2.5):
-            assert tp.participation_odds_up_to_constant(model, (x,)) == 1.0
+        for design in (
+            tp.CensusNested(),
+            tp.SubsampledNested(c=0.3),
+            tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
+        ):
+            with pytest.raises(ValueError):
+                tp.participation_probability(model, design, (0.0,))
 
     def test_intercept_shift_scales_odds_pointwise(self):
         model = tp.ParticipationModel(
             coefficients=np.array([0.3, -0.7]), scale=Scale.POPULATION,
             objective=0.0, grad_norm=0.0, iterations=0,
         )
-        shifted = tp.ParticipationModel(
-            coefficients=np.array([0.3 + math.log(10.0), -0.7]), scale=Scale.SHIFTED,
-            objective=0.0, grad_norm=0.0, iterations=0,
+        shifted = dataclasses.replace(model, coefficients=np.array([0.3 + math.log(10.0), -0.7]))
+        x = np.array([[-2.0], [-0.5], [0.0], [1.0], [3.0]])
+        prob = tp.participation_probability(model, tp.CensusNested(), x)
+        prob_shifted = tp.participation_probability(shifted, tp.CensusNested(), x)
+        np.testing.assert_allclose(
+            prob_shifted / (1.0 - prob_shifted), 10.0 * prob / (1.0 - prob), rtol=1e-12
         )
-        for x in (-2.0, -0.5, 0.0, 1.0, 3.0):
-            # one ulp of exponent rounding keeps this from exact bit equality
-            assert tp.participation_odds_up_to_constant(shifted, (x,)) == pytest.approx(
-                10.0 * tp.participation_odds_up_to_constant(model, (x,)), rel=1e-12
-            )
 
     def test_non_nested_fit_odds_absorb_inverse_fraction(self, nonnested_1m):
         model = tp.fit_participation(nonnested_1m)
-        odds0 = tp.participation_odds_up_to_constant(model, (0.0,))
+        odds0 = math.exp(model.coefficients[0])
         assert odds0 == pytest.approx(math.exp(-1.0) / 0.2, rel=0.05)
 
     def test_population_odds_two_routes_agree(self, dgp1):
         pop = tp.simulate_actual_population(dgp1, 1_000_000)
         data = tp.apply_design(pop, tp.SubsampledNested(c=0.3), seed=28)
-        weighted = tp.fit_participation(data, weighted=True)
-        unweighted = tp.fit_participation(data, weighted=False)
-        for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            via_weights = tp.odds_population(weighted, data.design, (x,))
-            via_correction = tp.odds_population(unweighted, data.design, (x,))
-            assert via_correction == pytest.approx(via_weights, rel=1e-2)
+        weighted = tp.fit_participation(data)
+        sample_scale = tp.fit_participation(as_non_nested(data))
+        x = np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]])
+        prob = tp.participation_probability(weighted, data.design, x)
+        via_weights = prob / (1.0 - prob)
+        # population odds = sample odds * c
+        via_correction = np.exp(sample_scale.coefficients[0] + sample_scale.slope_score(x)) * 0.3
+        np.testing.assert_allclose(via_correction, via_weights, rtol=1e-2)
 
     def test_population_odds_census_equals_sample_odds(self, dgp1):
+        # c = 1: the census fit and the sample-scale fit of the same rows coincide
         pop = tp.simulate_actual_population(dgp1, 20_000)
         data = tp.apply_design(pop, tp.CensusNested(), seed=29)
         model = tp.fit_participation(data)
-        for x in (-1.0, 0.5):
-            assert tp.odds_population(model, data.design, (x,)) == tp.participation_odds_up_to_constant(
-                model, (x,)
-            )
+        sample_scale = tp.fit_participation(as_non_nested(data))
+        assert np.array_equal(sample_scale.coefficients, model.coefficients)
+        x = np.array([[-1.0], [0.5]])
+        prob = tp.participation_probability(model, data.design, x)
+        np.testing.assert_allclose(
+            prob / (1.0 - prob),
+            np.exp(sample_scale.coefficients[0] + sample_scale.slope_score(x)),
+            rtol=1e-12,
+        )
 
     def test_intercept_only_odds_match_marginal_formula(self):
         data = intercept_only_dataset(30, 20, tp.SubsampledNested(c=0.5))
         model = tp.fit_participation(data)
         pr = tp.marginal_participation_probability(data)
-        assert tp.odds_population(model, data.design, ()) == pytest.approx(
-            pr / (1 - pr), abs=1e-7
-        )
+        (prob,) = tp.participation_probability(model, data.design, np.empty((1, 0)))
+        assert prob / (1.0 - prob) == pytest.approx(pr / (1 - pr), abs=1e-7)
 
     def test_population_scale_model_gated_under_non_nested_design(self):
         # the design, not the model's scale, decides identifiability
@@ -382,10 +389,17 @@ class TestProbabilityAndOdds:
         )
         with pytest.raises(tp.NotIdentifiable):
             tp.participation_probability(model, tp.NonNested(), (0.0,))
-        with pytest.raises(tp.NotIdentifiable):
-            tp.odds_population(model, tp.NonNested(), (0.0,))
 
-    def test_population_odds_not_identifiable_non_nested(self, nonnested_1m):
-        model = tp.fit_participation(nonnested_1m)
-        with pytest.raises(tp.NotIdentifiable):
-            tp.odds_population(model, nonnested_1m.design, (0.0,))
+    def test_vectorized_over_rows(self):
+        rng = np.random.Generator(np.random.Philox(33))
+        x = rng.normal(size=(1_000, 3))
+        model = tp.ParticipationModel(
+            coefficients=np.array([-1.0, 0.5, -0.3, 0.2]), scale=Scale.POPULATION,
+            objective=0.0, grad_norm=0.0, iterations=0,
+        )
+        design = tp.SubsampledNested(c=0.3)
+        prob = tp.participation_probability(model, design, x)
+        assert isinstance(prob, np.ndarray) and prob.shape == (1_000,)
+        rows = np.array([tp.participation_probability(model, design, row)[0] for row in x])
+        assert np.array_equal(prob, rows)
+        assert np.array_equal(prob, expit(model.coefficients[0] + model.slope_score(x)))
