@@ -101,7 +101,7 @@ class NonNested:
 
     ``u_hidden`` exists only so simulators and oracles can generate data; it is
     stripped before a dataset ever reaches estimator code (see
-    :meth:`redacted`) and is never serialized.
+    :func:`redacted`) and is never serialized.
     """
 
     u_hidden: float | None = None
@@ -109,9 +109,6 @@ class NonNested:
     def __post_init__(self):
         if self.u_hidden is not None and not (0.0 < self.u_hidden <= 1.0):
             raise DataError(f"u_hidden must be in (0, 1], got {self.u_hidden}")
-
-    def redacted(self) -> "NonNested":
-        return NonNested(u_hidden=None)
 
 
 Design = Union[CensusNested, SubsampledNested, SubsampledNestedCovariate, NonNested]
@@ -135,7 +132,7 @@ def design_name(design: Design) -> str:
 def redacted(design: Design) -> Design:
     """Estimator-facing view of a design: hides the simulator-only ``u``."""
     if isinstance(design, NonNested):
-        return design.redacted()
+        return NonNested(u_hidden=None)
     return design
 
 
@@ -233,9 +230,9 @@ class ObservedDataset:
             raise DataError("x, s, a, y must have matching first dimension")
         if not np.all(np.isfinite(self.x)):
             raise DataError("covariates must be finite")
-        if not np.all((self.s == 0) | (self.s == 1)):
+        trial, ext = self.trial_mask, self.external_mask
+        if not np.all(trial | ext):
             raise DataError("s must be 0/1")
-        trial = self.s == 1
         if not trial.any():
             raise DataError("dataset must contain at least one trial participant")
         if not np.all(np.isfinite(self.a[trial])) or not np.all(np.isfinite(self.y[trial])):
@@ -245,7 +242,6 @@ class ObservedDataset:
         for arm in (0, 1):
             if not np.any(self.a[trial] == arm):
                 raise DataError(f"dataset must contain at least one trial participant in arm {arm}")
-        ext = ~trial
         if np.any(np.isfinite(self.a[ext])) or np.any(np.isfinite(self.y[ext])):
             raise DataError("non-randomized rows must not carry treatment or outcome")
         if not (0 <= self.k <= self.p):
@@ -271,17 +267,12 @@ class ObservedDataset:
         return self.x.shape[1]
 
     @cached_property
-    def inputs(self) -> "EstimatorInputs":
-        """The estimator inputs of this dataset, derived once on first use."""
-        return EstimatorInputs(self)
-
-    @property
     def trial_mask(self) -> np.ndarray:
-        return self.inputs.trial
+        return _read_only(self.s == 1)
 
-    @property
+    @cached_property
     def external_mask(self) -> np.ndarray:
-        return self.inputs.external
+        return _read_only(self.s == 0)
 
     @property
     def n_trial(self) -> int:
@@ -302,9 +293,77 @@ class ObservedDataset:
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         return self.treatment_prob if arm == 1 else 1.0 - self.treatment_prob
 
+    # -- estimator inputs ---------------------------------------------------
+    #
+    # Every g-formula and weighting estimator under a design standardizes over
+    # the same rows with the same known design weights, so each piece is built
+    # on first use and kept for the dataset's lifetime. The dataset is frozen
+    # and its arrays are read-only, so nothing here can go stale; every cached
+    # array is read-only too. A piece that the design does not identify raises
+    # on each access instead of being kept.
 
-# ---------------------------------------------------------------------------
-# Estimator inputs
+    def arm(self, arm: int) -> _ArmRows:
+        """The trial rows of treatment arm ``arm`` (0 or 1)."""
+        if arm not in (0, 1):
+            raise ValueError(f"arm must be 0 or 1, got {arm}")
+        return self._arms[arm]
+
+    @cached_property
+    def _arms(self) -> tuple[_ArmRows, _ArmRows]:
+        out = []
+        for arm in (0, 1):
+            rows = self.trial_mask & (self.a == arm)
+            out.append(_ArmRows(_read_only(self.x[rows]), _read_only(self.y[rows])))
+        return tuple(out)
+
+    @cached_property
+    def trial_x(self) -> np.ndarray:
+        return _read_only(self.x[self.trial_mask])
+
+    @cached_property
+    def external_x(self) -> np.ndarray:
+        return _read_only(self.x[self.external_mask])
+
+    @cached_property
+    def design_weights(self) -> np.ndarray:
+        """1 on trial rows and 1/c (or 1/c(X1)) on external rows.
+
+        The known fraction c(X1) is evaluated at every row, which also
+        range-checks a custom rule there. Raises :class:`NotIdentifiable`
+        under a non-nested design.
+        """
+        fractions = known_sampling_fractions(self.design, self.aux)
+        return _read_only(np.where(self.trial_mask, 1.0, 1.0 / fractions))
+
+    @cached_property
+    def target(self) -> _WeightedSample:
+        """Weights whose empirical law is the target covariate distribution.
+
+        The design weights: trial rows count once and each sampled external
+        row stands for 1/c units. Requires a nested design — without a known
+        fraction the target distribution cannot be reconstructed.
+        """
+        if Estimand.MEAN_TARGET not in identification_matrix(self.design):
+            raise NotIdentifiable(
+                "the target-population covariate distribution is "
+                "not identifiable under non-nested design"
+            )
+        return _WeightedSample.of(self.design_weights)
+
+    @cached_property
+    def nonrandomized(self) -> _WeightedSample:
+        """Weights representing the covariate law of the S=0 stratum.
+
+        Zero on trial rows. External rows get weight 1 when the sampling
+        fraction is constant (any constant — it cancels), and 1/c(X1) under
+        covariate-dependent sampling, where the sampled externals are not a
+        simple random sample of the stratum.
+        """
+        if not self.external_mask.any():
+            raise NoExternalRows("dataset has no sampled non-randomized rows")
+        if is_nested(self.design):
+            return _WeightedSample.of(np.where(self.external_mask, self.design_weights, 0.0))
+        return _WeightedSample.of(self.external_mask.astype(float))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -337,91 +396,7 @@ class _WeightedSample:
 
 @dataclass(frozen=True)
 class _ArmRows:
-    """One treatment arm's trial rows: their mask, covariates and outcomes."""
+    """One treatment arm's trial rows: their covariates and outcomes."""
 
-    rows: np.ndarray
     x: np.ndarray
     y: np.ndarray
-
-
-class EstimatorInputs:
-    """What the estimators and fits on one dataset share, each piece derived once.
-
-    Every g-formula and weighting estimator under a design standardizes over
-    the same rows with the same known design weights, so these are built on
-    first use and kept for the dataset's lifetime. The dataset is frozen and
-    its arrays are read-only, so nothing here can go stale; every array here
-    is read-only too. A piece that the design does not identify raises on
-    each access instead of being kept.
-    """
-
-    def __init__(self, data: ObservedDataset):
-        # the dataset's arrays, not the dataset itself: a back reference would
-        # form a cycle that only the garbage collector frees
-        self._x, self._a, self._y = data.x, data.a, data.y
-        self._aux, self._design = data.aux, data.design
-        self.trial = _read_only(data.s == 1)
-        self.external = _read_only(data.s == 0)
-
-    def arm(self, arm: int) -> _ArmRows:
-        """The trial rows of treatment arm ``arm`` (0 or 1)."""
-        if arm not in (0, 1):
-            raise ValueError(f"arm must be 0 or 1, got {arm}")
-        return self._arms[arm]
-
-    @cached_property
-    def _arms(self) -> tuple[_ArmRows, _ArmRows]:
-        out = []
-        for arm in (0, 1):
-            rows = _read_only(self.trial & (self._a == arm))
-            out.append(_ArmRows(rows, _read_only(self._x[rows]), _read_only(self._y[rows])))
-        return tuple(out)
-
-    @cached_property
-    def trial_x(self) -> np.ndarray:
-        return _read_only(self._x[self.trial])
-
-    @cached_property
-    def external_x(self) -> np.ndarray:
-        return _read_only(self._x[self.external])
-
-    @cached_property
-    def design_weights(self) -> np.ndarray:
-        """1 on trial rows and 1/c (or 1/c(X1)) on external rows.
-
-        The known fraction c(X1) is evaluated at every row, which also
-        range-checks a custom rule there. Raises :class:`NotIdentifiable`
-        under a non-nested design.
-        """
-        fractions = known_sampling_fractions(self._design, self._aux)
-        return _read_only(np.where(self.trial, 1.0, 1.0 / fractions))
-
-    @cached_property
-    def target(self) -> _WeightedSample:
-        """Weights whose empirical law is the target covariate distribution.
-
-        The design weights: trial rows count once and each sampled external
-        row stands for 1/c units. Requires a nested design — without a known
-        fraction the target distribution cannot be reconstructed.
-        """
-        if Estimand.MEAN_TARGET not in identification_matrix(self._design):
-            raise NotIdentifiable(
-                "the target-population covariate distribution is "
-                "not identifiable under non-nested design"
-            )
-        return _WeightedSample.of(self.design_weights)
-
-    @cached_property
-    def nonrandomized(self) -> _WeightedSample:
-        """Weights representing the covariate law of the S=0 stratum.
-
-        Zero on trial rows. External rows get weight 1 when the sampling
-        fraction is constant (any constant — it cancels), and 1/c(X1) under
-        covariate-dependent sampling, where the sampled externals are not a
-        simple random sample of the stratum.
-        """
-        if not self.external.any():
-            raise NoExternalRows("dataset has no sampled non-randomized rows")
-        if is_nested(self._design):
-            return _WeightedSample.of(np.where(self.external, self.design_weights, 0.0))
-        return _WeightedSample.of(self.external.astype(float))

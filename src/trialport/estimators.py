@@ -8,7 +8,7 @@ estimator first checks the study design's identification gate and raises
 
 The estimator inputs — trial, external and per-arm rows, the known design
 weights, and the target and non-randomized weight sets with their totals and
-diagnostics — are derived once per dataset (``ObservedDataset.inputs``) and
+diagnostics — are cached on the ``ObservedDataset`` itself, derived once and
 shared by every estimator and fit on it; each estimator adds only the work
 that depends on its model and arm.
 
@@ -24,7 +24,6 @@ would be off by ln c(X1), which varies by row, so it is refused.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +77,6 @@ class EstimateReport:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     CSV_HEADER = "estimand,arm,method,value,ess,max_weight,identifiable"
 
     def to_csv_row(self) -> str:
@@ -125,7 +121,7 @@ def gformula_mean_target(data: ObservedDataset, model: OutcomeModel, arm: int) -
     Weighted average of per-row predictions with target-population weights; a
     plain average over all rows for a census.
     """
-    sample = data.inputs.target
+    sample = data.target
     preds = predict(model, arm, data.x)
     value = float(np.sum(sample.weights * preds) / sample.total)
     return _report(StudyPopulation.TARGET, arm, Method.GFORMULA, value, sample.diagnostics)
@@ -138,10 +134,9 @@ def gformula_mean_nonrandomized(
 
     Identifiable under every design, non-nested included.
     """
-    inputs = data.inputs
-    sample = inputs.nonrandomized
-    preds = predict(model, arm, inputs.external_x)
-    value = float(np.sum(sample.weights[inputs.external] * preds) / sample.total)
+    sample = data.nonrandomized
+    preds = predict(model, arm, data.external_x)
+    value = float(np.sum(sample.weights[data.external_mask] * preds) / sample.total)
     return _report(
         StudyPopulation.NONRANDOMIZED, arm, Method.GFORMULA, value, sample.diagnostics
     )
@@ -151,7 +146,7 @@ def gformula_mean_randomized(
     data: ObservedDataset, model: OutcomeModel, arm: int
 ) -> EstimateReport:
     """Average the trial outcome regression over trial rows (the S=1 stratum)."""
-    trial_x = data.inputs.trial_x
+    trial_x = data.trial_x
     value = float(np.mean(predict(model, arm, trial_x)))
     diagnostics = _weight_diagnostics(np.ones(len(trial_x)))
     return _report(StudyPopulation.RANDOMIZED, arm, Method.GFORMULA, value, diagnostics)
@@ -186,9 +181,8 @@ def ipw_mean_target(
     """
     if variant not in ("ht", "hajek"):
         raise ValueError(f"variant must be 'ht' or 'hajek', got {variant!r}")
-    inputs = data.inputs
-    target = inputs.target  # also enforces the gate
-    rows = inputs.arm(arm)
+    target = data.target  # also enforces the gate
+    rows = data.arm(arm)
     prob = participation_probability(model, data.design, rows.x)
     w = 1.0 / (prob * data.prob_treatment(arm))
     w, notes = _truncate(w, truncate_q)
@@ -222,7 +216,7 @@ def ipw_mean_nonrandomized(
             "a shifted participation model is off by ln c(X1) under covariate-dependent "
             "sampling; fit it on the nested design"
         )
-    rows = data.inputs.arm(arm)
+    rows = data.arm(arm)
     score = model.slope_score(rows.x)
     w = np.exp(score.min() - score) / data.prob_treatment(arm)
     w, notes = _truncate(w, truncate_q)
@@ -239,7 +233,7 @@ def trial_only_mean(data: ObservedDataset, arm: int) -> EstimateReport:
     randomization; its contrast with the non-randomized estimates is the
     basic transportability diagnostic.
     """
-    y = data.inputs.arm(arm).y
+    y = data.arm(arm).y
     return _report(
         StudyPopulation.RANDOMIZED, arm, Method.TRIAL_ONLY, float(np.mean(y)),
         _weight_diagnostics(np.ones(y.size)),

@@ -48,6 +48,9 @@ from .sampling import apply_design
 
 _MASK64 = (1 << 64) - 1
 
+# fewest resamples a bootstrap standard error is computed from
+MIN_BOOTSTRAP_B = 100
+
 
 def splitmix64(z: int) -> int:
     """One round of the splitmix64 output function (Steele et al.)."""
@@ -188,8 +191,10 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if self.n < 1:
             raise ValueError("population size must be >= 1")
-        if self.bootstrap_b < 0:
-            raise ValueError("bootstrap_b must be >= 0")
+        if self.bootstrap_b < 0 or 0 < self.bootstrap_b < MIN_BOOTSTRAP_B:
+            raise ValueError(
+                f"bootstrap_b must be 0 (off) or >= {MIN_BOOTSTRAP_B}, got {self.bootstrap_b}"
+            )
         if isinstance(self.design, SubsampledNestedCovariate):
             # a misspecified fit's basis keeps min(aux_split, p - 1) auxiliary covariates
             drops_covariate = self.misspecify.participation or self.misspecify.outcome
@@ -490,8 +495,8 @@ def bootstrap_se(data: ObservedDataset, spec: EstimatorSpec, b: int, seed: int) 
     the relative stratum sizes the design conditions on are preserved; models
     are refit on every resample.
     """
-    if b < 100:
-        raise ValueError(f"bootstrap needs b >= 100, got {b}")
+    if b < MIN_BOOTSTRAP_B:
+        raise ValueError(f"bootstrap needs b >= {MIN_BOOTSTRAP_B}, got {b}")
     reps = bootstrap_replicates(data, lambda d: spec.fit_and_evaluate(d).value, b, seed)
     good = reps[~np.isnan(reps)]
     if good.size < 2:

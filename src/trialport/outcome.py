@@ -11,7 +11,6 @@ downstream depends on the mean model being linear.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,18 +50,6 @@ class OutcomeModel:
             "n_per_arm": list(self.n_per_arm),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutcomeModel":
-        return cls(
-            coef_a0=np.asarray(d["coef_a0"], dtype=float),
-            coef_a1=np.asarray(d["coef_a1"], dtype=float),
-            residual_variance=tuple(d["residual_variance"]),
-            n_per_arm=tuple(d["n_per_arm"]),
-        )
-
 
 def _ols_qr(xmat: np.ndarray, y: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(xmat)
@@ -76,7 +63,7 @@ def fit_outcome(data: ObservedDataset) -> OutcomeModel:
     """OLS fit of the outcome on covariates within each treatment arm's trial rows."""
     coefs, variances, sizes = [], [], []
     for arm in (0, 1):
-        rows = data.inputs.arm(arm)
+        rows = data.arm(arm)
         n_arm = rows.y.size
         if n_arm < data.p + 2:
             raise InsufficientData(

@@ -32,7 +32,6 @@ guard depends on the covariates' units.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,19 +99,6 @@ class ParticipationModel:
             "grad_norm": self.grad_norm,
             "iterations": self.iterations,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ParticipationModel":
-        return cls(
-            coefficients=np.asarray(d["coefficients"], dtype=float),
-            scale=Scale(d["scale"]),
-            objective=float(d["objective"]),
-            grad_norm=float(d["grad_norm"]),
-            iterations=int(d["iterations"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +235,7 @@ def participation_design(data: ObservedDataset):
     xmat = np.column_stack([np.ones(n), data.x])
     labels = data.s.astype(float)
     if is_nested(data.design):
-        return xmat, labels, data.inputs.design_weights, float(n + data.n_unsampled_nonrandomized)
+        return xmat, labels, data.design_weights, float(n + data.n_unsampled_nonrandomized)
     return xmat, labels, np.ones(n), float(n)
 
 
@@ -258,7 +244,7 @@ def fit_participation(data: ObservedDataset) -> ParticipationModel:
 
     A nested fit is on the population scale and a non-nested fit is SHIFTED.
     """
-    if data.n_trial == 0 or data.n_external == 0:
+    if data.n_external == 0:
         raise InsufficientData("participation fit needs both trial and external records")
     coef, obj, gnorm, iters = _newton_fit(*participation_design(data))
     return ParticipationModel(
@@ -286,9 +272,8 @@ def marginal_participation_probability(data: ObservedDataset) -> float:
             "marginal trial-participation probability is "
             "not identifiable under non-nested design"
         )
-    inputs = data.inputs
     n1 = float(data.n_trial)
-    return n1 / (n1 + float(np.sum(inputs.design_weights[inputs.external])))
+    return n1 / (n1 + float(np.sum(data.design_weights[data.external_mask])))
 
 
 def participation_probability(model: ParticipationModel, design: Design, x) -> np.ndarray:

@@ -28,14 +28,23 @@ from .errors import DataError
 _THIN = 2
 
 
-def _keep_probabilities(population: ActualPopulation, design: Design, external: np.ndarray) -> np.ndarray:
-    """Per-unit Pr[D=1 | S=0] for the external units of the population."""
+def _thin(
+    population: ActualPopulation, design: Design, external: np.ndarray, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The design's thinning draw over the population's external units.
+
+    Returns ``(prob, kept)``, both over the external units in order: each
+    unit's Pr[D=1 | S=0] and whether the draw keeps it.
+    """
+    n_external = int(external.sum())
     if isinstance(design, NonNested):
         if design.u_hidden is None:
             raise DataError("simulating a non-nested design requires u_hidden")
-        return np.full(int(external.sum()), design.u_hidden)
-    aux = population.x[external, : population.aux_split]
-    return known_sampling_fractions(design, aux)
+        prob = np.full(n_external, design.u_hidden)
+    else:
+        prob = known_sampling_fractions(design, population.x[external, : population.aux_split])
+    u = _stream(seed, _THIN, 0).random(n_external)
+    return prob, u < prob
 
 
 def apply_design(population: ActualPopulation, design: Design, seed: int) -> ObservedDataset:
@@ -52,10 +61,8 @@ def apply_design(population: ActualPopulation, design: Design, seed: int) -> Obs
         raise DataError("population contains no trial participants")
     external = ~s
 
-    prob = _keep_probabilities(population, design, external)
-    u = _stream(seed, _THIN, 0).random(int(external.sum()))
     kept_external = np.zeros(len(population), dtype=bool)
-    kept_external[external] = u < prob
+    kept_external[external] = _thin(population, design, external, seed)[1]
 
     keep = s | kept_external
     n_unsampled = int(external.sum() - kept_external.sum())
@@ -157,9 +164,7 @@ def sampling_indicator_independence_check(
     if external_idx.size == 0:
         raise DataError("population contains no non-randomized units")
 
-    prob = _keep_probabilities(population, design, external)
-    u = _stream(seed, _THIN, 0).random(external_idx.size)
-    kept = u < prob
+    prob, kept = _thin(population, design, external, seed)
 
     rows = []
     for label, mask in _stratum_rows(population, external_idx):

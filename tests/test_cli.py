@@ -448,11 +448,12 @@ class TestMalformedInput:
             lambda d: d.update(misspecify=[]),
             lambda d: d.update(oracle_seed="1"),
             lambda d: d["dgp"].update(covariates=[None]),
+            lambda d: d.update(bootstrap_b=50),
         ],
         ids=[
             "replications_string", "estimators_not_list", "estimator_not_object",
             "arm_list", "flag_string", "misspecify_not_object", "oracle_seed_string",
-            "covariate_null",
+            "covariate_null", "bootstrap_b_below_minimum",
         ],
     )
     def test_bad_experiment_config_exits_2(self, tmp_path, capsys, edit):

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import gc
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -119,12 +121,31 @@ class TestSharedInputs:
             fresh.update(_reports([s], dataclasses.replace(data), pmodel, omodel))
         assert forward == backward == fresh
 
-        arrays = _arrays(data.inputs)
+        arrays = _arrays(data)
         assert len(arrays) >= 12
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
+
+    @DESIGNS
+    def test_evaluated_dataset_is_freed_with_its_last_reference(self, dgp1, design):
+        # the cached inputs must not form a cycle back to the dataset: with the
+        # garbage collector off, only reference counting can free it
+        pop = tp.simulate_actual_population(dgp1, 20_000)
+        data = tp.apply_design(pop, design, seed=41)
+        pmodel, omodel = experiment.fit_models(ALL_SPECS, data)
+        reports = _reports(ALL_SPECS, data, pmodel, omodel)
+        assert len(reports) == 12
+        ref = weakref.ref(data)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del data
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_sampling_fractions_are_computed_once_per_replication(self, dgp1, monkeypatch):
         calls = collections.Counter()
@@ -230,6 +251,13 @@ class TestExperimentConfig:
                 small_config(dgp1, design, misspecify=mis)
         small_config(dgp1, design)
         small_config(dgp1, tp.CensusNested(), misspecify=tp.MisspecifySpec(participation=True))
+
+    def test_rejects_a_bootstrap_too_small_for_a_standard_error(self, dgp1):
+        for b in (1, 50, experiment.MIN_BOOTSTRAP_B - 1):
+            with pytest.raises(ValueError, match="bootstrap_b"):
+                small_config(dgp1, tp.CensusNested(), bootstrap_b=b)
+        for b in (0, experiment.MIN_BOOTSTRAP_B):
+            assert small_config(dgp1, tp.CensusNested(), bootstrap_b=b).bootstrap_b == b
 
     def test_misspecified_fit_keeps_a_remaining_auxiliary_covariate(self, dgp1):
         dgp2 = dataclasses.replace(

@@ -84,12 +84,6 @@ class TestFit:
         assert np.array_equal(model.coef_a0, model2.coef_a0)
         assert np.array_equal(model.coef_a1, model2.coef_a1)
 
-    def test_json_round_trip(self):
-        model = tp.fit_outcome(make_tiny_dataset(n_trial=30, n_external=2))
-        clone = tp.OutcomeModel.from_dict(model.to_dict())
-        assert np.array_equal(clone.coef_a0, model.coef_a0)
-        assert clone.residual_variance == model.residual_variance
-
 
 _KNOWN_MODEL = tp.OutcomeModel(
     coef_a0=np.array([1.0, 1.0]),

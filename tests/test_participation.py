@@ -132,13 +132,6 @@ class TestFit:
         with pytest.raises(tp.InsufficientData):
             tp.fit_participation(trial_only)
 
-    def test_json_round_trip(self, tiny_dataset):
-        model = tp.fit_participation(tiny_dataset)
-        clone = tp.ParticipationModel.from_dict(model.to_dict())
-        assert np.array_equal(clone.coefficients, model.coefficients)
-        assert clone.scale is model.scale
-        assert clone.objective == model.objective
-
 
 def reference_newton_fit(xmat, labels, weights, norm):
     """Newton fit with the objective from np.logaddexp and probabilities from expit."""
