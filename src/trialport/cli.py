@@ -24,17 +24,10 @@ import numpy as np
 
 from . import dataio
 from .dgp import simulate_actual_population
-from .errors import (
-    ConfigError,
-    DataError,
-    InsufficientData,
-    NonConvergence,
-    NotIdentifiable,
-    RankDeficient,
-    SeparationDetected,
-)
+from .errors import ConfigError, DataError, NotIdentifiable, TrialportError
 from .estimators import Method, StudyPopulation
 from .experiment import (
+    MIN_BOOTSTRAP_B,
     EstimatorSpec,
     bootstrap_replicates,
     design_comparison,
@@ -143,8 +136,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    if args.bootstrap_b < 2:
-        raise ConfigError(f"--bootstrap-b must be >= 2, got {args.bootstrap_b}")
+    if args.bootstrap_b < MIN_BOOTSTRAP_B:
+        raise ConfigError(f"--bootstrap-b must be >= {MIN_BOOTSTRAP_B}, got {args.bootstrap_b}")
     csv_path, sidecar_path = _dataset_paths(args.dataset)
     data = dataio.read_dataset(csv_path, sidecar_path)
     seed = args.seed if args.seed is not None else 0
@@ -190,6 +183,11 @@ def _cmd_diagnose(args) -> int:
 # experiment / sweep
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+
+
 def _resolved_config_doc(cfg, workers: int) -> dict:
     doc = dataio.experiment_config_to_dict(cfg)
     doc["workers"] = workers
@@ -197,6 +195,7 @@ def _resolved_config_doc(cfg, workers: int) -> dict:
 
 
 def _cmd_experiment(args) -> int:
+    _check_workers(args.workers)
     doc = dataio.load_json(args.config)
     cfg = dataio.experiment_config_from_dict(doc)
     if args.seed is not None:
@@ -210,6 +209,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_workers(args.workers)
     doc = dataio.load_json(args.config)
     grid = doc.get("grid")
     if not isinstance(grid, list) or not grid:
@@ -302,9 +302,12 @@ def main(argv=None) -> int:
     except NotIdentifiable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_IDENTIFIABLE
-    except (NonConvergence, SeparationDetected, RankDeficient, InsufficientData) as exc:
+    except TrialportError as exc:  # fit failures: separation, rank, convergence, too few rows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except np.linalg.LinAlgError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

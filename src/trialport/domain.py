@@ -74,8 +74,6 @@ class StepRule:
 
     def __call__(self, aux: np.ndarray) -> np.ndarray:
         aux = np.asarray(aux, dtype=float)
-        if aux.ndim == 1:
-            aux = aux.reshape(1, -1)
         if self.coord >= aux.shape[1]:
             raise DataError(
                 f"step rule needs auxiliary coordinate {self.coord}, "
@@ -139,14 +137,12 @@ def redacted(design: Design) -> Design:
 def known_sampling_fractions(design: Design, aux: np.ndarray) -> np.ndarray:
     """Known per-row sampling fractions of non-randomized units.
 
-    ``aux`` is the (n, k) auxiliary-covariate block of the rows in question
-    (a 1-D input is treated as a single row).
+    ``aux`` is the (n, k) auxiliary-covariate block of the rows in question;
+    any other shape is a :class:`DataError`.
     Raises :class:`NotIdentifiable` for non-nested designs, where the fraction
     is unknown by definition.
     """
     aux = np.asarray(aux, dtype=float)
-    if aux.ndim == 1:
-        aux = aux.reshape(1, -1)
     if aux.ndim != 2:
         raise DataError(f"auxiliary block must be 2-D, got shape {aux.shape}")
     n = aux.shape[0]

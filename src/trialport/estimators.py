@@ -50,20 +50,15 @@ class StudyPopulation(enum.Enum):
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """A point estimate with its provenance and weight diagnostics."""
+    """A point estimate of an identifiable quantity, with provenance and weight diagnostics."""
 
     estimand: StudyPopulation
     arm: int
     method: Method
-    value: float | None
-    identifiable: bool
-    max_normalized_weight: float | None = None
-    effective_sample_size: float | None = None
+    value: float
+    max_normalized_weight: float
+    effective_sample_size: float
     warnings: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.identifiable and self.value is not None:
-            raise ValueError("non-identifiable reports must not carry a value")
 
     def to_dict(self) -> dict:
         return {
@@ -71,7 +66,7 @@ class EstimateReport:
             "arm": self.arm,
             "method": self.method.value,
             "value": self.value,
-            "identifiable": self.identifiable,
+            "identifiable": True,  # a quantity that is not raises NotIdentifiable instead
             "max_normalized_weight": self.max_normalized_weight,
             "effective_sample_size": self.effective_sample_size,
             "warnings": list(self.warnings),
@@ -84,10 +79,10 @@ class EstimateReport:
             self.estimand.value,
             str(self.arm),
             self.method.value,
-            "" if self.value is None else repr(self.value),
-            "" if self.effective_sample_size is None else repr(self.effective_sample_size),
-            "" if self.max_normalized_weight is None else repr(self.max_normalized_weight),
-            str(self.identifiable).lower(),
+            repr(self.value),
+            repr(self.effective_sample_size),
+            repr(self.max_normalized_weight),
+            "true",
         )
         return ",".join(cells)
 
@@ -104,7 +99,6 @@ def _report(estimand, arm, method, value, diagnostics, extra_warnings=()):
         arm=arm,
         method=method,
         value=float(value),
-        identifiable=True,
         max_normalized_weight=max_w,
         effective_sample_size=ess,
         warnings=warnings,

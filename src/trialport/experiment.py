@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .dgp import ActualPopulation, DgpSpec, OracleTruth, oracle_truth, simulate_
 from .domain import (
     CensusNested,
     Design,
-    NonNested,
     ObservedDataset,
     StepRule,
     SubsampledNested,
@@ -95,9 +95,6 @@ class EstimatorSpec:
                 f"{self.method.value} does not estimate the "
                 f"{self.population.value} population mean"
             )
-
-    def label(self) -> str:
-        return f"{self.population.value}/{self.method.value}/a={self.arm}"
 
     @property
     def needs_participation(self) -> bool:
@@ -266,20 +263,9 @@ def summary_rows_to_csv(rows) -> str:
 @dataclass(frozen=True)
 class ExperimentSummary:
     rows: tuple[SummaryRow, ...]
-    master_seed: int
 
     def csv_text(self) -> str:
         return summary_rows_to_csv(self.rows)
-
-    def row(self, spec: EstimatorSpec) -> SummaryRow:
-        for r in self.rows:
-            if (
-                r.estimand == spec.population.value
-                and r.method == spec.method.value
-                and r.arm == spec.arm
-            ):
-                return r
-        raise KeyError(spec.label())
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +339,6 @@ def _run_replication(cfg: ExperimentConfig, r: int):
     return results
 
 
-def _replication_task(args):
-    return _run_replication(*args)
-
-
 # ---------------------------------------------------------------------------
 # Harness entry points
 
@@ -391,15 +373,19 @@ def run_experiment(
 
     Deterministic given ``cfg.master_seed`` regardless of ``workers``:
     replications derive their own seeds and are reduced in index order.
-    A precomputed ``oracle`` (matching ``cfg.dgp``) skips the truth run.
+    A precomputed ``oracle`` (matching ``cfg.dgp``) skips the truth run. The
+    process pool has no more workers than there are replications.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if oracle is None:
         oracle = oracle_truth(cfg.dgp, cfg.oracle_m, _oracle_seed(cfg))
 
-    tasks = [(cfg, r) for r in range(cfg.replications)]
+    workers = min(workers, cfg.replications)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_replication_task, tasks, chunksize=max(1, cfg.replications // (4 * workers))))
+            chunksize = max(1, cfg.replications // (4 * workers))
+            per_rep = list(pool.map(_run_replication, repeat(cfg), range(cfg.replications), chunksize=chunksize))
     else:
         per_rep = [_run_replication(cfg, r) for r in range(cfg.replications)]
 
@@ -438,7 +424,7 @@ def run_experiment(
                 n_failed=n_failed,
             )
         )
-    return ExperimentSummary(rows=tuple(rows), master_seed=cfg.master_seed)
+    return ExperimentSummary(rows=tuple(rows))
 
 
 def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:

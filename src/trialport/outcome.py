@@ -87,14 +87,7 @@ def fit_outcome(data: ObservedDataset) -> OutcomeModel:
     )
 
 
-def predict(model: OutcomeModel, arm: int, x) -> float | np.ndarray:
-    """Predicted outcome mean under ``arm`` at covariates ``x``.
-
-    Accepts a single row (returns a float) or an (n, p) matrix (returns an
-    array).
-    """
+def predict(model: OutcomeModel, arm: int, x: np.ndarray) -> np.ndarray:
+    """Predicted outcome means under ``arm`` at the rows of the (n, p) block ``x``."""
     coef = model.coef(arm)
-    x = np.asarray(x, dtype=float)
-    if x.ndim <= 1:
-        return float(coef[0] + x @ coef[1:])
     return coef[0] + np.einsum("ij,j->i", x, coef[1:])  # not `@`, see fit_outcome

@@ -193,7 +193,7 @@ class TestDiagnose:
         for arm in report["arms"]:
             assert abs(arm["difference"]) <= 4 * arm["difference_bootstrap_se"]
 
-    @pytest.mark.parametrize("b", [-5, 0, 1])
+    @pytest.mark.parametrize("b", [-5, 0, 1, 99])
     def test_too_few_bootstrap_resamples_exit_2(self, tmp_path, capsys, b):
         out = simulate(tmp_path)
         code, captured = run_json(capsys, ["diagnose", str(out), "--bootstrap-b", str(b)])
@@ -208,7 +208,7 @@ class TestDiagnose:
 
         monkeypatch.setattr(cli, "bootstrap_replicates", all_failed)
         out = simulate(tmp_path)
-        code, captured = run_json(capsys, ["diagnose", str(out), "--bootstrap-b", "2"])
+        code, captured = run_json(capsys, ["diagnose", str(out), "--bootstrap-b", "100"])
         assert code == 0
         doc = json.loads(captured.out, parse_constant=_reject_non_finite)
         assert [arm["difference_bootstrap_se"] for arm in doc["arms"]] == [None, None]
@@ -331,6 +331,20 @@ class TestSweep:
         assert "grid" in capsys.readouterr().err
 
 
+# JSON that parses only past the recursion limit or the int-string digit limit
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000
+_TOO_LONG_INTEGER = "1" * 5_000
+
+
+def _edited_config(tmp_path, doc, edit):
+    """Write ``doc`` after ``edit``; an edit that returns text replaces the whole file."""
+    text = edit(doc)
+    path = write_config(tmp_path, doc)
+    if text is not None:
+        path.write_text(text)
+    return path
+
+
 def _delete(path):
     path.unlink()
 
@@ -362,12 +376,15 @@ class TestMalformedInput:
             (".json", _edit_json(lambda d: d.update(n_unsampled_nonrandomized=None))),
             (".json", _edit_json(lambda d: d["design"].update(c="x"))),
             (".json", _edit_json(lambda d: d.update(design="census_nested"))),
+            (".json", _write('{"k": ' + _TOO_DEEP + "}")),
+            (".json", _write('{"k": ' + _TOO_LONG_INTEGER + "}")),
             (".csv", _delete),
             (".csv", lambda path: path.write_bytes(b"\xff\xfe\x00role")),
         ],
         ids=[
             "missing_sidecar", "sidecar_not_json", "sidecar_not_object", "k_not_integer",
             "unsampled_count_null", "c_not_number", "design_not_object",
+            "sidecar_nested_too_deep", "sidecar_integer_too_long",
             "missing_csv", "csv_not_text",
         ],
     )
@@ -376,7 +393,7 @@ class TestMalformedInput:
         mutate(out.with_suffix(suffix))
         args = ["estimate", str(out), "--estimand", "target"]
         if command == "diagnose":
-            args = ["diagnose", str(out), "--bootstrap-b", "2"]
+            args = ["diagnose", str(out), "--bootstrap-b", "100"]
         code, captured = run_json(capsys, args)
         assert code == 2
         assert captured.out == ""
@@ -420,18 +437,21 @@ class TestMalformedInput:
             lambda d: d["dgp"].update(participation_logit=0.5),
             lambda d: d["dgp"].update(seed=None),
             lambda d: d.update(sampling_seed="7"),
+            lambda d: '{"n": ' + _TOO_DEEP + "}",
+            lambda d: '{"n": ' + _TOO_LONG_INTEGER + "}",
         ],
         ids=[
             "n_string", "n_fraction", "n_bool", "c_not_number", "design_not_object",
             "covariate_number", "covariate_string", "sd_string", "dist_list", "logit_entry_string",
             "logit_not_list", "seed_null", "sampling_seed_string",
+            "nested_too_deep", "integer_too_long",
         ],
     )
     def test_bad_simulate_config_exits_2(self, tmp_path, capsys, edit):
         doc = {"dgp": dgp1_doc(), "design": {"variant": "census_nested"}, "n": 500}
-        edit(doc)
         out = tmp_path / "data"
-        code, captured = run_json(capsys, ["simulate", str(write_config(tmp_path, doc)), str(out)])
+        cfg = _edited_config(tmp_path, doc, edit)
+        code, captured = run_json(capsys, ["simulate", str(cfg), str(out)])
         assert code == 2
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert not out.with_suffix(".csv").exists()
@@ -449,19 +469,45 @@ class TestMalformedInput:
             lambda d: d.update(oracle_seed="1"),
             lambda d: d["dgp"].update(covariates=[None]),
             lambda d: d.update(bootstrap_b=50),
+            lambda d: '{"replications": ' + _TOO_DEEP + "}",
+            lambda d: '{"replications": ' + _TOO_LONG_INTEGER + "}",
         ],
         ids=[
             "replications_string", "estimators_not_list", "estimator_not_object",
             "arm_list", "flag_string", "misspecify_not_object", "oracle_seed_string",
-            "covariate_null", "bootstrap_b_below_minimum",
+            "covariate_null", "bootstrap_b_below_minimum", "nested_too_deep", "integer_too_long",
         ],
     )
     def test_bad_experiment_config_exits_2(self, tmp_path, capsys, edit):
         doc = TestExperiment().experiment_doc()
-        edit(doc)
         out = tmp_path / "summary.csv"
-        cfg = write_config(tmp_path, doc)
+        cfg = _edited_config(tmp_path, doc, edit)
         code, captured = run_json(capsys, ["experiment", str(cfg), str(out)])
         assert code == 2
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, command, workers):
+        doc = TestExperiment().experiment_doc(replications=2)
+        doc["grid"] = [doc["design"]]
+        out = tmp_path / "summary.csv"
+        cfg = write_config(tmp_path, doc)
+        code, captured = run_json(capsys, [command, str(cfg), str(out), "--workers", workers])
+        assert code == 2
+        assert captured.err.startswith("error: ") and "--workers" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, command):
+        if command == "simulate":
+            cfg = write_config(tmp_path, {"dgp": dgp1_doc(), "design": {"variant": "census_nested"},
+                                          "n": 500})
+            args = ["simulate", str(cfg), str(tmp_path / "nodir" / "sub" / "data")]
+        else:
+            out = simulate(tmp_path, n=2_000)
+            args = ["estimate", str(out), "--estimand", "target", "--out", str(tmp_path)]
+        code, captured = run_json(capsys, args)
+        assert code == 2
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err

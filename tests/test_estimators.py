@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import trialport as tp
 from trialport.domain import _WeightedSample
-from trialport.estimators import EXTREME_WEIGHT_THRESHOLD, Method, StudyPopulation
+from trialport.estimators import EXTREME_WEIGHT_THRESHOLD
 from trialport.participation import Scale
 
 from conftest import as_non_nested, make_tiny_dataset
@@ -46,7 +46,7 @@ class TestGFormula:
         model = known_outcome_model(coef1=(2.0, 1.0))
         report = tp.gformula_mean_target(data, model, 1)
         assert report.value == pytest.approx(3.0, rel=1e-15)  # mean of 2, 3, 4
-        assert report.identifiable
+        assert report.to_dict()["identifiable"] is True
 
     def test_single_external_row(self):
         data = dataset_with_covariates([0.0, 1.0], [0.7])
@@ -346,13 +346,6 @@ class TestReports:
         assert 0 < d["effective_sample_size"] <= census_1m.n_trial
         row = report.to_csv_row()
         assert row.startswith("target,1,ipw_hajek,")
-
-    def test_non_identifiable_report_carries_no_value(self):
-        with pytest.raises(ValueError):
-            tp.EstimateReport(
-                estimand=StudyPopulation.TARGET, arm=1, method=Method.GFORMULA,
-                value=1.0, identifiable=False,
-            )
 
     def test_weighted_sample_diagnostics(self):
         ws = _WeightedSample.of(np.array([1.0, 1.0, 2.0]))

@@ -185,6 +185,57 @@ class TestRunExperiment:
         parallel = tp.run_experiment(cfg, workers=2)
         assert first.csv_text() == second.csv_text() == parallel.csv_text()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, dgp1, workers):
+        cfg = small_config(dgp1, tp.CensusNested(), replications=2)
+        with pytest.raises(ValueError, match="workers"):
+            tp.run_experiment(cfg, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            tp.design_comparison([cfg], workers=workers)
+
+    @pytest.mark.parametrize("workers, replications, pool_size", [(64, 3, 3), (2, 3, 2)])
+    def test_pool_has_no_more_workers_than_replications(
+        self, dgp1, monkeypatch, workers, replications, pool_size
+    ):
+        sizes = []
+
+        class InProcessPool:
+            """Records the requested pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        cfg = small_config(
+            dgp1, tp.CensusNested(), replications=replications,
+            estimators=(spec("gformula", "target"),),
+        )
+        serial = tp.run_experiment(cfg).csv_text()
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        assert tp.run_experiment(cfg, workers=workers).csv_text() == serial
+        assert sizes == [pool_size]
+
+    @pytest.mark.parametrize("design", [tp.CensusNested(), tp.NonNested(u_hidden=0.3)])
+    def test_bootstrap_standard_errors_reach_the_summary(self, dgp1, design):
+        est = (spec("gformula", "target"), spec("trial_only", "randomized"))
+        cfg = small_config(dgp1, design, n=2_000, replications=3, bootstrap_b=100, estimators=est)
+        serial = tp.run_experiment(cfg, workers=1)
+        assert tp.run_experiment(cfg, workers=2).csv_text() == serial.csv_text()
+        target, randomized = serial.rows
+        assert math.isfinite(randomized.boot_se_mean) and randomized.boot_se_mean > 0
+        if isinstance(design, tp.NonNested):
+            assert target.not_identifiable_frac == 1.0 and math.isnan(target.boot_se_mean)
+        else:
+            assert math.isfinite(target.boot_se_mean) and target.boot_se_mean > 0
+
     def test_non_nested_target_is_fully_gated(self, dgp1):
         cfg = small_config(
             dgp1,

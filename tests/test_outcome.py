@@ -31,7 +31,7 @@ class TestFit:
         for arm in (0, 1):
             assert model.coef(arm)[0] == pytest.approx(5.0, abs=1e-10)
             assert model.coef(arm)[1] == pytest.approx(0.0, abs=1e-10)
-            assert tp.predict(model, arm, (3.7,)) == pytest.approx(5.0, abs=1e-9)
+            assert tp.predict(model, arm, np.array([[3.7]]))[0] == pytest.approx(5.0, abs=1e-9)
 
     def test_recovers_generating_coefficients(self, census_1m):
         model = tp.fit_outcome(census_1m)
@@ -66,7 +66,7 @@ class TestFit:
         for arm in (0, 1):
             rows = data.trial_mask & (data.a == arm)
             xmat = np.column_stack([np.ones(rows.sum()), data.x[rows]])
-            resid = data.y[rows] - np.asarray(tp.predict(model, arm, data.x[rows]))
+            resid = data.y[rows] - tp.predict(model, arm, data.x[rows])
             moment = xmat.T @ resid
             scale = np.linalg.norm(xmat, axis=0) * np.linalg.norm(resid)
             assert np.all(np.abs(moment) <= 1e-8 * scale)
@@ -99,9 +99,9 @@ class TestPredict:
         return _KNOWN_MODEL
 
     def test_known_points(self, model):
-        assert tp.predict(model, 1, (0.0,)) == 2.0
-        assert tp.predict(model, 1, (1.0,)) == pytest.approx(3.3, rel=1e-15)
-        assert tp.predict(model, 0, (2.0,)) == 3.0
+        assert tp.predict(model, 1, np.array([[0.0]]))[0] == 2.0
+        assert tp.predict(model, 1, np.array([[1.0]]))[0] == pytest.approx(3.3, rel=1e-15)
+        assert tp.predict(model, 0, np.array([[2.0]]))[0] == 3.0
 
     def test_matrix_input(self, model):
         out = tp.predict(model, 1, np.array([[0.0], [1.0]]))
@@ -113,12 +113,14 @@ class TestPredict:
         xp=st.floats(min_value=-50, max_value=50),
     )
     def test_linearity(self, x, xp):
-        lhs = tp.predict(_KNOWN_MODEL, 1, (x + xp,)) - tp.predict(_KNOWN_MODEL, 1, (xp,))
+        lhs = tp.predict(_KNOWN_MODEL, 1, np.array([[x + xp]]))[0] - tp.predict(
+            _KNOWN_MODEL, 1, np.array([[xp]])
+        )[0]
         assert lhs == pytest.approx(1.3 * x, rel=1e-9, abs=1e-9)
 
     def test_rejects_unknown_arm(self, model):
         with pytest.raises(ValueError):
-            tp.predict(model, 2, (0.0,))
+            tp.predict(model, 2, np.array([[0.0]]))
 
 
 def _cpu_burnt_while_sleeping(call) -> float:
