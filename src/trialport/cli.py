@@ -27,7 +27,6 @@ from .dgp import simulate_actual_population
 from .errors import ConfigError, DataError, NotIdentifiable, TrialportError
 from .estimators import Method, StudyPopulation
 from .experiment import (
-    MIN_BOOTSTRAP_B,
     EstimatorSpec,
     bootstrap_replicates,
     design_comparison,
@@ -123,11 +122,11 @@ def _cmd_estimate(args) -> int:
             "truncate_q": args.truncate_q,
         },
     }
-    print(json.dumps(doc, indent=2))
     if args.out:
         lines = [reports[0].CSV_HEADER] + [r.to_csv_row() for r in reports]
         Path(args.out).write_text("\n".join(lines) + "\n")
         _write_json(Path(str(args.out) + ".config.json"), doc["config"])
+    print(json.dumps(doc, indent=2))
     return EXIT_OK
 
 
@@ -136,8 +135,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    if args.bootstrap_b < MIN_BOOTSTRAP_B:
-        raise ConfigError(f"--bootstrap-b must be >= {MIN_BOOTSTRAP_B}, got {args.bootstrap_b}")
+    if args.bootstrap_b < 2:
+        raise ConfigError(f"--bootstrap-b must be >= 2, got {args.bootstrap_b}")
     csv_path, sidecar_path = _dataset_paths(args.dataset)
     data = dataio.read_dataset(csv_path, sidecar_path)
     seed = args.seed if args.seed is not None else 0
@@ -305,7 +304,9 @@ def main(argv=None) -> int:
     except TrialportError as exc:  # fit failures: separation, rank, convergence, too few rows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:  # an output path that cannot be written
+    except OSError as exc:
+        if exc.filename is None:  # not a file that cannot be written, e.g. a failed fork
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except np.linalg.LinAlgError as exc:

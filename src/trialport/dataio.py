@@ -385,10 +385,8 @@ def load_json(path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # not JSON, nested too deep, over-long integer
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    except (RecursionError, ValueError) as exc:  # nested too deep, or an over-long integer
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
     return doc

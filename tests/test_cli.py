@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 
@@ -193,7 +194,7 @@ class TestDiagnose:
         for arm in report["arms"]:
             assert abs(arm["difference"]) <= 4 * arm["difference_bootstrap_se"]
 
-    @pytest.mark.parametrize("b", [-5, 0, 1, 99])
+    @pytest.mark.parametrize("b", [-5, 0, 1])
     def test_too_few_bootstrap_resamples_exit_2(self, tmp_path, capsys, b):
         out = simulate(tmp_path)
         code, captured = run_json(capsys, ["diagnose", str(out), "--bootstrap-b", str(b)])
@@ -208,7 +209,7 @@ class TestDiagnose:
 
         monkeypatch.setattr(cli, "bootstrap_replicates", all_failed)
         out = simulate(tmp_path)
-        code, captured = run_json(capsys, ["diagnose", str(out), "--bootstrap-b", "100"])
+        code, captured = run_json(capsys, ["diagnose", str(out), "--bootstrap-b", "2"])
         assert code == 0
         doc = json.loads(captured.out, parse_constant=_reject_non_finite)
         assert [arm["difference_bootstrap_se"] for arm in doc["arms"]] == [None, None]
@@ -393,7 +394,7 @@ class TestMalformedInput:
         mutate(out.with_suffix(suffix))
         args = ["estimate", str(out), "--estimand", "target"]
         if command == "diagnose":
-            args = ["diagnose", str(out), "--bootstrap-b", "100"]
+            args = ["diagnose", str(out), "--bootstrap-b", "2"]
         code, captured = run_json(capsys, args)
         assert code == 2
         assert captured.out == ""
@@ -510,4 +511,16 @@ class TestMalformedInput:
             args = ["estimate", str(out), "--estimand", "target", "--out", str(tmp_path)]
         code, captured = run_json(capsys, args)
         assert code == 2
+        assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_os_error_without_a_file_is_not_reported_as_a_config_error(
+        self, tmp_path, monkeypatch
+    ):
+        def fork_failed(*args, **kwargs):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "run_experiment", fork_failed)
+        cfg = write_config(tmp_path, TestExperiment().experiment_doc(replications=2))
+        with pytest.raises(BlockingIOError):
+            main(["experiment", str(cfg), str(tmp_path / "summary.csv")])
