@@ -27,19 +27,19 @@ from .dgp import simulate_actual_population
 from .errors import ConfigError, DataError, NotIdentifiable, TrialportError
 from .estimators import Method, StudyPopulation
 from .experiment import (
+    DIAGNOSE_BOOT_TAG,
+    SIMULATE_SAMPLING_TAG,
     EstimatorSpec,
     bootstrap_replicates,
+    bootstrap_sd,
     design_comparison,
     fit_models,
     mix_seed,
-    run_experiment,
     summary_rows_to_csv,
 )
 from .sampling import apply_design
 
 EXIT_OK, EXIT_CONFIG, EXIT_NOT_IDENTIFIABLE, EXIT_NUMERICAL = 0, 2, 3, 4
-
-_SAMPLING_TAG = 5  # seed-derivation tag for design thinning in `simulate`
 
 
 def _dataset_paths(arg: str) -> tuple[Path, Path]:
@@ -63,13 +63,12 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         dgp = dataclasses.replace(dgp, seed=args.seed)
     if sampling_seed is None:
-        sampling_seed = mix_seed(dgp.seed, _SAMPLING_TAG)
+        sampling_seed = mix_seed(dgp.seed, SIMULATE_SAMPLING_TAG)
 
     population = simulate_actual_population(dgp, n)
     data = apply_design(population, design, seed=sampling_seed)
 
-    out = Path(args.out)
-    csv_path, sidecar_path = Path(str(out) + ".csv"), Path(str(out) + ".json")
+    csv_path, sidecar_path = _dataset_paths(args.out)
     dataio.write_dataset(data, csv_path, sidecar_path)
     resolved = {
         "dgp": dataio.dgp_to_dict(dgp),
@@ -77,7 +76,7 @@ def _cmd_simulate(args) -> int:
         "n": n,
         "sampling_seed": sampling_seed,
     }
-    _write_json(Path(str(out) + ".config.json"), resolved)
+    _write_json(csv_path.with_suffix(".config.json"), resolved)
 
     print(f"trial participants:            {data.n_trial}")
     print(f"sampled non-randomized:        {data.n_external}")
@@ -137,6 +136,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_diagnose(args) -> int:
     if args.bootstrap_b < 2:
         raise ConfigError(f"--bootstrap-b must be >= 2, got {args.bootstrap_b}")
+    dataio.count(args.bootstrap_b, "--bootstrap-b")
     csv_path, sidecar_path = _dataset_paths(args.dataset)
     data = dataio.read_dataset(csv_path, sidecar_path)
     seed = args.seed if args.seed is not None else 0
@@ -152,9 +152,10 @@ def _cmd_diagnose(args) -> int:
 
         trial = trial_spec.fit_and_evaluate(data).value
         external = external_spec.fit_and_evaluate(data).value
-        reps = bootstrap_replicates(data, stat, args.bootstrap_b, seed=mix_seed(seed, 6, arm))
-        good = reps[~np.isnan(reps)]
-        boot_se = float(good.std(ddof=1)) if good.size > 1 else math.nan
+        reps = bootstrap_replicates(
+            data, stat, args.bootstrap_b, seed=mix_seed(seed, DIAGNOSE_BOOT_TAG, arm)
+        )
+        boot_se = bootstrap_sd(reps)
         arms_out.append(
             {
                 "arm": arm,
@@ -182,54 +183,52 @@ def _cmd_diagnose(args) -> int:
 # experiment / sweep
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
-
-
 def _resolved_config_doc(cfg, workers: int) -> dict:
     doc = dataio.experiment_config_to_dict(cfg)
     doc["workers"] = workers
     return doc
 
 
-def _cmd_experiment(args) -> int:
-    _check_workers(args.workers)
-    doc = dataio.load_json(args.config)
-    cfg = dataio.experiment_config_from_dict(doc)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    summary = run_experiment(cfg, workers=args.workers)
+def _run_cells(args, docs) -> tuple[Path, list, tuple]:
+    """Run the experiment config docs as one sweep and write its summary CSV.
+
+    Returns (output path, parsed configs, summary rows). Every input and the
+    output path are checked before the run starts.
+    """
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    configs = []
+    for doc in docs:
+        cfg = dataio.experiment_config_from_dict(doc)
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, master_seed=args.seed)
+        configs.append(cfg)
     out = Path(args.out)
-    out.write_text(summary.csv_text())
+    if out.is_dir():
+        raise ConfigError(f"cannot write {out}: it is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"cannot write {out}: no directory {out.parent}")
+    rows = design_comparison(configs, workers=args.workers)
+    out.write_text(summary_rows_to_csv(rows))
+    return out, configs, rows
+
+
+def _cmd_experiment(args) -> int:
+    out, (cfg,), rows = _run_cells(args, [dataio.load_json(args.config)])
     _write_json(Path(str(out) + ".config.json"), _resolved_config_doc(cfg, args.workers))
-    print(f"wrote {out} ({len(summary.rows)} rows)")
+    print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    _check_workers(args.workers)
     doc = dataio.load_json(args.config)
-    grid = doc.get("grid")
+    grid = doc.pop("grid", None)
     if not isinstance(grid, list) or not grid:
         raise ConfigError("sweep config needs a nonempty 'grid' list of designs")
-    base = {k: v for k, v in doc.items() if k != "grid"}
-    configs = []
-    for i, cell in enumerate(grid):
-        cell_doc = dict(base)
-        cell_doc["design"] = cell
-        cfg = dataio.experiment_config_from_dict(cell_doc)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, master_seed=args.seed)
-        configs.append(cfg)
-    rows = design_comparison(configs, workers=args.workers)
-    out = Path(args.out)
-    out.write_text(summary_rows_to_csv(rows))
+    out, configs, rows = _run_cells(args, [{**doc, "design": cell} for cell in grid])
     _write_json(
         Path(str(out) + ".config.json"),
-        {
-            "cells": [_resolved_config_doc(cfg, args.workers) for cfg in configs],
-        },
+        {"cells": [_resolved_config_doc(cfg, args.workers) for cfg in configs]},
     )
     print(f"wrote {out} ({len(rows)} rows over {len(configs)} cells)")
     return EXIT_OK
@@ -251,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a dataset under a study design")
     p.add_argument("config", help="JSON config with dgp, design, n")
-    p.add_argument("out", help="output prefix (writes .csv, .json, .config.json)")
+    p.add_argument("out", help="output prefix or .csv path (writes .csv, .json, .config.json)")
     add_seed(p)
     p.set_defaults(fn=_cmd_simulate)
 
@@ -312,6 +311,9 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -62,6 +62,20 @@ def _integer(value, what: str) -> int:
     return value
 
 
+# bound on every count an input gives (population size, replications, oracle
+# draws, bootstrap resamples): a larger run does not fit in memory or finish, and
+# numpy turns the largest sizes into a ValueError instead of a MemoryError
+MAX_COUNT = 10**9
+
+
+def count(value, what: str) -> int:
+    """A JSON integer no larger than ``MAX_COUNT``; each caller checks its lower bound."""
+    value = _integer(value, what)
+    if value > MAX_COUNT:
+        raise ConfigError(f"{what} must be at most {MAX_COUNT}, got {value}")
+    return value
+
+
 def _flag(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{what} must be true or false, got {value!r}")
@@ -85,11 +99,6 @@ def design_to_dict(design: Design) -> dict:
         return {"variant": "subsampled_nested", "c": design.c}
     if isinstance(design, SubsampledNestedCovariate):
         rule = design.c_rule
-        if not isinstance(rule, StepRule):
-            raise ConfigError(
-                "only StepRule sampling rules are serializable; got "
-                f"{type(rule).__name__}"
-            )
         return {
             "variant": "subsampled_nested_covariate",
             "c_table": {
@@ -299,7 +308,7 @@ def simulate_config_from_dict(d: dict):
     """Returns (dgp, design, n, sampling_seed)."""
     dgp = dgp_from_dict(_require(d, "dgp", "config"))
     design = design_from_dict(_require(d, "design", "config"), "config.design")
-    n = _integer(_require(d, "n", "config"), "config.n")
+    n = count(_require(d, "n", "config"), "config.n")
     sampling_seed = d.get("sampling_seed")
     if sampling_seed is not None:
         sampling_seed = _integer(sampling_seed, "config.sampling_seed")
@@ -336,8 +345,8 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
         return ExperimentConfig(
             dgp=dgp_from_dict(_require(d, "dgp", "config")),
             design=design_from_dict(_require(d, "design", "config"), "config.design"),
-            n=_integer(_require(d, "n", "config"), "config.n"),
-            replications=_integer(_require(d, "replications", "config"), "config.replications"),
+            n=count(_require(d, "n", "config"), "config.n"),
+            replications=count(_require(d, "replications", "config"), "config.replications"),
             master_seed=_integer(_require(d, "master_seed", "config"), "config.master_seed"),
             misspecify=MisspecifySpec(
                 participation=_flag(
@@ -346,8 +355,8 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
                 outcome=_flag(mis.get("outcome", False), "config.misspecify.outcome"),
                 s_shift=_number(mis.get("s_shift", 0.0), "config.misspecify.s_shift"),
             ),
-            bootstrap_b=_integer(d.get("bootstrap_b", 0), "config.bootstrap_b"),
-            oracle_m=_integer(d.get("oracle_m", 1_000_000), "config.oracle_m"),
+            bootstrap_b=count(d.get("bootstrap_b", 0), "config.bootstrap_b"),
+            oracle_m=count(d.get("oracle_m", 1_000_000), "config.oracle_m"),
             oracle_seed=(
                 _integer(oracle_seed, "config.oracle_seed") if oracle_seed is not None else None
             ),

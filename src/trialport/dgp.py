@@ -129,11 +129,11 @@ class DgpSpec:
     def outcome_mean(self, arm: int, x: np.ndarray) -> np.ndarray:
         coefs = self.outcome_mean_a1 if arm == 1 else self.outcome_mean_a0
         b = np.asarray(coefs)
-        return b[0] + np.atleast_2d(x) @ b[1:]
+        return b[0] + x @ b[1:]
 
     def participation_prob(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.participation_logit)
-        eta = g[0] + np.atleast_2d(x) @ g[1:]
+        eta = g[0] + x @ g[1:]
         return 1.0 / (1.0 + np.exp(-eta))
 
     def covariate_expectations(self) -> np.ndarray:
@@ -159,10 +159,6 @@ class ActualPopulation:
     @property
     def p(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def n_trial(self) -> int:
-        return int((self.s == 1).sum())
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:

@@ -2,8 +2,8 @@
 
 Two families of study design are represented. In *nested* designs the trial is
 embedded in a sample of the actual population and the sampling probability of
-non-randomized individuals is known (a constant ``c``, or a known function of
-auxiliary covariates). In *non-nested* (composite dataset) designs the external
+non-randomized individuals is known (a constant ``c``, or a step rule on one
+auxiliary covariate). In *non-nested* (composite dataset) designs the external
 sample was obtained separately with an unknown sampling fraction ``u``; the
 analyst never learns ``u`` or the number of unsampled individuals.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class StepRule:
     """Sampling fraction that steps between two values on one auxiliary coordinate.
 
     Returns ``high`` where the coordinate exceeds ``cutoff``, else ``low``.
-    Serializable, picklable stand-in for an arbitrary sampling-rule callable.
     """
 
     coord: int = 0
@@ -87,10 +86,14 @@ class SubsampledNestedCovariate:
     """Nested design whose sampling fraction is a known function of auxiliary covariates.
 
     ``c_rule`` maps an (n, k) block of auxiliary covariates to per-row sampling
-    fractions in (0, 1]. Use :class:`StepRule` for a serializable rule.
+    fractions in (0, 1].
     """
 
-    c_rule: Callable[[np.ndarray], np.ndarray]
+    c_rule: StepRule
+
+    def __post_init__(self):
+        if not isinstance(self.c_rule, StepRule):
+            raise DataError(f"c_rule must be a StepRule, got {type(self.c_rule).__name__}")
 
 
 @dataclass(frozen=True)
@@ -151,12 +154,7 @@ def known_sampling_fractions(design: Design, aux: np.ndarray) -> np.ndarray:
     if isinstance(design, SubsampledNested):
         return np.full(n, design.c)
     if isinstance(design, SubsampledNestedCovariate):
-        frac = np.asarray(design.c_rule(aux), dtype=float)
-        if frac.shape != (n,):
-            raise DataError(f"sampling rule returned shape {frac.shape}, expected ({n},)")
-        if np.any(frac <= 0.0) or np.any(frac > 1.0):
-            raise DataError("sampling rule returned fractions outside (0, 1]")
-        return frac
+        return design.c_rule(aux)
     raise NotIdentifiable(
         "sampling fraction of non-randomized units is unknown under a non-nested design"
     )
@@ -324,9 +322,8 @@ class ObservedDataset:
     def design_weights(self) -> np.ndarray:
         """1 on trial rows and 1/c (or 1/c(X1)) on external rows.
 
-        The known fraction c(X1) is evaluated at every row, which also
-        range-checks a custom rule there. Raises :class:`NotIdentifiable`
-        under a non-nested design.
+        The known fraction c(X1) is evaluated at every row. Raises
+        :class:`NotIdentifiable` under a non-nested design.
         """
         fractions = known_sampling_fractions(self.design, self.aux)
         return _read_only(np.where(self.trial_mask, 1.0, 1.0 / fractions))

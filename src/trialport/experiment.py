@@ -25,7 +25,6 @@ from .domain import (
     CensusNested,
     Design,
     ObservedDataset,
-    StepRule,
     SubsampledNested,
     SubsampledNestedCovariate,
     design_name,
@@ -68,8 +67,10 @@ def mix_seed(master: int, *parts: int) -> int:
     return z
 
 
-# seed-derivation tags
+# seed-derivation tags: the harness's streams, then the command line's design
+# thinning in `simulate` and bootstrap in `diagnose`
 _SIM_TAG, _SAMPLE_TAG, _BOOT_TAG, _ORACLE_TAG = 1, 2, 3, 4
+SIMULATE_SAMPLING_TAG, DIAGNOSE_BOOT_TAG = 5, 6
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,9 @@ class EstimatorSpec:
             return ipw_mean_target(data, pmodel, arm, variant, truncate_q)
         return ipw_mean_nonrandomized(data, pmodel, arm, truncate_q)
 
-    def fit_and_evaluate(self, data: ObservedDataset, truncate_q=None) -> EstimateReport:
+    def fit_and_evaluate(self, data: ObservedDataset) -> EstimateReport:
         """Fit whatever this estimator needs on ``data`` and evaluate it."""
-        return self.evaluate(data, *fit_models([self], data), truncate_q)
+        return self.evaluate(data, *fit_models([self], data))
 
 
 def fit_models(specs, data: ObservedDataset):
@@ -204,7 +205,7 @@ class ExperimentConfig:
                         "covariate for the covariate-dependent sampling design"
                     )
             rule = self.design.c_rule
-            if isinstance(rule, StepRule) and rule.coord >= kept:
+            if rule.coord >= kept:
                 raise ValueError(
                     f"step rule coordinate {rule.coord} is not among the {kept} auxiliary "
                     "covariates that the fits keep"
@@ -263,9 +264,6 @@ def summary_rows_to_csv(rows) -> str:
 @dataclass(frozen=True)
 class ExperimentSummary:
     rows: tuple[SummaryRow, ...]
-
-    def csv_text(self) -> str:
-        return summary_rows_to_csv(self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +482,10 @@ def bootstrap_se(data: ObservedDataset, spec: EstimatorSpec, b: int, seed: int) 
     if b < MIN_BOOTSTRAP_B:
         raise ValueError(f"bootstrap needs b >= {MIN_BOOTSTRAP_B}, got {b}")
     reps = bootstrap_replicates(data, lambda d: spec.fit_and_evaluate(d).value, b, seed)
+    return bootstrap_sd(reps)
+
+
+def bootstrap_sd(reps: np.ndarray) -> float:
+    """Sample SD of the resamples that did not fail; NaN with fewer than two."""
     good = reps[~np.isnan(reps)]
-    if good.size < 2:
-        return math.nan
-    return float(good.std(ddof=1))
+    return float(good.std(ddof=1)) if good.size > 1 else math.nan

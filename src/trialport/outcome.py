@@ -3,10 +3,6 @@
 Fits E[Y | X, S=1, A=a] by ordinary least squares on each arm's trial rows,
 via QR decomposition. Non-randomized rows never enter the fit. Basis
 expansion (interactions, splines) is the caller's responsibility.
-
-Extension point: a binary-outcome variant would swap the per-arm OLS solve
-for a logistic fit behind the same OutcomeModel/predict surface; nothing
-downstream depends on the mean model being linear.
 """
 
 from __future__ import annotations

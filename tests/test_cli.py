@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import trialport as tp
-from trialport import cli, dataio
+from trialport import cli, dataio, experiment
 from trialport.cli import main
 
 from support import oracles
@@ -71,6 +71,15 @@ class TestSimulate:
         code = main(["simulate", str(cfg), str(tmp_path / "x")])
         assert code == 2
         assert "noise_sd" in capsys.readouterr().err
+
+    def test_csv_path_output_is_read_back_by_estimate(self, tmp_path, capsys):
+        out = simulate(tmp_path, name="data.csv")
+        assert sorted(p.name for p in tmp_path.glob("data*")) == [
+            "data.config.json", "data.csv", "data.json",
+        ]
+        code, captured = run_json(capsys, ["estimate", str(out), "--estimand", "target"])
+        assert code == 0
+        assert json.loads(captured.out)["config"]["dataset"] == str(out)
 
     def test_non_nested_sidecar_lacks_unsampled_count(self, tmp_path):
         out = simulate(tmp_path, design={"variant": "non_nested", "u_hidden": 0.3})
@@ -194,7 +203,7 @@ class TestDiagnose:
         for arm in report["arms"]:
             assert abs(arm["difference"]) <= 4 * arm["difference_bootstrap_se"]
 
-    @pytest.mark.parametrize("b", [-5, 0, 1])
+    @pytest.mark.parametrize("b", [-5, 0, 1, 10**21])
     def test_too_few_bootstrap_resamples_exit_2(self, tmp_path, capsys, b):
         out = simulate(tmp_path)
         code, captured = run_json(capsys, ["diagnose", str(out), "--bootstrap-b", str(b)])
@@ -325,6 +334,14 @@ class TestSweep:
         assert len(lines) == 4  # header + one estimator row per cell
         assert ",0.25," in lines[1] and ",0.5," in lines[2]
 
+    def test_one_cell_sweep_writes_the_experiment_summary(self, tmp_path):
+        doc = TestExperiment().experiment_doc(replications=4)
+        experiment_out, sweep_out = tmp_path / "experiment.csv", tmp_path / "sweep.csv"
+        assert main(["experiment", str(write_config(tmp_path, doc)), str(experiment_out)]) == 0
+        doc["grid"] = [doc.pop("design")]
+        assert main(["sweep", str(write_config(tmp_path, doc)), str(sweep_out)]) == 0
+        assert sweep_out.read_bytes() == experiment_out.read_bytes()
+
     def test_missing_grid_exits_2(self, tmp_path, capsys):
         doc = {"dgp": dgp1_doc(), "n": 100, "replications": 2, "master_seed": 1}
         cfg = write_config(tmp_path, doc)
@@ -440,12 +457,14 @@ class TestMalformedInput:
             lambda d: d.update(sampling_seed="7"),
             lambda d: '{"n": ' + _TOO_DEEP + "}",
             lambda d: '{"n": ' + _TOO_LONG_INTEGER + "}",
+            lambda d: d.update(n=10**300),
+            lambda d: d.update(n=2**62),
         ],
         ids=[
             "n_string", "n_fraction", "n_bool", "c_not_number", "design_not_object",
             "covariate_number", "covariate_string", "sd_string", "dist_list", "logit_entry_string",
             "logit_not_list", "seed_null", "sampling_seed_string",
-            "nested_too_deep", "integer_too_long",
+            "nested_too_deep", "integer_too_long", "n_beyond_any_array", "n_too_big_to_allocate",
         ],
     )
     def test_bad_simulate_config_exits_2(self, tmp_path, capsys, edit):
@@ -472,11 +491,14 @@ class TestMalformedInput:
             lambda d: d.update(bootstrap_b=50),
             lambda d: '{"replications": ' + _TOO_DEEP + "}",
             lambda d: '{"replications": ' + _TOO_LONG_INTEGER + "}",
+            lambda d: d.update(n=10**300),
+            lambda d: d.update(bootstrap_b=10**21),
         ],
         ids=[
             "replications_string", "estimators_not_list", "estimator_not_object",
             "arm_list", "flag_string", "misspecify_not_object", "oracle_seed_string",
             "covariate_null", "bootstrap_b_below_minimum", "nested_too_deep", "integer_too_long",
+            "n_beyond_any_array", "bootstrap_b_beyond_any_array",
         ],
     )
     def test_bad_experiment_config_exits_2(self, tmp_path, capsys, edit):
@@ -500,15 +522,39 @@ class TestMalformedInput:
         assert captured.err.startswith("error: ") and "--workers" in captured.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "estimate"])
-    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, out",
+        [
+            ("simulate", "nodir/sub/data"),
+            ("estimate", "."),
+            ("experiment", "nodir/summary.csv"),
+            ("experiment", "."),
+            ("sweep", "nodir/summary.csv"),
+            ("sweep", "."),
+        ],
+        ids=[
+            "simulate", "estimate", "experiment_missing_dir", "experiment_to_dir",
+            "sweep_missing_dir", "sweep_to_dir",
+        ],
+    )
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, monkeypatch, command, out):
+        out = str(tmp_path / out)
         if command == "simulate":
             cfg = write_config(tmp_path, {"dgp": dgp1_doc(), "design": {"variant": "census_nested"},
                                           "n": 500})
-            args = ["simulate", str(cfg), str(tmp_path / "nodir" / "sub" / "data")]
+            args = ["simulate", str(cfg), out]
+        elif command == "estimate":
+            data = simulate(tmp_path, n=2_000)
+            args = ["estimate", str(data), "--estimand", "target", "--out", out]
         else:
-            out = simulate(tmp_path, n=2_000)
-            args = ["estimate", str(out), "--estimand", "target", "--out", str(tmp_path)]
+            def must_not_run(*args, **kwargs):
+                raise AssertionError("the run started before the output path was checked")
+
+            # the oracle is the first stage of every experiment and sweep run
+            monkeypatch.setattr(experiment, "oracle_truth", must_not_run)
+            doc = TestExperiment().experiment_doc(replications=2)
+            doc["grid"] = [doc["design"]]
+            args = [command, str(write_config(tmp_path, doc)), out]
         code, captured = run_json(capsys, args)
         assert code == 2
         assert captured.out == ""
@@ -520,7 +566,19 @@ class TestMalformedInput:
         def fork_failed(*args, **kwargs):
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(cli, "run_experiment", fork_failed)
+        monkeypatch.setattr(cli, "design_comparison", fork_failed)
         cfg = write_config(tmp_path, TestExperiment().experiment_doc(replications=2))
         with pytest.raises(BlockingIOError):
             main(["experiment", str(cfg), str(tmp_path / "summary.csv")])
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setattr(cli, "simulate_actual_population", no_memory)
+        cfg = write_config(tmp_path, {"dgp": dgp1_doc(), "design": {"variant": "census_nested"},
+                                      "n": 500})
+        code, captured = run_json(capsys, ["simulate", str(cfg), str(tmp_path / "data")])
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err

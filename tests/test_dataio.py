@@ -67,10 +67,9 @@ class TestDesignSerialization:
         back = dataio.design_from_dict(dataio.design_to_dict(design))
         assert back == design
 
-    def test_arbitrary_callables_are_not_serializable(self):
-        design = tp.SubsampledNestedCovariate(c_rule=lambda aux: np.full(aux.shape[0], 0.5))
-        with pytest.raises(tp.ConfigError):
-            dataio.design_to_dict(design)
+    def test_sampling_rule_must_be_a_step_rule(self):
+        with pytest.raises(tp.DataError):
+            tp.SubsampledNestedCovariate(c_rule=lambda aux: np.full(aux.shape[0], 0.5))
 
     def test_non_nested_round_trip_never_leaks_u(self):
         doc = dataio.design_to_dict(tp.NonNested(u_hidden=0.25))
@@ -140,6 +139,15 @@ class TestExperimentConfig:
         doc = self.base_doc(dgp1)
         doc["estimators"] = [{"method": "trial_only", "population": "target", "arm": 1}]
         with pytest.raises(tp.ConfigError):
+            dataio.experiment_config_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["n", "replications", "oracle_m", "bootstrap_b"])
+    def test_counts_are_bounded(self, dgp1, key):
+        doc = self.base_doc(dgp1)
+        doc[key] = dataio.MAX_COUNT
+        assert getattr(dataio.experiment_config_from_dict(doc), key) == dataio.MAX_COUNT
+        doc[key] = dataio.MAX_COUNT + 1
+        with pytest.raises(tp.ConfigError, match=key):
             dataio.experiment_config_from_dict(doc)
 
     def test_missing_required_key_is_named(self, dgp1):

@@ -11,7 +11,7 @@ import pytest
 import trialport as tp
 from trialport import experiment
 from trialport.estimators import Method, StudyPopulation
-from trialport.experiment import splitmix64
+from trialport.experiment import splitmix64, summary_rows_to_csv
 
 from support import oracles
 
@@ -183,7 +183,11 @@ class TestRunExperiment:
         first = tp.run_experiment(cfg, workers=1)
         second = tp.run_experiment(cfg, workers=1)
         parallel = tp.run_experiment(cfg, workers=2)
-        assert first.csv_text() == second.csv_text() == parallel.csv_text()
+        assert (
+            summary_rows_to_csv(first.rows)
+            == summary_rows_to_csv(second.rows)
+            == summary_rows_to_csv(parallel.rows)
+        )
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_fewer_than_one_worker(self, dgp1, workers):
@@ -218,9 +222,9 @@ class TestRunExperiment:
             dgp1, tp.CensusNested(), replications=replications,
             estimators=(spec("gformula", "target"),),
         )
-        serial = tp.run_experiment(cfg).csv_text()
+        serial = summary_rows_to_csv(tp.run_experiment(cfg).rows)
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
-        assert tp.run_experiment(cfg, workers=workers).csv_text() == serial
+        assert summary_rows_to_csv(tp.run_experiment(cfg, workers=workers).rows) == serial
         assert sizes == [pool_size]
 
     @pytest.mark.parametrize("design", [tp.CensusNested(), tp.NonNested(u_hidden=0.3)])
@@ -228,7 +232,8 @@ class TestRunExperiment:
         est = (spec("gformula", "target"), spec("trial_only", "randomized"))
         cfg = small_config(dgp1, design, n=2_000, replications=3, bootstrap_b=100, estimators=est)
         serial = tp.run_experiment(cfg, workers=1)
-        assert tp.run_experiment(cfg, workers=2).csv_text() == serial.csv_text()
+        parallel = tp.run_experiment(cfg, workers=2)
+        assert summary_rows_to_csv(parallel.rows) == summary_rows_to_csv(serial.rows)
         target, randomized = serial.rows
         assert math.isfinite(randomized.boot_se_mean) and randomized.boot_se_mean > 0
         if isinstance(design, tp.NonNested):

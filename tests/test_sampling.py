@@ -86,13 +86,10 @@ class TestApplyDesign:
             tp.apply_design(pop, tp.CensusNested(), seed=1)
 
     def test_rejects_rule_outside_unit_interval(self):
-        pop = handmade_population()
-        bad = tp.SubsampledNestedCovariate(c_rule=lambda aux: np.full(aux.shape[0], -0.5))
         with pytest.raises(tp.DataError):
-            tp.apply_design(pop, bad, seed=1)
-        bad_high = tp.SubsampledNestedCovariate(c_rule=lambda aux: np.full(aux.shape[0], 1.5))
+            tp.StepRule(low=-0.5, high=0.8)
         with pytest.raises(tp.DataError):
-            tp.apply_design(pop, bad_high, seed=1)
+            tp.StepRule(low=0.2, high=1.5)
 
     def test_non_nested_simulation_requires_u(self):
         pop = handmade_population()
