@@ -67,7 +67,7 @@ from .participation import (
     marginal_participation_probability,
     participation_probability,
 )
-from .sampling import apply_design, sampling_indicator_independence_check
+from .sampling import apply_design
 
 __version__ = "0.1.0"
 
@@ -122,7 +122,6 @@ __all__ = [
     "participation_probability",
     "predict",
     "run_experiment",
-    "sampling_indicator_independence_check",
     "simulate_actual_population",
     "trial_only_mean",
 ]

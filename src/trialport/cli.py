@@ -53,6 +53,14 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _check_writable(out: Path) -> None:
+    """Reject an output path that cannot be a new file, before any work is done."""
+    if out.is_dir():
+        raise ConfigError(f"cannot write {out}: it is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"cannot write {out}: no directory {out.parent}")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -64,11 +72,12 @@ def _cmd_simulate(args) -> int:
         dgp = dataclasses.replace(dgp, seed=args.seed)
     if sampling_seed is None:
         sampling_seed = mix_seed(dgp.seed, SIMULATE_SAMPLING_TAG)
+    csv_path, sidecar_path = _dataset_paths(args.out)
+    _check_writable(csv_path)
 
     population = simulate_actual_population(dgp, n)
     data = apply_design(population, design, seed=sampling_seed)
 
-    csv_path, sidecar_path = _dataset_paths(args.out)
     dataio.write_dataset(data, csv_path, sidecar_path)
     resolved = {
         "dgp": dataio.dgp_to_dict(dgp),
@@ -204,10 +213,7 @@ def _run_cells(args, docs) -> tuple[Path, list, tuple]:
             cfg = dataclasses.replace(cfg, master_seed=args.seed)
         configs.append(cfg)
     out = Path(args.out)
-    if out.is_dir():
-        raise ConfigError(f"cannot write {out}: it is a directory")
-    if not out.parent.is_dir():
-        raise ConfigError(f"cannot write {out}: no directory {out.parent}")
+    _check_writable(out)
     rows = design_comparison(configs, workers=args.workers)
     out.write_text(summary_rows_to_csv(rows))
     return out, configs, rows

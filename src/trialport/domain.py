@@ -205,16 +205,19 @@ class ObservedDataset:
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        s = np.asarray(self.s, dtype=np.int8)
         a = np.asarray(self.a, dtype=float)
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "s", s)
+        # s is checked as given (its masks are s == 1 and s == 0), so the int8
+        # cast after validation cannot relabel a value such as 0.6 or 256
+        object.__setattr__(self, "s", np.asarray(self.s))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "y", y)
         # u must never be visible downstream, even on hand-built datasets
         object.__setattr__(self, "design", redacted(self.design))
         self._validate()
+        s = self.s.astype(np.int8, copy=False)
+        object.__setattr__(self, "s", s)
         for arr in (x, s, a, y):
             arr.flags.writeable = False
 

@@ -20,7 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .dgp import ActualPopulation, DgpSpec, OracleTruth, oracle_truth, simulate_actual_population
+from .dgp import DgpSpec, OracleTruth, oracle_truth, simulate_actual_population
 from .domain import (
     CensusNested,
     Design,
@@ -159,10 +159,12 @@ class MisspecifySpec:
     """Deliberate model violations for stress runs.
 
     ``participation``/``outcome`` drop the last covariate from the respective
-    fit basis. ``s_shift`` adds a covariate-independent shift to both potential
-    outcomes of non-randomized units, breaking exchangeability over
-    participation: trial-fitted estimators keep their old limits while the
-    truth moves by the shift.
+    fit basis. ``s_shift`` models a covariate-independent shift in both
+    potential outcomes of non-randomized units, breaking exchangeability over
+    participation: it moves the truths of the non-randomized mean (by the
+    shift) and the target mean (by the shift times Pr[S=0]). The simulated
+    data are unchanged, since no observed outcome belongs to a non-randomized
+    unit, so trial-fitted estimators keep their old limits.
     """
 
     participation: bool = False
@@ -231,10 +233,14 @@ class SummaryRow:
     n_failed: int = 0  # fit failures, distinct from not-identifiable outcomes
 
 
-SUMMARY_COLUMNS = (
-    "estimand,arm,method,design,c,n,R,truth,mean,bias,sd,rmse,"
-    "not_identifiable_frac,boot_se_mean"
+# (CSV column, SummaryRow attribute), in column order
+_SUMMARY_FIELDS = (
+    ("estimand", "estimand"), ("arm", "arm"), ("method", "method"), ("design", "design"),
+    ("c", "c"), ("n", "n"), ("R", "replications"), ("truth", "truth"), ("mean", "mean"),
+    ("bias", "bias"), ("sd", "sd"), ("rmse", "rmse"),
+    ("not_identifiable_frac", "not_identifiable_frac"), ("boot_se_mean", "boot_se_mean"),
 )
+SUMMARY_COLUMNS = ",".join(column for column, _ in _SUMMARY_FIELDS)
 
 
 def _csv_cell(v) -> str:
@@ -248,16 +254,7 @@ def _csv_cell(v) -> str:
 def summary_rows_to_csv(rows) -> str:
     lines = [SUMMARY_COLUMNS]
     for r in rows:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    r.estimand, r.arm, r.method, r.design, r.c, r.n, r.replications,
-                    r.truth, r.mean, r.bias, r.sd, r.rmse,
-                    r.not_identifiable_frac, r.boot_se_mean,
-                )
-            )
-        )
+        lines.append(",".join(_csv_cell(getattr(r, attr)) for _, attr in _SUMMARY_FIELDS))
     return "\n".join(lines) + "\n"
 
 
@@ -268,15 +265,6 @@ class ExperimentSummary:
 
 # ---------------------------------------------------------------------------
 # Single-replication machinery
-
-
-def _shift_nonrandomized(pop: ActualPopulation, delta: float) -> ActualPopulation:
-    if delta == 0.0:
-        return pop
-    ext = pop.s == 0
-    y0 = pop.y0 + np.where(ext, delta, 0.0)
-    y1 = pop.y1 + np.where(ext, delta, 0.0)
-    return ActualPopulation(pop.x, pop.s, pop.a, y0, y1, pop.y, pop.aux_split, pop.treatment_prob)
 
 
 def _drop_last_covariate(data: ObservedDataset) -> ObservedDataset:
@@ -293,7 +281,6 @@ def _run_replication(cfg: ExperimentConfig, r: int):
         pop = simulate_actual_population(
             cfg.dgp, cfg.n, seed=mix_seed(cfg.master_seed, _SIM_TAG, r)
         )
-        pop = _shift_nonrandomized(pop, cfg.misspecify.s_shift)
         data = apply_design(pop, cfg.design, seed=mix_seed(cfg.master_seed, _SAMPLE_TAG, r))
     except TrialportError:
         return [(FAILED, math.nan, math.nan)] * len(cfg.estimators)

@@ -538,8 +538,12 @@ class TestMalformedInput:
         ],
     )
     def test_unwritable_output_path_exits_2(self, tmp_path, capsys, monkeypatch, command, out):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the run started before the output path was checked")
+
         out = str(tmp_path / out)
         if command == "simulate":
+            monkeypatch.setattr(cli, "simulate_actual_population", must_not_run)
             cfg = write_config(tmp_path, {"dgp": dgp1_doc(), "design": {"variant": "census_nested"},
                                           "n": 500})
             args = ["simulate", str(cfg), out]
@@ -547,9 +551,6 @@ class TestMalformedInput:
             data = simulate(tmp_path, n=2_000)
             args = ["estimate", str(data), "--estimand", "target", "--out", out]
         else:
-            def must_not_run(*args, **kwargs):
-                raise AssertionError("the run started before the output path was checked")
-
             # the oracle is the first stage of every experiment and sweep run
             monkeypatch.setattr(experiment, "oracle_truth", must_not_run)
             doc = TestExperiment().experiment_doc(replications=2)

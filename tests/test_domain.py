@@ -112,6 +112,40 @@ class TestObservedDataset:
                 n_unsampled_nonrandomized=None,
             )
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            np.array([1.0, 1.0, 0.6]),
+            np.array([1.0, 1.0, -0.5]),
+            np.array([1, 1, 256]),
+            [1, 1, 256],
+            np.array([1.0, 1.0, np.nan]),
+        ],
+        ids=["fraction", "negative", "int64_256", "list_256", "nan"],
+    )
+    def test_rejects_s_outside_0_1_before_the_cast(self, s):
+        # an int8 cast would turn each of these into 0, an external row
+        with pytest.raises(tp.DataError, match="s must be 0/1"):
+            tp.ObservedDataset(
+                x=np.zeros((3, 1)),
+                s=s,
+                a=np.array([0.0, 1.0, np.nan]),
+                y=np.array([0.5, 0.5, np.nan]),
+                design=tp.CensusNested(),
+                n_unsampled_nonrandomized=0,
+            )
+
+    def test_accepts_boolean_s(self):
+        data = tp.ObservedDataset(
+            x=np.zeros((3, 1)),
+            s=np.array([True, True, False]),
+            a=np.array([0.0, 1.0, np.nan]),
+            y=np.array([0.5, 0.5, np.nan]),
+            design=tp.CensusNested(),
+            n_unsampled_nonrandomized=0,
+        )
+        assert data.s.dtype == np.int8 and data.s.tolist() == [1, 1, 0]
+
     def test_constructor_redacts_hidden_u(self):
         data = make_tiny_dataset(design=tp.NonNested(u_hidden=0.4))
         assert data.design.u_hidden is None

@@ -261,13 +261,27 @@ class TestRunExperiment:
             n=5_000,
             replications=80,
             misspecify=tp.MisspecifySpec(s_shift=delta),
-            estimators=(spec("gformula", "nonrandomized"),),
+            estimators=(
+                spec("gformula", "nonrandomized"),
+                spec("gformula", "target"),
+                spec("trial_only", "randomized"),
+            ),
             oracle_m=2_000_000,
         )
-        summary = tp.run_experiment(cfg)
-        row = summary.rows[0]
+        shifted = tp.run_experiment(cfg).rows
+        unshifted = tp.run_experiment(dataclasses.replace(cfg, misspecify=tp.MisspecifySpec())).rows
+        row = shifted[0]
         # estimator keeps its unshifted limit, truth moved up by delta
         assert row.bias == pytest.approx(-delta, abs=4 * row.sd / math.sqrt(80) + 0.01)
+        # the shift acts on the truths only: the estimates are the same bits
+        for moved, base in zip(shifted, unshifted):
+            assert (moved.mean, moved.sd, moved.not_identifiable_frac) == (
+                base.mean, base.sd, base.not_identifiable_frac
+            )
+        nonrandomized, target, randomized = shifted
+        assert nonrandomized.truth == unshifted[0].truth + delta
+        assert 0.0 < target.truth - unshifted[1].truth < delta
+        assert randomized.truth == unshifted[2].truth
 
     def test_failures_are_tallied_not_fatal(self, dgp1):
         # tiny populations: some replications lack a treatment arm entirely

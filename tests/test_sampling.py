@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import trialport as tp
-from trialport.sampling import sampling_indicator_independence_check
+from trialport.domain import known_sampling_fractions
 
 from support import oracles
 
@@ -96,67 +96,6 @@ class TestApplyDesign:
         with pytest.raises(tp.DataError):
             tp.apply_design(pop, tp.NonNested(u_hidden=None), seed=1)
 
-
-class TestIndependenceCheck:
-    def test_constant_fraction_uniform_across_strata(self, dgp1):
-        pop = tp.simulate_actual_population(dgp1, 100_000)
-        report = sampling_indicator_independence_check(pop, tp.SubsampledNested(c=0.5), seed=7)
-        assert report.passed
-        for row in report.strata:
-            assert row.expected_fraction == 0.5
-            assert abs(row.kept / row.n - 0.5) <= 4 * row.se
-
-    def test_full_fraction_is_exact(self, dgp1):
-        pop = tp.simulate_actual_population(dgp1, 20_000)
-        report = sampling_indicator_independence_check(pop, tp.SubsampledNested(c=1.0), seed=7)
-        assert report.passed
-        for row in report.strata:
-            assert row.kept == row.n
-
-    def test_covariate_rule_recovered_per_stratum(self, dgp1):
-        pop = tp.simulate_actual_population(dgp1, 100_000)
-        rule = tp.StepRule(coord=0, cutoff=0.0, low=0.2, high=0.8)
-        report = sampling_indicator_independence_check(
-            pop, tp.SubsampledNestedCovariate(c_rule=rule), seed=8
-        )
-        assert report.passed
-        by_name = {row.stratum: row for row in report.strata}
-        # x ~ N(0,1): lower quartiles sit below the cutoff, upper above
-        assert by_name["x1_q1"].expected_fraction == 0.2
-        assert by_name["x1_q4"].expected_fraction == 0.8
-
-    def test_non_nested_thinning_is_also_covariate_free(self, dgp1):
-        pop = tp.simulate_actual_population(dgp1, 100_000)
-        report = sampling_indicator_independence_check(pop, tp.NonNested(u_hidden=0.4), seed=9)
-        assert report.passed
-        assert all(row.expected_fraction == 0.4 for row in report.strata)
-
-    def test_mixed_stratum_reports_its_mean_fraction(self, dgp1):
-        pop = tp.simulate_actual_population(dgp1, 100_000)
-        rule = tp.StepRule(coord=0, cutoff=0.0, low=0.2, high=0.8)
-        report = sampling_indicator_independence_check(
-            pop, tp.SubsampledNestedCovariate(c_rule=rule), seed=8
-        )
-        row = {r.stratum: r for r in report.strata}["y0_neg"]
-        external = pop.s == 0
-        x1 = pop.x[external, 0][pop.y0[external] < 0]
-        assert row.n == x1.size
-        share_low = np.mean(x1 <= 0.0)
-        expected = 0.2 * share_low + 0.8 * (1.0 - share_low)
-        assert abs(row.expected_fraction - expected) <= 1e-12
-        assert 0.2 < row.expected_fraction < 0.8
-
-    def test_non_dyadic_constant_fraction_is_exact(self, dgp1):
-        pop = tp.simulate_actual_population(dgp1, 100_000)
-        report = sampling_indicator_independence_check(pop, tp.SubsampledNested(c=0.3), seed=11)
-        assert report.passed
-        assert all(row.expected_fraction == 0.3 for row in report.strata)
-
-    def test_census_is_rejected(self, dgp1):
-        pop = tp.simulate_actual_population(dgp1, 1_000)
-        with pytest.raises(ValueError):
-            sampling_indicator_independence_check(pop, tp.CensusNested(), seed=1)
-
     def test_sampled_dataset_record_scan(self, dgp1):
         pop = tp.simulate_actual_population(dgp1, 2_000)
         data = tp.apply_design(pop, tp.SubsampledNested(c=0.5), seed=10)
@@ -167,6 +106,47 @@ class TestIndependenceCheck:
         assert trial.sum() == data.n_trial > 0
         assert ext.sum() == data.n_external > 0
         assert data.n_trial + data.n_external == data.n_rows
+
+    @pytest.mark.parametrize(
+        "design",
+        [
+            tp.SubsampledNested(c=0.5),
+            tp.SubsampledNested(c=0.3),
+            tp.SubsampledNested(c=1.0),
+            tp.NonNested(u_hidden=0.4),
+            tp.SubsampledNestedCovariate(c_rule=tp.StepRule(coord=0, cutoff=0.0, low=0.2, high=0.8)),
+        ],
+        ids=["c0.5", "c0.3", "c1", "non_nested", "step_rule"],
+    )
+    def test_kept_count_matches_design_fraction_per_stratum(self, dgp1, design):
+        # Pr[D=1 | X, A, Y, S=0] is the design fraction: in every stratum of the
+        # non-randomized units (x1 quartiles, potential-outcome signs) the kept
+        # count is within 4 binomial SDs of the sum of the units' fractions
+        pop = tp.simulate_actual_population(dgp1, 100_000)
+        ext = pop.s == 0
+        # an index column after the auxiliary block tags each unit without
+        # changing the draw, which reads only the auxiliary block
+        tagged = tp.ActualPopulation(
+            np.column_stack([pop.x, np.arange(len(pop))]), pop.s, pop.a, pop.y0, pop.y1, pop.y,
+            pop.aux_split, pop.treatment_prob,
+        )
+        data = tp.apply_design(tagged, design, seed=7)
+        kept = np.zeros(len(pop), dtype=bool)
+        kept[data.x[data.external_mask, -1].astype(int)] = True
+        if isinstance(design, tp.NonNested):
+            prob = np.full(len(pop), design.u_hidden)
+        else:
+            prob = known_sampling_fractions(design, pop.x[:, : pop.aux_split])
+
+        x1 = pop.x[:, 0]
+        quartiles = np.searchsorted(np.quantile(x1[ext], [0.25, 0.5, 0.75]), x1)
+        strata = [quartiles == q for q in range(4)]
+        strata += [pop.y0 < 0, pop.y0 >= 0, pop.y1 < 0, pop.y1 >= 0]
+        for stratum in strata:
+            members = ext & stratum
+            p = prob[members]
+            assert members.sum() > 1_000
+            assert abs(kept[members].sum() - p.sum()) <= 4 * math.sqrt(np.sum(p * (1 - p)))
 
 
 def test_oracle_constants_are_fresh():

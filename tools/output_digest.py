@@ -1,0 +1,99 @@
+"""Digest every output of a trialport checkout's command line.
+
+Usage: python tools/output_digest.py CHECKOUT
+
+Runs ``trialport.cli.main`` from ``CHECKOUT/src`` in-process, in a temporary
+directory, on a two-covariate DGP with one auxiliary covariate: ``simulate``
+per design, ``estimate --out`` for every method and estimand on each dataset,
+``diagnose`` at B = 8, ``experiment`` per design at workers 1 and 2 plus one
+misspecified config, and a three-cell ``sweep``. Prints ``sha256  name`` per
+output (each written file; each command's exit code, stdout and stderr), then
+a total over those lines: equal totals mean the same bytes.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+DGP = {
+    "covariates": [{"dist": "normal", "mean": 0.0, "sd": 1.0}, {"dist": "uniform", "lo": -1.0, "hi": 1.0}],
+    "participation_logit": [-1.0, 0.5, -0.4], "treatment_prob": 0.5,
+    "outcome_mean_a0": [1.0, 1.0, 0.5], "outcome_mean_a1": [2.0, 1.3, -0.3],
+    "noise_sd": 1.0, "seed": 20240901, "aux_split": 1,
+}
+STEP = {"type": "step", "coord": 0, "cutoff": 0.0, "low": 0.2, "high": 0.8}
+DESIGNS = {
+    "census": {"variant": "census_nested"},
+    "sub": {"variant": "subsampled_nested", "c": 0.3},
+    "cov": {"variant": "subsampled_nested_covariate", "c_table": STEP},
+    "nonnested": {"variant": "non_nested", "u_hidden": 0.4},
+}
+METHODS = ("gformula", "ipw", "ipw_ht", "ipw_hajek", "trial_only")
+ESTIMANDS = ("target", "nonrandomized", "randomized")
+
+
+def _write(name: str, doc: dict) -> str:
+    Path(name).write_text(json.dumps(doc))
+    return name
+
+
+def _run(main, name: str, argv: list, streams: dict) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    streams[name] = f"exit {code}\n{out.getvalue()}{err.getvalue()}".encode()
+
+
+def run_all(main) -> dict:
+    """Run every command in the current directory; return name -> output bytes."""
+    streams = {}
+    for d, design in DESIGNS.items():
+        cfg = _write(f"sim_{d}.json", {"dgp": DGP, "design": design, "n": 4000})
+        _run(main, f"simulate_{d}", ["simulate", cfg, f"data_{d}"], streams)
+        for method in METHODS:
+            for estimand in ESTIMANDS:
+                name = f"estimate_{d}_{method}_{estimand}"
+                argv = ["estimate", f"data_{d}", "--estimand", estimand, "--method", method]
+                _run(main, name, argv + ["--out", f"{name}.csv"], streams)
+        for method in ("gformula", "ipw"):
+            argv = ["diagnose", f"data_{d}", "--method", method, "--bootstrap-b", "8", "--seed", "3"]
+            _run(main, f"diagnose_{d}_{method}", argv, streams)
+    base = {"dgp": DGP, "n": 2000, "replications": 6, "master_seed": 77, "oracle_m": 100_000}
+    configs = {d: {**base, "design": design} for d, design in DESIGNS.items()}
+    configs["misspecified"] = {**configs["sub"], "misspecify": {"participation": True, "s_shift": 0.5}}
+    for c, doc in configs.items():
+        cfg = _write(f"exp_{c}.json", doc)
+        for workers in ("1", "2"):
+            name = f"experiment_{c}_w{workers}"
+            _run(main, name, ["experiment", cfg, f"{name}.csv", "--workers", workers], streams)
+    grid = [DESIGNS["census"], DESIGNS["sub"], DESIGNS["cov"]]
+    cfg = _write("sweep.json", {**base, "grid": grid})
+    _run(main, "sweep", ["sweep", cfg, "sweep.csv"], streams)
+    for path in sorted(Path(".").iterdir()):
+        streams[path.name] = path.read_bytes()
+    return streams
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    sys.path.insert(0, str(Path(sys.argv[1]).resolve() / "src"))
+    from trialport.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        streams = run_all(cli_main)
+    lines = [f"{hashlib.sha256(streams[k]).hexdigest()}  {k}" for k in sorted(streams)]
+    print("\n".join(lines))
+    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    print(f"{total}  total ({len(lines)} outputs)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
