@@ -68,6 +68,11 @@ class StepRule:
         for v in (self.low, self.high):
             if not 0.0 < v <= 1.0:
                 raise DataError(f"step rule values must be in (0, 1], got {v}")
+        # a NaN cutoff would send every row to ``low``: aux > nan is always false
+        if np.isnan(self.cutoff):
+            raise DataError("step rule cutoff must not be NaN")
+        if isinstance(self.coord, bool) or not isinstance(self.coord, (int, np.integer)):
+            raise DataError(f"step rule coordinate must be an integer, got {self.coord!r}")
         if self.coord < 0:
             raise DataError("step rule coordinate must be non-negative")
 
@@ -227,19 +232,22 @@ class ObservedDataset:
             raise DataError("x, s, a, y must have matching first dimension")
         if not np.all(np.isfinite(self.x)):
             raise DataError("covariates must be finite")
-        trial, ext = self.trial_mask, self.external_mask
-        if not np.all(trial | ext):
+        if not np.all(self.trial_mask | self.external_mask):
             raise DataError("s must be 0/1")
-        if not trial.any():
+        trial_rows = self._trial_rows
+        if not trial_rows.size:
             raise DataError("dataset must contain at least one trial participant")
-        if not np.all(np.isfinite(self.a[trial])) or not np.all(np.isfinite(self.y[trial])):
+        a, y = self.a.take(trial_rows), self.y.take(trial_rows)
+        if not (np.isfinite(a).all() and np.isfinite(y).all()):
             raise DataError("trial rows must carry finite treatment and outcome")
-        if not np.all(np.isin(self.a[trial], (0.0, 1.0))):
+        in_arm = (np.count_nonzero(a == 0), np.count_nonzero(a == 1))
+        if sum(in_arm) != a.size:
             raise DataError("treatment must be binary")
         for arm in (0, 1):
-            if not np.any(self.a[trial] == arm):
+            if not in_arm[arm]:
                 raise DataError(f"dataset must contain at least one trial participant in arm {arm}")
-        if np.any(np.isfinite(self.a[ext])) or np.any(np.isfinite(self.y[ext])):
+        ext_rows = self._external_rows
+        if np.isfinite(self.a.take(ext_rows)).any() or np.isfinite(self.y.take(ext_rows)).any():
             raise DataError("non-randomized rows must not carry treatment or outcome")
         if not (0 <= self.k <= self.p):
             raise DataError(f"k={self.k} out of range for p={self.p}")
@@ -271,13 +279,23 @@ class ObservedDataset:
     def external_mask(self) -> np.ndarray:
         return _read_only(self.s == 0)
 
+    # row positions of the masks: selecting rows with take is several times
+    # faster than with a boolean mask, so every row selection goes through them
+    @cached_property
+    def _trial_rows(self) -> np.ndarray:
+        return _read_only(np.flatnonzero(self.trial_mask))
+
+    @cached_property
+    def _external_rows(self) -> np.ndarray:
+        return _read_only(np.flatnonzero(self.external_mask))
+
     @property
     def n_trial(self) -> int:
-        return int(self.trial_mask.sum())
+        return self._trial_rows.size
 
     @property
     def n_external(self) -> int:
-        return int(self.external_mask.sum())
+        return self._external_rows.size
 
     @property
     def aux(self) -> np.ndarray:
@@ -307,19 +325,21 @@ class ObservedDataset:
 
     @cached_property
     def _arms(self) -> tuple[_ArmRows, _ArmRows]:
+        trial_a = self.a.take(self._trial_rows)
         out = []
         for arm in (0, 1):
-            rows = self.trial_mask & (self.a == arm)
-            out.append(_ArmRows(_read_only(self.x[rows]), _read_only(self.y[rows])))
+            rows = self._trial_rows.take(np.flatnonzero(trial_a == arm))
+            x, y = self.x.take(rows, axis=0), self.y.take(rows)
+            out.append(_ArmRows(_read_only(x), _read_only(y)))
         return tuple(out)
 
     @cached_property
     def trial_x(self) -> np.ndarray:
-        return _read_only(self.x[self.trial_mask])
+        return _read_only(self.x.take(self._trial_rows, axis=0))
 
     @cached_property
     def external_x(self) -> np.ndarray:
-        return _read_only(self.x[self.external_mask])
+        return _read_only(self.x.take(self._external_rows, axis=0))
 
     @cached_property
     def design_weights(self) -> np.ndarray:
@@ -355,7 +375,7 @@ class ObservedDataset:
         covariate-dependent sampling, where the sampled externals are not a
         simple random sample of the stratum.
         """
-        if not self.external_mask.any():
+        if not self.n_external:
             raise NoExternalRows("dataset has no sampled non-randomized rows")
         if is_nested(self.design):
             return _WeightedSample.of(np.where(self.external_mask, self.design_weights, 0.0))

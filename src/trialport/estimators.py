@@ -130,7 +130,7 @@ def gformula_mean_nonrandomized(
     """
     sample = data.nonrandomized
     preds = predict(model, arm, data.external_x)
-    value = float(np.sum(sample.weights[data.external_mask] * preds) / sample.total)
+    value = float(np.sum(sample.weights.take(data._external_rows) * preds) / sample.total)
     return _report(
         StudyPopulation.NONRANDOMIZED, arm, Method.GFORMULA, value, sample.diagnostics
     )

@@ -438,13 +438,14 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
 
 def _resample_dataset(data: ObservedDataset, rng: np.random.Generator) -> ObservedDataset:
     """Resample trial and external rows separately, keeping the unsampled tally."""
-    trial_idx = np.flatnonzero(data.trial_mask)
-    ext_idx = np.flatnonzero(data.external_mask)
-    parts = [trial_idx[rng.integers(0, trial_idx.size, trial_idx.size)]]
+    trial_idx, ext_idx = data._trial_rows, data._external_rows
+    parts = [trial_idx.take(rng.integers(0, trial_idx.size, trial_idx.size))]
     if ext_idx.size:
-        parts.append(ext_idx[rng.integers(0, ext_idx.size, ext_idx.size)])
+        parts.append(ext_idx.take(rng.integers(0, ext_idx.size, ext_idx.size)))
     idx = np.concatenate(parts)
-    return replace(data, x=data.x[idx], s=data.s[idx], a=data.a[idx], y=data.y[idx])
+    return replace(
+        data, x=data.x.take(idx, axis=0), s=data.s.take(idx), a=data.a.take(idx), y=data.y.take(idx)
+    )
 
 
 def bootstrap_replicates(data: ObservedDataset, stat_fn, b: int, seed: int) -> np.ndarray:

@@ -273,7 +273,7 @@ def marginal_participation_probability(data: ObservedDataset) -> float:
             "not identifiable under non-nested design"
         )
     n1 = float(data.n_trial)
-    return n1 / (n1 + float(np.sum(data.design_weights[data.external_mask])))
+    return n1 / (n1 + float(np.sum(data.design_weights.take(data._external_rows))))
 
 
 def participation_probability(model: ParticipationModel, design: Design, x) -> np.ndarray:

@@ -23,15 +23,14 @@ def apply_design(population: ActualPopulation, design: Design, seed: int) -> Obs
 
     Every trial participant is kept (Pr[D=1|S=1] = 1 in all designs).
     Non-randomized units are kept independently with the design's probability;
-    kept ones are stripped of treatment and outcome. For nested designs the
-    number of dropped units is recorded; for non-nested designs it is unknown
-    and absent.
+    kept ones carry no treatment or outcome: the population has a = -1 and
+    y = NaN there, and a = -1 becomes NaN. For nested designs the number of
+    dropped units is recorded; for non-nested designs it is unknown and absent.
     """
-    s = population.s == 1
-    if not s.any():
+    keep = population.s == 1
+    if not keep.any():
         raise DataError("population contains no trial participants")
-    external = ~s
-    n_external = int(external.sum())
+    external = np.flatnonzero(~keep)
 
     if isinstance(design, NonNested):
         if design.u_hidden is None:
@@ -39,17 +38,18 @@ def apply_design(population: ActualPopulation, design: Design, seed: int) -> Obs
         prob = design.u_hidden
     else:
         prob = known_sampling_fractions(design, population.x[external, : population.aux_split])
-    kept_external = np.zeros(len(population), dtype=bool)
-    kept_external[external] = _stream(seed, _THIN, 0).random(n_external) < prob
+    keep[external] = _stream(seed, _THIN, 0).random(external.size) < prob
+    rows = np.flatnonzero(keep)
+    n_unsampled = len(population) - rows.size
 
-    keep = s | kept_external
-    n_unsampled = int(n_external - kept_external.sum())
-
-    a = np.where(s[keep], population.a[keep].astype(float), np.nan)
-    y = np.where(s[keep], population.y[keep], np.nan)
+    x, s, y = population.x.take(rows, axis=0), population.s.take(rows), population.y.take(rows)
+    a = population.a.take(rows).astype(float)
+    a[a < 0] = np.nan
+    # the positions take 8 bytes a unit; free them before the dataset adds its own
+    del keep, external, rows
     return ObservedDataset(
-        x=population.x[keep],
-        s=population.s[keep],
+        x=x,
+        s=s,
         a=a,
         y=y,
         design=design,

@@ -459,12 +459,16 @@ class TestMalformedInput:
             lambda d: '{"n": ' + _TOO_LONG_INTEGER + "}",
             lambda d: d.update(n=10**300),
             lambda d: d.update(n=2**62),
+            # Python's json reads the NaN token; the rule would give every row `low`
+            lambda d: d.update(design={"variant": "subsampled_nested_covariate", "c_table": {
+                "type": "step", "coord": 0, "cutoff": math.nan, "low": 0.2, "high": 0.8}}),
         ],
         ids=[
             "n_string", "n_fraction", "n_bool", "c_not_number", "design_not_object",
             "covariate_number", "covariate_string", "sd_string", "dist_list", "logit_entry_string",
             "logit_not_list", "seed_null", "sampling_seed_string",
             "nested_too_deep", "integer_too_long", "n_beyond_any_array", "n_too_big_to_allocate",
+            "step_cutoff_nan",
         ],
     )
     def test_bad_simulate_config_exits_2(self, tmp_path, capsys, edit):

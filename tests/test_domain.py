@@ -55,6 +55,24 @@ class TestDesigns:
         with pytest.raises(tp.DataError):
             tp.StepRule(low=0.0, high=0.5)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"cutoff": float("nan")}, "cutoff must not be NaN"),
+            ({"coord": 0.5}, "coordinate must be an integer"),
+            ({"coord": True}, "coordinate must be an integer"),
+            ({"coord": "0"}, "coordinate must be an integer"),
+        ],
+        ids=["cutoff_nan", "coord_fraction", "coord_bool", "coord_string"],
+    )
+    def test_step_rule_rejects_malformed_fields(self, fields, message):
+        with pytest.raises(tp.DataError, match=message):
+            tp.StepRule(**fields)
+
+    def test_step_rule_accepts_numpy_integer_coord(self):
+        rule = tp.StepRule(coord=np.int64(1), cutoff=0.0, low=0.2, high=0.8)
+        assert rule(np.array([[5.0, -1.0], [-5.0, 1.0]])).tolist() == [0.2, 0.8]
+
     def test_known_fractions_unknown_for_non_nested(self):
         with pytest.raises(tp.NotIdentifiable):
             known_sampling_fractions(tp.NonNested(u_hidden=0.3), np.zeros((3, 1)))
@@ -67,6 +85,22 @@ class TestDesigns:
     def test_design_names(self):
         assert design_name(tp.CensusNested()) == "census_nested"
         assert design_name(tp.NonNested()) == "non_nested"
+
+
+def _columns(**edits):
+    """A valid five-row census dataset's columns (two trial rows per arm, one external).
+
+    Each keyword sets ``column[row] = value`` from a ``(row, value)`` pair.
+    """
+    cols = {
+        "x": np.zeros((5, 1)),
+        "s": np.array([1, 1, 1, 1, 0]),
+        "a": np.array([0.0, 0.0, 1.0, 1.0, np.nan]),
+        "y": np.array([0.5, 0.5, 0.5, 0.5, np.nan]),
+    }
+    for name, (row, value) in edits.items():
+        cols[name][row] = value
+    return cols
 
 
 class TestObservedDataset:
@@ -134,6 +168,48 @@ class TestObservedDataset:
                 design=tp.CensusNested(),
                 n_unsampled_nonrandomized=0,
             )
+
+    @pytest.mark.parametrize(
+        "cols, message",
+        [
+            ({**_columns(), "y": np.zeros(4)}, "x, s, a, y must have matching first dimension"),
+            (_columns(x=((0, 0), np.inf)), "covariates must be finite"),
+            (_columns(s=(4, 2)), "s must be 0/1"),
+            (
+                {"x": np.zeros((2, 1)), "s": np.zeros(2), "a": np.full(2, np.nan),
+                 "y": np.full(2, np.nan)},
+                "dataset must contain at least one trial participant",
+            ),
+            (_columns(a=(0, np.nan)), "trial rows must carry finite treatment and outcome"),
+            (_columns(y=(3, np.inf)), "trial rows must carry finite treatment and outcome"),
+            (_columns(a=(1, 2.0)), "treatment must be binary"),
+            (
+                _columns(a=(slice(0, 2), 1.0)),
+                "dataset must contain at least one trial participant in arm 0",
+            ),
+            (
+                _columns(a=(slice(2, 4), 0.0)),
+                "dataset must contain at least one trial participant in arm 1",
+            ),
+            (_columns(a=(4, 1.0)), "non-randomized rows must not carry treatment or outcome"),
+            (_columns(y=(4, 0.3)), "non-randomized rows must not carry treatment or outcome"),
+            # two defects: an external row's treatment does not count towards arm 1,
+            # and the missing arm reports before the external-row check
+            (
+                {**_columns(), "a": np.array([0.0, 0.0, 0.0, 0.0, 1.0])},
+                "dataset must contain at least one trial participant in arm 1",
+            ),
+        ],
+        ids=[
+            "shape", "x_not_finite", "s_not_0_1", "no_trial_row", "trial_a_not_finite",
+            "trial_y_not_finite", "a_not_binary", "no_arm_0", "no_arm_1", "external_a",
+            "external_y", "no_arm_1_and_external_a",
+        ],
+    )
+    def test_each_validation_check_reports_its_message(self, cols, message):
+        with pytest.raises(tp.DataError) as err:
+            tp.ObservedDataset(**cols, design=tp.CensusNested(), n_unsampled_nonrandomized=0)
+        assert str(err.value) == message
 
     def test_accepts_boolean_s(self):
         data = tp.ObservedDataset(

@@ -5,6 +5,7 @@ import pytest
 
 import trialport as tp
 from trialport.domain import known_sampling_fractions
+from trialport.sampling import _THIN, _stream
 
 from support import oracles
 
@@ -147,6 +148,73 @@ class TestApplyDesign:
             p = prob[members]
             assert members.sum() > 1_000
             assert abs(kept[members].sum() - p.sum()) <= 4 * math.sqrt(np.sum(p * (1 - p)))
+
+
+def _mask_reference(population, design, seed):
+    """``apply_design``'s columns, computed by boolean-mask selection."""
+    trial = population.s == 1
+    external = ~trial
+    if isinstance(design, tp.NonNested):
+        prob = design.u_hidden
+    else:
+        prob = known_sampling_fractions(design, population.x[external, : population.aux_split])
+    kept_external = np.zeros(len(population), dtype=bool)
+    kept_external[external] = _stream(seed, _THIN, 0).random(int(external.sum())) < prob
+    keep = trial | kept_external
+    x, s = population.x[keep], population.s[keep]
+    a = np.where(trial[keep], population.a[keep].astype(float), np.nan)
+    y = np.where(trial[keep], population.y[keep], np.nan)
+    arms = [((s == 1) & (a == arm)) for arm in (0, 1)]
+    return {
+        "x": x, "s": s, "a": a, "y": y,
+        "trial_x": x[s == 1], "external_x": x[s == 0],
+        "arm0_x": x[arms[0]], "arm0_y": y[arms[0]], "arm1_x": x[arms[1]], "arm1_y": y[arms[1]],
+        "n_unsampled": int(external.sum() - kept_external.sum()),
+    }
+
+
+_P3_DGP = tp.DgpSpec(
+    covariates=(tp.Normal(0.0, 1.0), tp.Bernoulli(0.3), tp.Uniform(-1.0, 2.0)),
+    participation_logit=(-1.0, 0.5, 0.2, -0.1),
+    treatment_prob=0.4,
+    outcome_mean_a0=(1.0, 1.0, 0.0, 0.5),
+    outcome_mean_a1=(2.0, 1.3, -0.2, 0.0),
+    noise_sd=0.5,
+    seed=7,
+    aux_split=2,
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dgp_name", ["dgp1", "p3"])
+@pytest.mark.parametrize(
+    "design",
+    [
+        tp.CensusNested(),
+        tp.SubsampledNested(c=0.3),
+        tp.SubsampledNestedCovariate(c_rule=tp.StepRule(coord=0, cutoff=0.0, low=0.2, high=0.8)),
+        tp.NonNested(u_hidden=0.4),
+    ],
+    ids=["census", "c0.3", "step_rule", "non_nested"],
+)
+def test_apply_design_matches_mask_reference(dgp1, dgp_name, design, seed):
+    dgp = dgp1 if dgp_name == "dgp1" else _P3_DGP
+    pop = tp.simulate_actual_population(dgp, 5_000, seed=seed)
+    data = tp.apply_design(pop, design, seed=seed)
+    ref = _mask_reference(pop, design, seed)
+    got = {
+        "x": data.x, "s": data.s, "a": data.a, "y": data.y,
+        "trial_x": data.trial_x, "external_x": data.external_x,
+        "arm0_x": data.arm(0).x, "arm0_y": data.arm(0).y,
+        "arm1_x": data.arm(1).x, "arm1_y": data.arm(1).y,
+    }
+    for name, arr in got.items():
+        assert arr.dtype == ref[name].dtype, name
+        assert np.array_equal(arr, ref[name], equal_nan=True), name
+        assert not arr.flags.writeable, name
+    assert data.n_unsampled_nonrandomized == (
+        None if isinstance(design, tp.NonNested) else ref["n_unsampled"]
+    )
 
 
 def test_oracle_constants_are_fresh():

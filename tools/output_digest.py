@@ -5,7 +5,7 @@ Usage: python tools/output_digest.py CHECKOUT
 Runs ``trialport.cli.main`` from ``CHECKOUT/src`` in-process, in a temporary
 directory, on a two-covariate DGP with one auxiliary covariate: ``simulate``
 per design, ``estimate --out`` for every method and estimand on each dataset,
-``diagnose`` at B = 8, ``experiment`` per design at workers 1 and 2 plus one
+``diagnose`` at B = 8, ``experiment`` per design at workers 1, 2 and 4 plus one
 misspecified config, and a three-cell ``sweep``. Prints ``sha256  name`` per
 output (each written file; each command's exit code, stdout and stderr), then
 a total over those lines: equal totals mean the same bytes.
@@ -68,7 +68,7 @@ def run_all(main) -> dict:
     configs["misspecified"] = {**configs["sub"], "misspecify": {"participation": True, "s_shift": 0.5}}
     for c, doc in configs.items():
         cfg = _write(f"exp_{c}.json", doc)
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "4"):
             name = f"experiment_{c}_w{workers}"
             _run(main, name, ["experiment", cfg, f"{name}.csv", "--workers", workers], streams)
     grid = [DESIGNS["census"], DESIGNS["sub"], DESIGNS["cov"]]
