@@ -151,16 +151,23 @@ def _cmd_diagnose(args) -> int:
     seed = args.seed if args.seed is not None else 0
     external_method = Method.IPW_HAJEK if args.method == "ipw" else Method.GFORMULA
 
+    pairs = [
+        (
+            EstimatorSpec(Method.TRIAL_ONLY, StudyPopulation.RANDOMIZED, arm),
+            EstimatorSpec(external_method, StudyPopulation.NONRANDOMIZED, arm),
+        )
+        for arm in (0, 1)
+    ]
+    # the full-sample models serve both arms; each resample refits its own
+    models = fit_models([spec for pair in pairs for spec in pair], data)
     arms_out = []
-    for arm in (0, 1):
-        trial_spec = EstimatorSpec(Method.TRIAL_ONLY, StudyPopulation.RANDOMIZED, arm)
-        external_spec = EstimatorSpec(external_method, StudyPopulation.NONRANDOMIZED, arm)
+    for arm, (trial_spec, external_spec) in enumerate(pairs):
 
         def stat(d):
             return trial_spec.fit_and_evaluate(d).value - external_spec.fit_and_evaluate(d).value
 
-        trial = trial_spec.fit_and_evaluate(data).value
-        external = external_spec.fit_and_evaluate(data).value
+        trial = trial_spec.evaluate(data, *models).value
+        external = external_spec.evaluate(data, *models).value
         reps = bootstrap_replicates(
             data, stat, args.bootstrap_b, seed=mix_seed(seed, DIAGNOSE_BOOT_TAG, arm)
         )

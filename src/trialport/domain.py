@@ -349,7 +349,10 @@ class ObservedDataset:
         :class:`NotIdentifiable` under a non-nested design.
         """
         fractions = known_sampling_fractions(self.design, self.aux)
-        return _read_only(np.where(self.trial_mask, 1.0, 1.0 / fractions))
+        weights = np.ones(self.n_rows)
+        ext = self._external_rows
+        weights[ext] = 1.0 / fractions.take(ext)
+        return _read_only(weights)
 
     @cached_property
     def target(self) -> _WeightedSample:
@@ -377,9 +380,11 @@ class ObservedDataset:
         """
         if not self.n_external:
             raise NoExternalRows("dataset has no sampled non-randomized rows")
-        if is_nested(self.design):
-            return _WeightedSample.of(np.where(self.external_mask, self.design_weights, 0.0))
-        return _WeightedSample.of(self.external_mask.astype(float))
+        ext = self._external_rows
+        external = self.design_weights.take(ext) if is_nested(self.design) else np.ones(ext.size)
+        weights = np.zeros(self.n_rows)
+        weights[ext] = external
+        return _WeightedSample.of(weights, positive=external)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -389,7 +394,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _weight_diagnostics(weights: np.ndarray) -> tuple[float, float]:
     """(max normalized weight, effective sample size) of the positive weights."""
-    w = weights[weights > 0]
+    w = weights if weights.min() > 0 else weights[weights > 0]
     v = w / w.sum()
     return float(v.max()), float(1.0 / np.sum(v * v))
 
@@ -403,11 +408,13 @@ class _WeightedSample:
     diagnostics: tuple[float, float]  # see _weight_diagnostics
 
     @classmethod
-    def of(cls, weights: np.ndarray) -> "_WeightedSample":
+    def of(cls, weights: np.ndarray, positive: np.ndarray | None = None) -> "_WeightedSample":
+        """``positive``: the positive entries of ``weights`` in row order, if known."""
         total = float(weights.sum())
         if np.any(weights < 0) or total <= 0:
             raise ValueError("weights must be non-negative with positive total")
-        return cls(_read_only(weights), total, _weight_diagnostics(weights))
+        diagnostics = _weight_diagnostics(weights if positive is None else positive)
+        return cls(_read_only(weights), total, diagnostics)
 
 
 @dataclass(frozen=True)

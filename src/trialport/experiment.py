@@ -358,13 +358,14 @@ def run_experiment(
 
     Deterministic given ``cfg.master_seed`` regardless of ``workers``:
     replications derive their own seeds and are reduced in index order.
-    A precomputed ``oracle`` (matching ``cfg.dgp``) skips the truth run. The
-    process pool has no more workers than there are replications.
+    A precomputed ``oracle`` (matching ``cfg.dgp``) skips the truth run;
+    otherwise the oracle's chunks are spread over ``workers`` processes too.
+    The process pool has no more workers than there are replications.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if oracle is None:
-        oracle = oracle_truth(cfg.dgp, cfg.oracle_m, _oracle_seed(cfg))
+        oracle = oracle_truth(cfg.dgp, cfg.oracle_m, _oracle_seed(cfg), workers=workers)
 
     workers = min(workers, cfg.replications)
     if workers > 1:
@@ -417,7 +418,8 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
 
     The truth is a property of the superpopulation, not of the design, so the
     oracle runs once per distinct (DGP, oracle m, oracle seed) in the grid and
-    is shared by every cell that has it.
+    is shared by every cell that has it. ``workers`` processes run each
+    oracle's chunks and each cell's replications.
     """
     configs = tuple(configs)
     if not configs:
@@ -427,7 +429,7 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
     for cfg in configs:
         key = (cfg.dgp, cfg.oracle_m, _oracle_seed(cfg))
         if key not in oracles:
-            oracles[key] = oracle_truth(*key)
+            oracles[key] = oracle_truth(*key, workers=workers)
         rows.extend(run_experiment(cfg, workers=workers, oracle=oracles[key]).rows)
     return tuple(rows)
 

@@ -147,18 +147,24 @@ class TestOracle:
             tp.oracle_truth(dgp1, 10_000)
 
     def test_streamed_oracle_matches_an_unchunked_reference(self, dgp1):
-        # a partial last chunk; the reference draws every field in one piece
-        m, seed = dgp_module._ORACLE_CHUNK + 12_345, 4242
+        # a partial last chunk; the reference draws each chunk from its own
+        # keyed streams, then reduces all m units in one piece
+        chunk = dgp_module._ORACLE_CHUNK
+        m, seed = chunk + 12_345, 4242
         truth = tp.oracle_truth(dgp1, m, oracle_seed=seed)
 
-        def rng(*key):
-            return dgp_module._stream(seed, dgp_module._ORACLE, *key)
+        pieces = []
+        for c, k in enumerate((chunk, m - chunk)):
+            def rng(*key):
+                return dgp_module._stream(seed, dgp_module._ORACLE, c, *key)
 
-        x = np.column_stack([d.sample(rng(0, j), m) for j, d in enumerate(dgp1.covariates)])
-        s = rng(1, 0).random(m) < dgp1.participation_prob(x)
+            x = np.column_stack([d.sample(rng(0, j), k) for j, d in enumerate(dgp1.covariates)])
+            pieces.append((x, rng(1, 0).random(k), rng(1, 2).standard_normal(k), rng(1, 3).standard_normal(k)))
+        x, u, *z = (np.concatenate(field) for field in zip(*pieces))
+        s = u < dgp1.participation_prob(x)
         assert truth.pr_s1 == s.mean()
         for arm in (0, 1):
-            y = dgp1.outcome_mean(arm, x) + dgp1.noise_sd * rng(1, 2 + arm).standard_normal(m)
+            y = dgp1.outcome_mean(arm, x) + dgp1.noise_sd * z[arm]
             for got, got_se, rows in (
                 (truth.mean_target, truth.se_mean_target, slice(None)),
                 (truth.mean_nonrandomized, truth.se_mean_nonrandomized, ~s),
@@ -168,6 +174,25 @@ class TestOracle:
                 assert got[arm] == pytest.approx(v.mean(), rel=1e-12, abs=0)
                 se = v.std(ddof=1) / math.sqrt(v.size)
                 assert got_se[arm] == pytest.approx(se, rel=1e-12, abs=0)
+
+    def test_oracle_is_bit_identical_at_any_worker_count(self, dgp1, monkeypatch):
+        # four chunks, the last one partial
+        monkeypatch.setattr(dgp_module, "_ORACLE_CHUNK", 30_000)
+        pools = []
+
+        class RecordingPool(dgp_module.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(dgp_module, "ProcessPoolExecutor", RecordingPool)
+        m = 3 * 30_000 + 12_345
+        truths = [tp.oracle_truth(dgp1, m, oracle_seed=99, workers=w) for w in (1, 2, 4, 8)]
+        assert all(truth == truths[0] for truth in truths)
+        assert truths[0].mc_sample_size == m
+        assert pools == [2, 4, 4]  # never more processes than chunks
+        with pytest.raises(ValueError):
+            tp.oracle_truth(dgp1, m, workers=0)
 
     def test_oracle_memory_is_flat_in_m(self, dgp1):
         def peak_bytes(m):

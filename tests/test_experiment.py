@@ -452,9 +452,9 @@ class TestDesignComparison:
         calls = []
         original = experiment.oracle_truth
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(*args, workers):
+            calls.append((args, workers))
+            return original(*args, workers=workers)
 
         monkeypatch.setattr(experiment, "oracle_truth", counting)
         est = (spec("gformula", "target"), spec("trial_only", "randomized"))
@@ -463,15 +463,15 @@ class TestDesignComparison:
             for design in (tp.CensusNested(), tp.SubsampledNested(c=0.5), tp.NonNested(u_hidden=0.3))
         ]
         tp.design_comparison(shared)
-        assert len(calls) == 1
+        assert [workers for _, workers in calls] == [1]
 
         grid = shared + [
             dataclasses.replace(shared[0], oracle_m=300_000),
             dataclasses.replace(shared[1], oracle_seed=5),
         ]
         calls.clear()
-        rows = tp.design_comparison(grid)
-        assert len(calls) == 3
+        rows = tp.design_comparison(grid, workers=2)
+        assert [workers for _, workers in calls] == [2, 2, 2]
         separately = [row for cfg in grid for row in tp.run_experiment(cfg).rows]
         assert experiment.summary_rows_to_csv(rows) == experiment.summary_rows_to_csv(separately)
 
