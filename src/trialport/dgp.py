@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -236,6 +235,21 @@ class OracleTruth:
     se_pr_s1: float
 
 
+def _map_in_workers(fn, tasks, workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, run over ``min(workers, len(tasks))`` processes.
+
+    The package's one process pool. With one process to use, the calls run in
+    this one; either way the results come back in task order.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    processes = min(workers, len(tasks))
+    if processes <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * processes))))
+
+
 # rows drawn and reduced per oracle chunk; bounds the oracle's memory whatever m is
 _ORACLE_CHUNK = 1 << 20
 
@@ -324,20 +338,13 @@ def oracle_truth(
     """
     if m < 100_000:
         raise DataError(f"oracle sample size must be >= 1e5, got {m}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if oracle_seed is None:
         oracle_seed = dgp.seed
     n_chunks = -(-m // _ORACLE_CHUNK)
-    workers = min(workers, n_chunks)
-    if workers > 1:
-        bounds = [n_chunks * i // workers for i in range(workers + 1)]
-        runs = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_run = pool.map(_oracle_chunks, repeat(dgp), repeat(oracle_seed), runs, repeat(m))
-            chunks = [chunk for run in per_run for chunk in run]
-    else:
-        chunks = _oracle_chunks(dgp, oracle_seed, range(n_chunks), m)
+    n_runs = min(workers, n_chunks)
+    runs = [range(n_chunks * i // n_runs, n_chunks * (i + 1) // n_runs) for i in range(n_runs)]
+    per_run = _map_in_workers(_oracle_chunks, [(dgp, oracle_seed, run, m) for run in runs], workers)
+    chunks = [chunk for run in per_run for chunk in run]
 
     # moments[stratum][arm], stratum 1 = trial participants (S = 1)
     moments = [[_NO_MOMENTS, _NO_MOMENTS], [_NO_MOMENTS, _NO_MOMENTS]]

@@ -213,8 +213,8 @@ class ObservedDataset:
         a = np.asarray(self.a, dtype=float)
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "x", x)
-        # s is checked as given (its masks are s == 1 and s == 0), so the int8
-        # cast after validation cannot relabel a value such as 0.6 or 256
+        # s is checked as given (its rows are where s == 1 and s == 0), so the
+        # int8 cast after validation cannot relabel a value such as 0.6 or 256
         object.__setattr__(self, "s", np.asarray(self.s))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "y", y)
@@ -232,9 +232,9 @@ class ObservedDataset:
             raise DataError("x, s, a, y must have matching first dimension")
         if not np.all(np.isfinite(self.x)):
             raise DataError("covariates must be finite")
-        if not np.all(self.trial_mask | self.external_mask):
-            raise DataError("s must be 0/1")
         trial_rows = self._trial_rows
+        if trial_rows.size + self._external_rows.size != n:
+            raise DataError("s must be 0/1")
         if not trial_rows.size:
             raise DataError("dataset must contain at least one trial participant")
         a, y = self.a.take(trial_rows), self.y.take(trial_rows)
@@ -261,7 +261,7 @@ class ObservedDataset:
         elif self.n_unsampled_nonrandomized is not None:
             raise DataError("the unsampled count is unknown under a non-nested design")
 
-    # -- shapes and masks ---------------------------------------------------
+    # -- shapes and rows ----------------------------------------------------
 
     @property
     def n_rows(self) -> int:
@@ -271,23 +271,15 @@ class ObservedDataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    @cached_property
-    def trial_mask(self) -> np.ndarray:
-        return _read_only(self.s == 1)
-
-    @cached_property
-    def external_mask(self) -> np.ndarray:
-        return _read_only(self.s == 0)
-
-    # row positions of the masks: selecting rows with take is several times
-    # faster than with a boolean mask, so every row selection goes through them
+    # positions of the trial and external rows: selecting rows with take is
+    # several times faster than with a boolean mask, so every selection uses them
     @cached_property
     def _trial_rows(self) -> np.ndarray:
-        return _read_only(np.flatnonzero(self.trial_mask))
+        return _read_only(np.flatnonzero(self.s == 1))
 
     @cached_property
     def _external_rows(self) -> np.ndarray:
-        return _read_only(np.flatnonzero(self.external_mask))
+        return _read_only(np.flatnonzero(self.s == 0))
 
     @property
     def n_trial(self) -> int:
@@ -373,10 +365,12 @@ class ObservedDataset:
     def nonrandomized(self) -> _WeightedSample:
         """Weights representing the covariate law of the S=0 stratum.
 
-        Zero on trial rows. External rows get weight 1 when the sampling
-        fraction is constant (any constant — it cancels), and 1/c(X1) under
-        covariate-dependent sampling, where the sampled externals are not a
-        simple random sample of the stratum.
+        Zero on trial rows. Under a nested design external rows carry their
+        design weight: 1/c(X1) under covariate-dependent sampling, where the
+        sampled externals are not a simple random sample of the stratum, and
+        the constant 1/c otherwise. Under a non-nested design, where c is
+        unknown, they weigh 1. A constant weight cancels in every normalized
+        mean, so its value does not matter.
         """
         if not self.n_external:
             raise NoExternalRows("dataset has no sampled non-randomized rows")

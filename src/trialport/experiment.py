@@ -14,13 +14,12 @@ for a fixed master seed at any worker count. Failures inside a replication
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import islice
 
 import numpy as np
 
-from .dgp import DgpSpec, OracleTruth, oracle_truth, simulate_actual_population
+from .dgp import DgpSpec, OracleTruth, _map_in_workers, oracle_truth, simulate_actual_population
 from .domain import (
     CensusNested,
     Design,
@@ -187,6 +186,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if not self.estimators:
+            raise ValueError("estimators must be nonempty")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.n < 1:
@@ -345,10 +346,60 @@ def _design_c(design: Design) -> float | None:
     return None  # covariate-dependent or unknown
 
 
-def _oracle_seed(cfg: ExperimentConfig) -> int:
-    if cfg.oracle_seed is not None:
-        return cfg.oracle_seed
-    return mix_seed(cfg.master_seed, _ORACLE_TAG)
+def _oracle_key(cfg: ExperimentConfig) -> tuple:
+    seed = mix_seed(cfg.master_seed, _ORACLE_TAG) if cfg.oracle_seed is None else cfg.oracle_seed
+    return cfg.dgp, cfg.oracle_m, seed
+
+
+def _run_cells(configs, workers: int, oracles: dict) -> tuple[SummaryRow, ...]:
+    """Every cell's summary rows, in order, from one task list of all replications.
+
+    ``oracles`` maps :func:`_oracle_key` to truths; each one it lacks is computed once.
+    """
+    for key in map(_oracle_key, configs):
+        if key not in oracles:
+            oracles[key] = oracle_truth(*key, workers=workers)
+    tasks = [(cfg, r) for cfg in configs for r in range(cfg.replications)]
+    per_rep = iter(_map_in_workers(_run_replication, tasks, workers))
+    rows = []
+    for cfg in configs:
+        oracle = oracles[_oracle_key(cfg)]
+        reps = list(islice(per_rep, cfg.replications))
+        for j, spec in enumerate(cfg.estimators):
+            cells = [rep[j] for rep in reps]
+            values = np.array([v for status, v, _ in cells if status == OK])
+            boots = np.array([b for status, _, b in cells if status == OK and not math.isnan(b)])
+            n_ni = sum(1 for status, _, _ in cells if status == NOT_IDENTIFIABLE)
+            n_failed = sum(1 for status, _, _ in cells if status == FAILED)
+            truth = _truth_for(spec, oracle, cfg.misspecify.s_shift)
+
+            if values.size:
+                mean = float(values.mean())
+                bias = mean - truth
+                sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
+                rmse = float(np.sqrt(np.mean((values - truth) ** 2)))
+            else:
+                mean = bias = sd = rmse = math.nan
+            rows.append(
+                SummaryRow(
+                    estimand=spec.population.value,
+                    arm=spec.arm,
+                    method=spec.method.value,
+                    design=design_name(cfg.design),
+                    c=_design_c(cfg.design),
+                    n=cfg.n,
+                    replications=cfg.replications,
+                    truth=truth,
+                    mean=mean,
+                    bias=bias,
+                    sd=sd,
+                    rmse=rmse,
+                    not_identifiable_frac=n_ni / cfg.replications,
+                    boot_se_mean=float(boots.mean()) if boots.size else math.nan,
+                    n_failed=n_failed,
+                )
+            )
+    return tuple(rows)
 
 
 def run_experiment(
@@ -358,59 +409,10 @@ def run_experiment(
 
     Deterministic given ``cfg.master_seed`` regardless of ``workers``:
     replications derive their own seeds and are reduced in index order.
-    A precomputed ``oracle`` (matching ``cfg.dgp``) skips the truth run;
-    otherwise the oracle's chunks are spread over ``workers`` processes too.
-    The process pool has no more workers than there are replications.
+    A precomputed ``oracle`` (matching ``cfg.dgp``) skips the truth run.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if oracle is None:
-        oracle = oracle_truth(cfg.dgp, cfg.oracle_m, _oracle_seed(cfg), workers=workers)
-
-    workers = min(workers, cfg.replications)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, cfg.replications // (4 * workers))
-            per_rep = list(pool.map(_run_replication, repeat(cfg), range(cfg.replications), chunksize=chunksize))
-    else:
-        per_rep = [_run_replication(cfg, r) for r in range(cfg.replications)]
-
-    rows = []
-    for j, spec in enumerate(cfg.estimators):
-        cells = [rep[j] for rep in per_rep]
-        values = np.array([v for status, v, _ in cells if status == OK])
-        boots = np.array([b for status, _, b in cells if status == OK and not math.isnan(b)])
-        n_ni = sum(1 for status, _, _ in cells if status == NOT_IDENTIFIABLE)
-        n_failed = sum(1 for status, _, _ in cells if status == FAILED)
-        truth = _truth_for(spec, oracle, cfg.misspecify.s_shift)
-
-        if values.size:
-            mean = float(values.mean())
-            bias = mean - truth
-            sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
-            rmse = float(np.sqrt(np.mean((values - truth) ** 2)))
-        else:
-            mean = bias = sd = rmse = math.nan
-        rows.append(
-            SummaryRow(
-                estimand=spec.population.value,
-                arm=spec.arm,
-                method=spec.method.value,
-                design=design_name(cfg.design),
-                c=_design_c(cfg.design),
-                n=cfg.n,
-                replications=cfg.replications,
-                truth=truth,
-                mean=mean,
-                bias=bias,
-                sd=sd,
-                rmse=rmse,
-                not_identifiable_frac=n_ni / cfg.replications,
-                boot_se_mean=float(boots.mean()) if boots.size else math.nan,
-                n_failed=n_failed,
-            )
-        )
-    return ExperimentSummary(rows=tuple(rows))
+    oracles = {} if oracle is None else {_oracle_key(cfg): oracle}
+    return ExperimentSummary(rows=_run_cells((cfg,), workers, oracles))
 
 
 def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
@@ -419,19 +421,12 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
     The truth is a property of the superpopulation, not of the design, so the
     oracle runs once per distinct (DGP, oracle m, oracle seed) in the grid and
     is shared by every cell that has it. ``workers`` processes run each
-    oracle's chunks and each cell's replications.
+    oracle's chunks, then one pool of them runs the replications of every cell.
     """
     configs = tuple(configs)
     if not configs:
         raise ValueError("design grid must be nonempty")
-    oracles = {}
-    rows = []
-    for cfg in configs:
-        key = (cfg.dgp, cfg.oracle_m, _oracle_seed(cfg))
-        if key not in oracles:
-            oracles[key] = oracle_truth(*key, workers=workers)
-        rows.extend(run_experiment(cfg, workers=workers, oracle=oracles[key]).rows)
-    return tuple(rows)
+    return _run_cells(configs, workers, {})
 
 
 # ---------------------------------------------------------------------------

@@ -485,6 +485,7 @@ class TestMalformedInput:
         [
             lambda d: d.update(replications="ten"),
             lambda d: d.update(estimators={"method": "gformula"}),
+            lambda d: d.update(estimators=[]),
             lambda d: d.update(estimators=["gformula"]),
             lambda d: d.update(estimators=[{"method": "gformula", "population": "target",
                                             "arm": [1]}]),
@@ -499,7 +500,7 @@ class TestMalformedInput:
             lambda d: d.update(bootstrap_b=10**21),
         ],
         ids=[
-            "replications_string", "estimators_not_list", "estimator_not_object",
+            "replications_string", "estimators_not_list", "estimators_empty", "estimator_not_object",
             "arm_list", "flag_string", "misspecify_not_object", "oracle_seed_string",
             "covariate_null", "bootstrap_b_below_minimum", "nested_too_deep", "integer_too_long",
             "n_beyond_any_array", "bootstrap_b_beyond_any_array",

@@ -253,7 +253,7 @@ class TestTrialOnly:
 
     def test_matches_randomized_oracle(self, census_1m):
         report = tp.trial_only_mean(census_1m, 1)
-        n1 = int((census_1m.trial_mask & (census_1m.a == 1)).sum())
+        n1 = int(((census_1m.s == 1) & (census_1m.a == 1)).sum())
         se = math.sqrt(1.3**2 * 0.94 + 1.0) / math.sqrt(n1)
         assert abs(report.value - oracles.MEAN_RANDOMIZED[1]) <= 4 * se
 

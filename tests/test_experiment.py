@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import trialport as tp
+from trialport import dgp as dgp_module
 from trialport import experiment
 from trialport.estimators import Method, StudyPopulation
 from trialport.experiment import splitmix64, summary_rows_to_csv
@@ -24,6 +25,28 @@ def small_config(dgp, design, **kwargs):
     defaults = dict(n=2_000, replications=20, master_seed=901, oracle_m=200_000)
     defaults.update(kwargs)
     return tp.ExperimentConfig(dgp=dgp, design=design, **defaults)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the process pools opened while the test runs; each maps in this process."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(dgp_module, "ProcessPoolExecutor", InProcessPool)
+    return sizes
 
 
 class TestSeedMixing:
@@ -199,33 +222,15 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers, replications, pool_size", [(64, 3, 3), (2, 3, 2)])
     def test_pool_has_no_more_workers_than_replications(
-        self, dgp1, monkeypatch, workers, replications, pool_size
+        self, dgp1, pool_sizes, workers, replications, pool_size
     ):
-        sizes = []
-
-        class InProcessPool:
-            """Records the requested pool size and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
         cfg = small_config(
             dgp1, tp.CensusNested(), replications=replications,
             estimators=(spec("gformula", "target"),),
         )
         serial = summary_rows_to_csv(tp.run_experiment(cfg).rows)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
         assert summary_rows_to_csv(tp.run_experiment(cfg, workers=workers).rows) == serial
-        assert sizes == [pool_size]
+        assert pool_sizes == [pool_size]
 
     @pytest.mark.parametrize("design", [tp.CensusNested(), tp.NonNested(u_hidden=0.3)])
     def test_bootstrap_standard_errors_reach_the_summary(self, dgp1, design):
@@ -474,6 +479,26 @@ class TestDesignComparison:
         assert [workers for _, workers in calls] == [2, 2, 2]
         separately = [row for cfg in grid for row in tp.run_experiment(cfg).rows]
         assert experiment.summary_rows_to_csv(rows) == experiment.summary_rows_to_csv(separately)
+
+    @pytest.mark.parametrize(
+        "chunk, pools", [(None, [2]), (60_000, [2, 2])], ids=["one_chunk", "four_chunks"]
+    )
+    def test_one_pool_runs_the_replications_of_every_cell(
+        self, dgp1, monkeypatch, pool_sizes, chunk, pools
+    ):
+        if chunk is not None:
+            monkeypatch.setattr(dgp_module, "_ORACLE_CHUNK", chunk)
+        est = (spec("gformula", "target"), spec("trial_only", "randomized"))
+        grid = [
+            small_config(dgp1, design, replications=4, estimators=est)
+            for design in (tp.CensusNested(), tp.SubsampledNested(c=0.5), tp.NonNested(u_hidden=0.3))
+        ]
+        alone = [row for cfg in grid for row in tp.run_experiment(cfg, workers=1).rows]
+        assert pool_sizes == []
+        rows = tp.design_comparison(grid, workers=2)
+        # a pool for a multi-chunk oracle, then one for all 12 replications
+        assert pool_sizes == pools
+        assert summary_rows_to_csv(rows) == summary_rows_to_csv(alone)
 
     def test_sd_does_not_degrade_with_fuller_sampling(self, dgp1):
         est = (spec("gformula", "target"),)

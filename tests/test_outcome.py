@@ -64,7 +64,7 @@ class TestFit:
         data = tp.apply_design(pop, tp.CensusNested(), seed=62)
         model = tp.fit_outcome(data)
         for arm in (0, 1):
-            rows = data.trial_mask & (data.a == arm)
+            rows = (data.s == 1) & (data.a == arm)
             xmat = np.column_stack([np.ones(rows.sum()), data.x[rows]])
             resid = data.y[rows] - tp.predict(model, arm, data.x[rows])
             moment = xmat.T @ resid
@@ -75,7 +75,7 @@ class TestFit:
         base = make_tiny_dataset(n_trial=30, n_external=10)
         model = tp.fit_outcome(base)
         perturbed_x = base.x.copy()
-        perturbed_x[base.external_mask] += 100.0
+        perturbed_x[base.s == 0] += 100.0
         perturbed = tp.ObservedDataset(
             x=perturbed_x, s=base.s, a=base.a, y=base.y,
             design=base.design, n_unsampled_nonrandomized=0,

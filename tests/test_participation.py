@@ -124,9 +124,9 @@ class TestFit:
 
     def test_needs_both_participation_classes(self):
         data = intercept_only_dataset(4, 2, tp.CensusNested())
+        trial = data.s == 1
         trial_only = tp.ObservedDataset(
-            x=data.x[data.trial_mask], s=data.s[data.trial_mask],
-            a=data.a[data.trial_mask], y=data.y[data.trial_mask],
+            x=data.x[trial], s=data.s[trial], a=data.a[trial], y=data.y[trial],
             design=tp.CensusNested(), n_unsampled_nonrandomized=0,
         )
         with pytest.raises(tp.InsufficientData):
@@ -160,17 +160,21 @@ def reference_newton_fit(xmat, labels, weights, norm):
     raise AssertionError("reference fit did not converge")
 
 
+# one design of each kind: census, constant fraction, step rule, non-nested
+every_design = pytest.mark.parametrize(
+    "design",
+    [
+        tp.CensusNested(),
+        tp.SubsampledNested(c=0.3),
+        tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
+        tp.NonNested(u_hidden=0.2),
+    ],
+    ids=["census", "c=0.3", "step_rule", "non_nested"],
+)
+
+
 class TestKernel:
-    @pytest.mark.parametrize(
-        "design",
-        [
-            tp.CensusNested(),
-            tp.SubsampledNested(c=0.3),
-            tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
-            tp.NonNested(u_hidden=0.2),
-        ],
-        ids=["census", "c=0.3", "step_rule", "non_nested"],
-    )
+    @every_design
     def test_fit_matches_reference_newton(self, dgp1, design):
         pop = tp.simulate_actual_population(dgp1, 40_000)
         xmat, labels, weights, norm = participation_design(tp.apply_design(pop, design, seed=31))
@@ -228,6 +232,15 @@ class TestObjective:
                     - log_pseudo_likelihood(coef - bump, xmat, labels, weights, norm)
                 ) / (2 * step)
                 assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-10)
+
+    @every_design
+    def test_fitted_objective_is_the_pseudo_likelihood_at_the_fit(self, dgp1, design):
+        # the Newton loop evaluates the objective inline; it must be the same function
+        pop = tp.simulate_actual_population(dgp1, 40_000)
+        data = tp.apply_design(pop, design, seed=27)
+        model = tp.fit_participation(data)
+        expected = log_pseudo_likelihood(model.coefficients, *participation_design(data))
+        assert model.objective == pytest.approx(expected, rel=1e-12)
 
     def test_census_and_weighted_objectives_share_scale(self, dgp1):
         # same normalization (actual-population size) so values are comparable

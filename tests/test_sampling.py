@@ -55,7 +55,7 @@ class TestApplyDesign:
     def test_never_emits_treatment_or_outcome_for_externals(self):
         pop = handmade_population()
         data = tp.apply_design(pop, tp.SubsampledNested(c=0.5), seed=3)
-        ext = data.external_mask
+        ext = data.s == 0
         assert np.all(np.isnan(data.a[ext]))
         assert np.all(np.isnan(data.y[ext]))
 
@@ -73,7 +73,7 @@ class TestApplyDesign:
         rule = tp.StepRule(coord=0, cutoff=0.0, low=0.2, high=0.8)
         data = tp.apply_design(pop, tp.SubsampledNestedCovariate(c_rule=rule), seed=6)
         ext_x = pop.x[pop.s == 0, 0]
-        kept_x = data.x[data.external_mask, 0]
+        kept_x = data.x[data.s == 0, 0]
         for side, c in ((ext_x <= 0, 0.2), (ext_x > 0, 0.8)):
             n_side = side.sum()
             kept_side = (kept_x <= 0).sum() if c == 0.2 else (kept_x > 0).sum()
@@ -100,7 +100,7 @@ class TestApplyDesign:
     def test_sampled_dataset_record_scan(self, dgp1):
         pop = tp.simulate_actual_population(dgp1, 2_000)
         data = tp.apply_design(pop, tp.SubsampledNested(c=0.5), seed=10)
-        trial, ext = data.trial_mask, data.external_mask
+        trial, ext = data.s == 1, data.s == 0
         assert np.all(np.isin(data.a[trial], (0.0, 1.0)))
         assert np.all(np.isfinite(data.y[trial]))
         assert np.all(np.isnan(data.a[ext])) and np.all(np.isnan(data.y[ext]))
@@ -133,7 +133,7 @@ class TestApplyDesign:
         )
         data = tp.apply_design(tagged, design, seed=7)
         kept = np.zeros(len(pop), dtype=bool)
-        kept[data.x[data.external_mask, -1].astype(int)] = True
+        kept[data.x[data.s == 0, -1].astype(int)] = True
         if isinstance(design, tp.NonNested):
             prob = np.full(len(pop), design.u_hidden)
         else:

@@ -6,9 +6,11 @@ Runs ``trialport.cli.main`` from ``CHECKOUT/src`` in-process, in a temporary
 directory, on a two-covariate DGP with one auxiliary covariate: ``simulate``
 per design, ``estimate --out`` for every method and estimand on each dataset,
 ``diagnose`` at B = 8, ``experiment`` per design at workers 1, 2 and 4 plus one
-misspecified config, and a three-cell ``sweep``. Prints ``sha256  name`` per
-output (each written file; each command's exit code, stdout and stderr), then
-a total over those lines: equal totals mean the same bytes.
+misspecified config, a two-estimator ``experiment`` with a bootstrap at
+workers 1 and 2, and a three-cell ``sweep`` at workers 1, 2 and 4. Prints
+``sha256  name`` per output (each written file; each command's exit code,
+stdout and stderr), then a total over those lines: equal totals mean the same
+bytes.
 """
 
 import contextlib
@@ -66,14 +68,20 @@ def run_all(main) -> dict:
     base = {"dgp": DGP, "n": 2000, "replications": 6, "master_seed": 77, "oracle_m": 100_000}
     configs = {d: {**base, "design": design} for d, design in DESIGNS.items()}
     configs["misspecified"] = {**configs["sub"], "misspecify": {"participation": True, "s_shift": 0.5}}
+    estimators = [{"method": "gformula", "population": "target", "arm": 1},
+                  {"method": "trial_only", "population": "randomized", "arm": 1}]
+    configs["bootstrap"] = {**configs["sub"], "replications": 2, "bootstrap_b": 100,
+                            "estimators": estimators}
     for c, doc in configs.items():
         cfg = _write(f"exp_{c}.json", doc)
-        for workers in ("1", "2", "4"):
+        for workers in ("1", "2") if c == "bootstrap" else ("1", "2", "4"):
             name = f"experiment_{c}_w{workers}"
             _run(main, name, ["experiment", cfg, f"{name}.csv", "--workers", workers], streams)
     grid = [DESIGNS["census"], DESIGNS["sub"], DESIGNS["cov"]]
     cfg = _write("sweep.json", {**base, "grid": grid})
-    _run(main, "sweep", ["sweep", cfg, "sweep.csv"], streams)
+    for workers in ("1", "2", "4"):
+        name = f"sweep_w{workers}"
+        _run(main, name, ["sweep", cfg, f"{name}.csv", "--workers", workers], streams)
     for path in sorted(Path(".").iterdir()):
         streams[path.name] = path.read_bytes()
     return streams
