@@ -5,7 +5,7 @@ per-test PASSED/FAILED line of `pytest -v` mirrors it). Heavy replication
 protocols are shared through module-scoped fixtures. Reference values come
 from two independent routes: Gauss-Hermite quadrature (frozen in
 tests/support/oracles.py, re-derived here at collection time) and the
-package's own brute-force Monte Carlo oracle, whose per-entry standard errors
+package's own conditional Monte Carlo oracle, whose per-entry standard errors
 widen the convergence bounds below (a Monte Carlo reference is itself noisy).
 """
 

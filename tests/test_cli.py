@@ -302,6 +302,11 @@ class TestExperiment:
         assert err.startswith("error: ") and "step rule coordinate 1" in err
         assert not out.exists()
 
+    def test_outcome_mean_flat_in_x_runs(self, tmp_path):
+        # the oracle's self-check used to fail on summation rounding alone here
+        doc = self.experiment_doc(replications=2, dgp=dgp1_doc(noise_sd=0, outcome_mean_a0=[0.1, 0.0]))
+        assert main(["experiment", str(write_config(tmp_path, doc)), str(tmp_path / "out.csv")]) == 0
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, self.experiment_doc(replications=6))
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"

@@ -147,8 +147,8 @@ class TestOracle:
             tp.oracle_truth(dgp1, 10_000)
 
     def test_streamed_oracle_matches_an_unchunked_reference(self, dgp1):
-        # a partial last chunk; the reference draws each chunk from its own
-        # keyed streams, then reduces all m units in one piece
+        # a partial last chunk; the reference draws each chunk's X and S from
+        # its own keyed streams, then reduces mu_a(X) over all m units in one piece
         chunk = dgp_module._ORACLE_CHUNK
         m, seed = chunk + 12_345, 4242
         truth = tp.oracle_truth(dgp1, m, oracle_seed=seed)
@@ -159,12 +159,12 @@ class TestOracle:
                 return dgp_module._stream(seed, dgp_module._ORACLE, c, *key)
 
             x = np.column_stack([d.sample(rng(0, j), k) for j, d in enumerate(dgp1.covariates)])
-            pieces.append((x, rng(1, 0).random(k), rng(1, 2).standard_normal(k), rng(1, 3).standard_normal(k)))
-        x, u, *z = (np.concatenate(field) for field in zip(*pieces))
+            pieces.append((x, rng(1, 0).random(k)))
+        x, u = (np.concatenate(field) for field in zip(*pieces))
         s = u < dgp1.participation_prob(x)
         assert truth.pr_s1 == s.mean()
         for arm in (0, 1):
-            y = dgp1.outcome_mean(arm, x) + dgp1.noise_sd * z[arm]
+            y = dgp1.outcome_mean(arm, x)
             for got, got_se, rows in (
                 (truth.mean_target, truth.se_mean_target, slice(None)),
                 (truth.mean_nonrandomized, truth.se_mean_nonrandomized, ~s),
@@ -174,6 +174,40 @@ class TestOracle:
                 assert got[arm] == pytest.approx(v.mean(), rel=1e-12, abs=0)
                 se = v.std(ddof=1) / math.sqrt(v.size)
                 assert got_se[arm] == pytest.approx(se, rel=1e-12, abs=0)
+
+    def test_truth_does_not_depend_on_the_noise(self):
+        truths = [tp.oracle_truth(oracles.make_dgp1(5, noise_sd=sd), 100_000) for sd in (0.0, 1.0, 3.0)]
+        assert truths[1] == truths[0] and truths[2] == truths[0]
+
+    def test_ses_are_those_of_the_outcome_mean_in_each_stratum(self, dgp1):
+        # SE * sqrt(stratum count) against the quadrature SD of mu_a(X) = b0 + b1 X
+        m = 400_000
+        truth = tp.oracle_truth(dgp1, m)
+        n_s1 = round(truth.pr_s1 * m)
+        for arm, (_, b1) in oracles.MEAN_COEF.items():
+            for se, count, sd_x in (
+                (truth.se_mean_target, m, 1.0),
+                (truth.se_mean_nonrandomized, m - n_s1, oracles.SDX_S0),
+                (truth.se_mean_randomized, n_s1, oracles.SDX_S1),
+            ):
+                assert se[arm] * math.sqrt(count) == pytest.approx(abs(b1) * sd_x, rel=0.05)
+
+    @pytest.mark.parametrize("m", [100_000, 1_234_567])
+    @pytest.mark.parametrize("b0", [0.1, 0.3, 1 / 3, -7.7])
+    def test_outcome_mean_flat_in_x_passes_the_self_check(self, m, b0):
+        # se = 0, so only the rounding of the chunked mean separates it from b0
+        dgp = tp.DgpSpec(
+            covariates=(tp.Normal(0.0, 1.0),),
+            participation_logit=(-1.0, 0.5),
+            treatment_prob=0.5,
+            outcome_mean_a0=(b0, 0.0),
+            outcome_mean_a1=(2.0, 1.3),
+            noise_sd=1.0,
+            seed=5,
+        )
+        truth = tp.oracle_truth(dgp, m)
+        for means in (truth.mean_target, truth.mean_nonrandomized, truth.mean_randomized):
+            assert means[0] == pytest.approx(b0, rel=1e-12, abs=0)
 
     def test_oracle_is_bit_identical_at_any_worker_count(self, dgp1, monkeypatch):
         # four chunks, the last one partial

@@ -10,10 +10,13 @@ misspecified config, a two-estimator ``experiment`` with a bootstrap at
 workers 1 and 2, and a three-cell ``sweep`` at workers 1, 2 and 4. Prints
 ``sha256  name`` per output (each written file; each command's exit code,
 stdout and stderr), then a total over those lines: equal totals mean the same
-bytes.
+bytes. Each ``experiment`` and ``sweep`` CSV is also digested with its
+oracle-derived columns (``truth``, ``bias``, ``rmse``) removed, as
+``NAME.no_truth``: a change to the oracle alone moves only the full digests.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -37,6 +40,7 @@ DESIGNS = {
 }
 METHODS = ("gformula", "ipw", "ipw_ht", "ipw_hajek", "trial_only")
 ESTIMANDS = ("target", "nonrandomized", "randomized")
+TRUTH_COLUMNS = ("truth", "bias", "rmse")
 
 
 def _write(name: str, doc: dict) -> str:
@@ -49,6 +53,15 @@ def _run(main, name: str, argv: list, streams: dict) -> None:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     streams[name] = f"exit {code}\n{out.getvalue()}{err.getvalue()}".encode()
+
+
+def _without_truth(data: bytes) -> bytes:
+    """A summary CSV's bytes with the columns derived from the oracle's truths removed."""
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    keep = [i for i, name in enumerate(rows[0]) if name not in TRUTH_COLUMNS]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([row[i] for i in keep] for row in rows)
+    return out.getvalue().encode()
 
 
 def run_all(main) -> dict:
@@ -84,6 +97,8 @@ def run_all(main) -> dict:
         _run(main, name, ["sweep", cfg, f"{name}.csv", "--workers", workers], streams)
     for path in sorted(Path(".").iterdir()):
         streams[path.name] = path.read_bytes()
+        if path.name.startswith(("experiment_", "sweep_")) and path.suffix == ".csv":
+            streams[f"{path.name}.no_truth"] = _without_truth(streams[path.name])
     return streams
 
 
