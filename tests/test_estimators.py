@@ -354,3 +354,63 @@ class TestReports:
         assert ws.diagnostics == (0.5, 1.0 / (0.25**2 + 0.25**2 + 0.5**2))
         with pytest.raises(ValueError):
             _WeightedSample.of(np.array([-1.0, 2.0]))
+
+
+# two covariates, as in the CLI's digest configuration; the second one is rescaled
+_P2_DGP = tp.DgpSpec(
+    covariates=(tp.Normal(0.0, 1.0), tp.Uniform(-1.0, 1.0)),
+    participation_logit=(-1.0, 0.5, -0.4),
+    treatment_prob=0.5,
+    outcome_mean_a0=(1.0, 1.0, 0.5),
+    outcome_mean_a1=(2.0, 1.3, -0.3),
+    noise_sd=1.0,
+    seed=4711,
+    aux_split=1,
+)
+_SCALES = (1e-12, 1e-9, 1e9, 1e12)
+
+
+def _with_x(data, x):
+    return dataclasses.replace(data, x=x)
+
+
+def _gformula_and_ipw_estimates(data):
+    """The g-formula and IPW target and non-randomized estimates, both arms."""
+    pmodel, omodel = tp.fit_participation(data), tp.fit_outcome(data)
+    calls = [
+        lambda arm: tp.gformula_mean_target(data, omodel, arm),
+        lambda arm: tp.gformula_mean_nonrandomized(data, omodel, arm),
+        lambda arm: tp.ipw_mean_target(data, pmodel, arm, "ht"),
+        lambda arm: tp.ipw_mean_target(data, pmodel, arm, "hajek"),
+        lambda arm: tp.ipw_mean_nonrandomized(data, pmodel, arm),
+    ]
+    return np.array([call(arm).value for call in calls for arm in (0, 1)])
+
+
+class TestScaleFreeRankGuards:
+    """The fits' rank guards do not depend on the units of a covariate."""
+
+    @pytest.fixture(scope="class", params=[tp.CensusNested(), tp.SubsampledNested(c=0.3)],
+                    ids=["census", "c0.3"])
+    def p2_data(self, request):
+        pop = tp.simulate_actual_population(_P2_DGP, 100_000)
+        return tp.apply_design(pop, request.param, seed=61)
+
+    @pytest.mark.parametrize("scale", _SCALES)
+    def test_rescaled_covariate_leaves_estimates_unchanged(self, p2_data, scale):
+        x = p2_data.x.copy()
+        x[:, 1] *= scale
+        got = _gformula_and_ipw_estimates(_with_x(p2_data, x))
+        want = _gformula_and_ipw_estimates(p2_data)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("scale", (1.0,) + _SCALES)
+    @pytest.mark.parametrize("extra", ["copied", "constant"])
+    @pytest.mark.parametrize("fit", [tp.fit_participation, tp.fit_outcome],
+                             ids=["participation", "outcome"])
+    def test_collinear_column_is_rank_deficient_at_every_scale(self, p2_data, scale, extra, fit):
+        x = p2_data.x.copy()
+        x[:, 1] *= scale
+        column = x[:, 1] if extra == "copied" else np.full(len(x), 0.3 * scale)
+        with pytest.raises(tp.RankDeficient):
+            fit(_with_x(p2_data, np.column_stack([x, column])))
