@@ -3,8 +3,8 @@
 The generating family is fixed so that the model classes used downstream are
 correctly specified: logistic trial participation in the covariates, constant
 randomization probability inside the trial, and linear per-arm outcome means
-with additive Gaussian noise. Potential outcomes are generated from covariates
-alone, so exchangeability over participation and positivity hold by
+with additive Gaussian noise. Each arm's outcome mean is a function of the
+covariates alone, so exchangeability over participation and positivity hold by
 construction (participation probabilities are strictly inside (0, 1) for every
 finite covariate value).
 
@@ -12,15 +12,15 @@ Randomness is counter-based (Philox). Each field gets its own stream, keyed
 by a ``numpy.random.SeedSequence`` spawn key under the 64-bit seed:
 
 - ``(0, 0, j)`` covariate coordinate ``j`` and ``(0, 1, f)`` field ``f`` of a
-  simulated population, with fields 0 participation, 1 treatment, 2 noise of
-  Y^0 and 3 noise of Y^1;
+  simulated population: 0 participation (every record), 1 treatment and 2
+  outcome noise (trial participants only);
 - ``(1, c, 0, j)`` and ``(1, c, 1, 0)``: oracle chunk ``c``'s covariates and participation;
 - ``(2, 0)`` the design-thinning draw of :mod:`trialport.sampling`.
 
-Record ``i`` of a population, or of an oracle chunk, consumes the i-th variate
-of each of its streams. Output therefore depends only on the seed and the
-record's index (and chunk), never on scheduling, partitioning or the number
-of worker processes.
+Record ``i`` of a population or oracle chunk consumes the i-th variate of each
+stream it draws from; the k-th trial participant, the k-th of fields 1 and 2.
+Output therefore depends only on the seed and the record's index (and chunk),
+never on scheduling, partitioning or the number of worker processes.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ class DgpSpec:
     participation_logit : (g0, g1..gp); Pr[S=1|X] = logistic(g0 + g.X).
     treatment_prob : Pr[A=1|X, S=1], a constant in (0, 1).
     outcome_mean_a0 / outcome_mean_a1 : (b0, b1..bp) linear mean per arm.
-    noise_sd : sd of the additive outcome noise (two independent draws per
-        unit, one per potential outcome; their joint law is irrelevant to the
-        marginal-mean estimands and unverifiable from data).
+    noise_sd : sd of the additive outcome noise, one draw per trial participant
+        for its assigned arm (the potential outcomes' joint law is irrelevant
+        to the marginal-mean estimands and unverifiable from data).
     seed : 64-bit stream seed.
     aux_split : how many leading coordinates are auxiliary (available on the
         whole actual population; covariate-dependent sampling may use them).
@@ -138,11 +138,12 @@ class DgpSpec:
     def outcome_mean(self, arm: int, x: np.ndarray) -> np.ndarray:
         coefs = self.outcome_mean_a1 if arm == 1 else self.outcome_mean_a0
         b = np.asarray(coefs)
-        return b[0] + x @ b[1:]
+        # einsum, not `@`: threaded BLAS spins on after a long product (see outcome.fit_outcome)
+        return b[0] + np.einsum("ij,j->i", x, b[1:])
 
     def participation_prob(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.participation_logit)
-        eta = g[0] + x @ g[1:]
+        eta = g[0] + np.einsum("ij,j->i", x, g[1:])  # not `@`, see outcome_mean
         return 1.0 / (1.0 + np.exp(-eta))
 
     def covariate_expectations(self) -> np.ndarray:
@@ -150,14 +151,12 @@ class DgpSpec:
 
 
 class ActualPopulation:
-    """Column-store of simulated units with both potential outcomes."""
+    """Column-store of simulated units; treatment and outcome only for trial rows."""
 
-    def __init__(self, x, s, a, y0, y1, y, aux_split, treatment_prob):
+    def __init__(self, x, s, a, y, aux_split, treatment_prob):
         self.x = np.asarray(x, dtype=float)
         self.s = np.asarray(s, dtype=np.int8)
         self.a = np.asarray(a, dtype=np.int8)  # -1 where undefined (s == 0)
-        self.y0 = np.asarray(y0, dtype=float)
-        self.y1 = np.asarray(y1, dtype=float)
         self.y = np.asarray(y, dtype=float)  # NaN where s == 0
         self.aux_split = int(aux_split)
         self.treatment_prob = float(treatment_prob)
@@ -181,8 +180,8 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 _SIM, _ORACLE = 0, 1
 
 
-def _field_streams(dgp: DgpSpec, seed: int, *prefix: int, fields: int = 4):
-    """(covariate streams, the first ``fields`` of participation, treatment, noise a=0, a=1)."""
+def _field_streams(dgp: DgpSpec, seed: int, *prefix: int, fields: int = 3):
+    """(covariate streams, the first ``fields`` of participation, treatment, noise)."""
     covariates = [_stream(seed, *prefix, 0, j) for j in range(dgp.p)]
     return (covariates, *(_stream(seed, *prefix, 1, field) for field in range(fields)))
 
@@ -197,24 +196,25 @@ def _draw_covariates(dgp: DgpSpec, streams, n: int) -> np.ndarray:
 def simulate_actual_population(dgp: DgpSpec, n: int, seed: int | None = None) -> ActualPopulation:
     """Draw ``n`` i.i.d. units from the superpopulation.
 
-    Treatment is drawn only for trial participants; study-design thinning
-    (:func:`~trialport.sampling.apply_design`) happens separately. The
-    realized outcome is set by consistency from the assigned arm's potential
-    outcome. Deterministic given ``(seed, n)``.
+    Treatment and the outcome y = mu_A(x) + noise_sd * z are drawn only for
+    trial participants (a = -1 and y = NaN elsewhere); study-design thinning
+    (:func:`~trialport.sampling.apply_design`) happens separately.
+    Deterministic given ``(seed, n)``.
     """
     if n < 1:
         raise DataError(f"population size must be >= 1, got {n}")
     if seed is None:
         seed = dgp.seed
-    x_rngs, s_rng, a_rng, z0_rng, z1_rng = _field_streams(dgp, seed, _SIM)
+    x_rngs, s_rng, a_rng, z_rng = _field_streams(dgp, seed, _SIM)
     x = _draw_covariates(dgp, x_rngs, n)
-
     s = (s_rng.random(n) < dgp.participation_prob(x)).astype(np.int8)
-    a = np.where(s == 1, (a_rng.random(n) < dgp.treatment_prob).astype(np.int8), np.int8(-1))
-    y0 = dgp.outcome_mean(0, x) + dgp.noise_sd * z0_rng.standard_normal(n)
-    y1 = dgp.outcome_mean(1, x) + dgp.noise_sd * z1_rng.standard_normal(n)
-    y = np.where(s == 1, np.where(a == 1, y1, y0), np.nan)
-    return ActualPopulation(x, s, a, y0, y1, y, dgp.aux_split, dgp.treatment_prob)
+    trial = np.flatnonzero(s)
+    x_trial, treated = x.take(trial, axis=0), a_rng.random(trial.size) < dgp.treatment_prob
+    mean = np.where(treated, dgp.outcome_mean(1, x_trial), dgp.outcome_mean(0, x_trial))
+    a, y = np.full(n, -1, dtype=np.int8), np.full(n, np.nan)
+    a[trial] = treated
+    y[trial] = mean + dgp.noise_sd * z_rng.standard_normal(trial.size)
+    return ActualPopulation(x, s, a, y, dgp.aux_split, dgp.treatment_prob)
 
 
 @dataclass(frozen=True)

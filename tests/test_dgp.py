@@ -28,13 +28,15 @@ class TestSimulate:
             seed=3,
         )
         pop = tp.simulate_actual_population(dgp, 2_000)
-        assert np.all(pop.y0 == 5.0)
-        assert np.all(pop.y1 == 7.0)
+        for arm, mean in ((0, 5.0), (1, 7.0)):
+            rows = (pop.s == 1) & (pop.a == arm)
+            assert rows.sum() > 100
+            assert np.all(pop.y[rows] == mean)
 
     def test_fixed_seed_reproduces_exactly(self, dgp1):
         a = tp.simulate_actual_population(dgp1, 5_000)
         b = tp.simulate_actual_population(dgp1, 5_000)
-        for field in ("x", "s", "a", "y0", "y1"):
+        for field in ("x", "s", "a"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert np.array_equal(a.y, b.y, equal_nan=True)
         c = tp.simulate_actual_population(dgp1, 5_000, seed=dgp1.seed + 1)
@@ -43,14 +45,29 @@ class TestSimulate:
     def test_consistency_and_masking(self, dgp1):
         pop = tp.simulate_actual_population(dgp1, 20_000)
         trial = pop.s == 1
-        assert np.all(pop.a[trial] >= 0)
+        assert np.all((pop.a[trial] == 0) | (pop.a[trial] == 1))
         assert np.all(pop.a[~trial] == -1)
+        assert np.all(np.isfinite(pop.y[trial]))
         assert np.all(np.isnan(pop.y[~trial]))
-        arm1 = trial & (pop.a == 1)
-        arm0 = trial & (pop.a == 0)
-        assert np.array_equal(pop.y[arm1], pop.y1[arm1])
-        assert np.array_equal(pop.y[arm0], pop.y0[arm0])
         assert len(pop) == 20_000
+
+    def test_stream_layout(self, dgp1):
+        # (seed, 0, 0, j) covariate j and (seed, 0, 1, 0) participation over every
+        # record; (seed, 0, 1, 1) treatment and (seed, 0, 1, 2) outcome noise over
+        # the trial participants only, in record order
+        n, seed = 20_000, 123
+        pop = tp.simulate_actual_population(dgp1, n, seed=seed)
+        x = dgp1.covariates[0].sample(dgp_module._stream(seed, 0, 0, 0), n)[:, None]
+        s = dgp_module._stream(seed, 0, 1, 0).random(n) < dgp1.participation_prob(x)
+        assert np.array_equal(pop.x, x)
+        assert np.array_equal(pop.s, s.astype(np.int8))
+        trial = np.flatnonzero(s)
+        n1 = trial.size
+        treated = dgp_module._stream(seed, 0, 1, 1).random(n1) < dgp1.treatment_prob
+        z = dgp_module._stream(seed, 0, 1, 2).standard_normal(n1)
+        mean = np.where(treated, dgp1.outcome_mean(1, x[trial]), dgp1.outcome_mean(0, x[trial]))
+        assert np.array_equal(pop.a[trial], treated.astype(np.int8))
+        assert np.array_equal(pop.y[trial], mean + dgp1.noise_sd * z)
 
     def test_rejects_empty_population(self, dgp1):
         with pytest.raises(tp.DataError):
@@ -67,23 +84,6 @@ class TestSimulate:
                 noise_sd=1.0,
                 seed=1,
             )
-
-    def test_potential_outcomes_independent_of_participation_within_bins(self, dgp1):
-        # same conditional law of y1 given X in both participation strata;
-        # bins must be narrow and bounded or within-bin covariate selection
-        # masquerades as a stratum difference
-        pop = tp.simulate_actual_population(dgp1, 200_000)
-        edges = np.linspace(-2.0, 2.0, 41)
-        bins = np.digitize(pop.x[:, 0], edges)
-        for b in range(1, 41):
-            in_bin = bins == b
-            s1 = in_bin & (pop.s == 1)
-            s0 = in_bin & (pop.s == 0)
-            if s1.sum() < 30 or s0.sum() < 30:
-                continue
-            diff = pop.y1[s1].mean() - pop.y1[s0].mean()
-            se = math.sqrt(pop.y1[s1].var() / s1.sum() + pop.y1[s0].var() / s0.sum())
-            assert abs(diff) <= 4 * se, f"bin {b}: diff {diff:.4f} vs se {se:.4f}"
 
 
 class TestOracle:

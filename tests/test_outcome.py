@@ -151,6 +151,20 @@ class TestBlasThreads:
         )
         return x, outcome, participation
 
+    @pytest.fixture(scope="class")
+    def dgp_block(self):
+        # an oracle chunk's covariate block, at p = 2
+        dgp = tp.DgpSpec(
+            covariates=(tp.Normal(0.0, 1.0), tp.Normal(0.0, 1.0)),
+            participation_logit=(-1.0, 0.5, -0.4),
+            treatment_prob=0.5,
+            outcome_mean_a0=(1.0, 1.0, 0.5),
+            outcome_mean_a1=(2.0, 1.3, -0.3),
+            noise_sd=1.0,
+            seed=1,
+        )
+        return dgp, np.random.Generator(np.random.Philox(6)).normal(size=(1 << 20, 2))
+
     def test_fit_outcome(self):
         pop = tp.simulate_actual_population(oracles.make_dgp1(seed=81), 100_000)
         data = tp.apply_design(pop, tp.CensusNested(), seed=82)
@@ -163,3 +177,11 @@ class TestBlasThreads:
     def test_slope_score(self, wide):
         x, _, participation = wide
         assert _cpu_burnt_while_sleeping(lambda: participation.slope_score(x)) < 0.05
+
+    def test_outcome_mean(self, dgp_block):
+        dgp, x = dgp_block
+        assert _cpu_burnt_while_sleeping(lambda: dgp.outcome_mean(1, x)) < 0.05
+
+    def test_participation_prob(self, dgp_block):
+        dgp, x = dgp_block
+        assert _cpu_burnt_while_sleeping(lambda: dgp.participation_prob(x)) < 0.05

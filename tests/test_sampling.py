@@ -17,10 +17,9 @@ def handmade_population(n_trial=200, n_external=1200, seed=31):
     x = rng.normal(size=(n, 1))
     s = np.array([1] * n_trial + [0] * n_external, dtype=np.int8)
     a = np.where(s == 1, (rng.random(n) < 0.5).astype(np.int8), np.int8(-1))
-    y0 = 1.0 + x[:, 0] + rng.normal(size=n)
-    y1 = 2.0 + 1.3 * x[:, 0] + rng.normal(size=n)
-    y = np.where(s == 1, np.where(a == 1, y1, y0), np.nan)
-    return tp.ActualPopulation(x, s, a, y0, y1, y, aux_split=1, treatment_prob=0.5)
+    mean = np.where(a == 1, 2.0 + 1.3 * x[:, 0], 1.0 + x[:, 0])
+    y = np.where(s == 1, mean + rng.normal(size=n), np.nan)
+    return tp.ActualPopulation(x, s, a, y, aux_split=1, treatment_prob=0.5)
 
 
 class TestApplyDesign:
@@ -120,15 +119,15 @@ class TestApplyDesign:
         ids=["c0.5", "c0.3", "c1", "non_nested", "step_rule"],
     )
     def test_kept_count_matches_design_fraction_per_stratum(self, dgp1, design):
-        # Pr[D=1 | X, A, Y, S=0] is the design fraction: in every stratum of the
-        # non-randomized units (x1 quartiles, potential-outcome signs) the kept
-        # count is within 4 binomial SDs of the sum of the units' fractions
+        # Pr[D=1 | X, S=0] is the design fraction: in every x1 quartile of the
+        # non-randomized units the kept count is within 4 binomial SDs of the
+        # sum of the units' fractions
         pop = tp.simulate_actual_population(dgp1, 100_000)
         ext = pop.s == 0
         # an index column after the auxiliary block tags each unit without
         # changing the draw, which reads only the auxiliary block
         tagged = tp.ActualPopulation(
-            np.column_stack([pop.x, np.arange(len(pop))]), pop.s, pop.a, pop.y0, pop.y1, pop.y,
+            np.column_stack([pop.x, np.arange(len(pop))]), pop.s, pop.a, pop.y,
             pop.aux_split, pop.treatment_prob,
         )
         data = tp.apply_design(tagged, design, seed=7)
@@ -141,9 +140,7 @@ class TestApplyDesign:
 
         x1 = pop.x[:, 0]
         quartiles = np.searchsorted(np.quantile(x1[ext], [0.25, 0.5, 0.75]), x1)
-        strata = [quartiles == q for q in range(4)]
-        strata += [pop.y0 < 0, pop.y0 >= 0, pop.y1 < 0, pop.y1 >= 0]
-        for stratum in strata:
+        for stratum in (quartiles == q for q in range(4)):
             members = ext & stratum
             p = prob[members]
             assert members.sum() > 1_000
