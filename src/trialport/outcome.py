@@ -50,8 +50,8 @@ class OutcomeModel:
 def _ols_qr(xmat: np.ndarray, y: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(xmat)
     # |R_jj| is column j's distance from the span of the columns before it;
-    # relative to the column's own norm, the guard does not depend on its units
-    tol = xmat.shape[0] * np.finfo(float).eps * np.linalg.norm(xmat, axis=0)
+    # relative to the column's norm, ||R[:, j]|| = ||x_j||, it does not depend on units
+    tol = xmat.shape[0] * np.finfo(float).eps * np.linalg.norm(r, axis=0)
     if np.any(np.abs(np.diag(r)) <= tol):
         raise RankDeficient("outcome design matrix is rank deficient")
     return solve_triangular(r, q.T @ y)

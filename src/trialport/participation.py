@@ -175,10 +175,8 @@ def _newton_fit(xmat, labels, weights, norm):
     obj = objective(np.zeros(n), np.ones(n))  # eta = 0, t = exp(-0)
     prob = np.full(n, 0.5)
     hess = hessian(prob)  # the weighted Gram matrix / 4
-    # the rank of D^-1 H D^-1, D = sqrt(diag(H)): matrix_rank's tolerance is
-    # relative to the largest singular value, so on H itself one large column
-    # would hide the others; H sums n rows, so its entries carry up to n eps
-    # relative rounding
+    # rank of D^-1 H D^-1, D = sqrt(diag(H)), so that no column's units hide
+    # another's; H sums n rows, so its entries carry up to n eps relative rounding
     d = np.sqrt(np.diag(hess))
     if not np.all(d > 0) or np.linalg.matrix_rank(
         hess / np.outer(d, d), rtol=n * np.finfo(float).eps
