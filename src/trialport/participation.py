@@ -178,9 +178,10 @@ def _newton_fit(xmat, labels, weights, norm):
     # rank of D^-1 H D^-1, D = sqrt(diag(H)), so that no column's units hide
     # another's; H sums n rows, so its entries carry up to n eps relative rounding
     d = np.sqrt(np.diag(hess))
-    if not np.all(d > 0) or np.linalg.matrix_rank(
-        hess / np.outer(d, d), rtol=n * np.finfo(float).eps
-    ) < q:
+    if not np.all(d > 0):
+        raise RankDeficient("weighted design matrix is rank deficient")
+    sv = np.linalg.svd(hess / np.outer(d, d), compute_uv=False)
+    if np.count_nonzero(sv > n * np.finfo(float).eps * sv[0]) < q:
         raise RankDeficient("weighted design matrix is rank deficient")
 
     iters = 0

@@ -11,7 +11,7 @@ from trialport.estimators import EXTREME_WEIGHT_THRESHOLD
 from trialport.participation import Scale
 
 from conftest import as_non_nested, make_tiny_dataset
-from support import oracles
+from support import oracles, specs
 
 
 def known_outcome_model(coef1=(2.0, 1.0), coef0=(1.0, 1.0)):
@@ -356,22 +356,8 @@ class TestReports:
             _WeightedSample.of(np.array([-1.0, 2.0]))
 
 
-# two covariates, as in the CLI's digest configuration; the second one is rescaled
-_P2_DGP = tp.DgpSpec(
-    covariates=(tp.Normal(0.0, 1.0), tp.Uniform(-1.0, 1.0)),
-    participation_logit=(-1.0, 0.5, -0.4),
-    treatment_prob=0.5,
-    outcome_mean_a0=(1.0, 1.0, 0.5),
-    outcome_mean_a1=(2.0, 1.3, -0.3),
-    noise_sd=1.0,
-    seed=4711,
-    aux_split=1,
-)
+# the second covariate of specs.P2_DGP is rescaled by each of these
 _SCALES = (1e-12, 1e-9, 1e9, 1e12)
-
-
-def _with_x(data, x):
-    return dataclasses.replace(data, x=x)
 
 
 def _gformula_and_ipw_estimates(data):
@@ -393,14 +379,14 @@ class TestScaleFreeRankGuards:
     @pytest.fixture(scope="class", params=[tp.CensusNested(), tp.SubsampledNested(c=0.3)],
                     ids=["census", "c0.3"])
     def p2_data(self, request):
-        pop = tp.simulate_actual_population(_P2_DGP, 100_000)
+        pop = tp.simulate_actual_population(specs.P2_DGP, 100_000)
         return tp.apply_design(pop, request.param, seed=61)
 
     @pytest.mark.parametrize("scale", _SCALES)
     def test_rescaled_covariate_leaves_estimates_unchanged(self, p2_data, scale):
         x = p2_data.x.copy()
         x[:, 1] *= scale
-        got = _gformula_and_ipw_estimates(_with_x(p2_data, x))
+        got = _gformula_and_ipw_estimates(dataclasses.replace(p2_data, x=x))
         want = _gformula_and_ipw_estimates(p2_data)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
@@ -413,4 +399,4 @@ class TestScaleFreeRankGuards:
         x[:, 1] *= scale
         column = x[:, 1] if extra == "copied" else np.full(len(x), 0.3 * scale)
         with pytest.raises(tp.RankDeficient):
-            fit(_with_x(p2_data, np.column_stack([x, column])))
+            fit(dataclasses.replace(p2_data, x=np.column_stack([x, column])))

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import trialport as tp
 
 from conftest import make_tiny_dataset
-from support import oracles
+from support import oracles, specs
 
 
 def constant_outcome_dataset(value=5.0, n_trial=20, n_external=5):
@@ -154,16 +154,7 @@ class TestBlasThreads:
     @pytest.fixture(scope="class")
     def dgp_block(self):
         # an oracle chunk's covariate block, at p = 2
-        dgp = tp.DgpSpec(
-            covariates=(tp.Normal(0.0, 1.0), tp.Normal(0.0, 1.0)),
-            participation_logit=(-1.0, 0.5, -0.4),
-            treatment_prob=0.5,
-            outcome_mean_a0=(1.0, 1.0, 0.5),
-            outcome_mean_a1=(2.0, 1.3, -0.3),
-            noise_sd=1.0,
-            seed=1,
-        )
-        return dgp, np.random.Generator(np.random.Philox(6)).normal(size=(1 << 20, 2))
+        return specs.P2_DGP, np.random.Generator(np.random.Philox(6)).normal(size=(1 << 20, 2))
 
     def test_fit_outcome(self):
         pop = tp.simulate_actual_population(oracles.make_dgp1(seed=81), 100_000)
