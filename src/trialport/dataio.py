@@ -2,6 +2,13 @@
 
 Dataset CSV columns are exactly ``role,a,y,x1,...,xp`` with role in
 {trial, external}; treatment and outcome cells are empty on external rows.
+The reader takes LF, CRLF or CR line ends (the file is read with universal
+newlines; any other line-break character, such as a form feed, stays in its
+cell), csv quoting with ``"``, no comment lines and no blank lines (a blank
+line is a row of 0 cells). A cell is a number when ``float()`` reads it. A
+well-formed file is parsed in one bulk pass; a malformed one is then walked
+row by row to name its first bad line.
+
 The sidecar JSON records the design variant, its known sampling fraction (or
 rule), the auxiliary split k, the randomization probability, and — for nested
 designs only — the count of unsampled non-randomized individuals. The hidden
@@ -14,6 +21,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,16 +220,18 @@ def dgp_from_dict(d: dict, where: str = "dgp") -> DgpSpec:
 
 
 def dataset_to_csv_text(data: ObservedDataset) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["role", "a", "y"] + [f"x{j + 1}" for j in range(data.p)])
-    for i in range(data.n_rows):
-        xs = [repr(float(v)) for v in data.x[i]]
-        if data.s[i] == 1:
-            writer.writerow(["trial", str(int(data.a[i])), repr(float(data.y[i]))] + xs)
-        else:
-            writer.writerow(["external", "", ""] + xs)
-    return buf.getvalue()
+    # column by column: a cell is repr(float), or "0"/"1" for a treatment, so
+    # none needs csv quoting; external rows leave a and y (NaN there) empty
+    arm = np.where(data.s == 1, data.a + 1.0, 0.0).astype(int).tolist()
+    y = list(map(repr, data.y.tolist()))
+    columns = [
+        map(("external", "trial", "trial").__getitem__, arm),
+        map(("", "0", "1").__getitem__, arm),
+        map({"nan": ""}.get, y, y),  # trial outcomes are finite
+        *(map(repr, column) for column in data.x.T.tolist()),
+    ]
+    header = ",".join(["role", "a", "y"] + [f"x{j + 1}" for j in range(data.p)])
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def dataset_sidecar_dict(data: ObservedDataset) -> dict:
@@ -240,6 +250,55 @@ def write_dataset(data: ObservedDataset, csv_path, sidecar_path) -> None:
     Path(sidecar_path).write_text(json.dumps(dataset_sidecar_dict(data), indent=2) + "\n")
 
 
+def _lines(text: str):
+    """The lines of ``text``, each ended by a newline only (other line breaks stay in a cell)."""
+    start = 0
+    while (end := text.find("\n", start) + 1) > 0:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
+
+
+_ROLES = {"trial": 1.0, "external": 0.0}
+
+
+def _role(cell: str) -> float:
+    try:
+        return _ROLES[cell]
+    except KeyError:
+        raise ValueError(f"unknown role {cell!r}") from None
+
+
+def _a_or_y(cell: str) -> float:
+    """A treatment or outcome cell; NaN when empty."""
+    return float(cell) if cell else math.nan
+
+
+def _a_or_y_bulk(cell: str) -> float:
+    """``_a_or_y``, refusing a spelt-out NaN, so that a NaN in the table marks an empty cell."""
+    value = _a_or_y(cell)
+    if cell and math.isnan(value):
+        raise ValueError(f"{cell!r} reads as NaN")
+    return value
+
+
+_BULK = {0: _role, 1: _a_or_y_bulk, 2: _a_or_y_bulk}
+
+
+def _parse_rows(csv_path, converters: dict) -> np.ndarray:
+    """The data rows of a dataset CSV as one float table (role 1 trial, 0 external)."""
+    # from the file, not from its text in memory: a StringIO of the text costs
+    # four bytes a character
+    with open(csv_path) as fh, warnings.catch_warnings():
+        # a body of blank lines warns that it holds no data; the row count catches it
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            fh, delimiter=",", comments=None, quotechar='"', skiprows=1, ndmin=2,
+            converters=converters,
+        )
+
+
 def _parse_cell(text: str, what: str, line: int) -> float:
     try:
         return float(text)
@@ -247,45 +306,70 @@ def _parse_cell(text: str, what: str, line: int) -> float:
         raise DataError(f"line {line}: cannot parse {what} value {text!r}") from None
 
 
-def read_dataset(csv_path, sidecar_path) -> ObservedDataset:
-    sidecar = load_json(sidecar_path)
-    design = design_from_dict(_require(sidecar, "design", "sidecar"), "sidecar.design")
-
+def _raise_first_bad_row(text: str, p: int, csv_path) -> None:
+    """Raise the DataError of the file's first malformed row; return if there is none."""
     try:
-        rows = list(csv.reader(Path(csv_path).read_text().splitlines()))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        rows = list(csv.reader(_lines(text)))
+    except csv.Error as exc:
         raise DataError(f"cannot read {csv_path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{csv_path}: empty dataset file")
-    header = rows[0]
-    if header[:3] != ["role", "a", "y"]:
-        raise DataError(f"{csv_path}: header must start with role,a,y")
-    p = len(header) - 3
-
-    s, a, y, x = [], [], [], []
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != p + 3:
             raise DataError(f"line {line_no}: expected {p + 3} cells, got {len(row)}")
         role = row[0]
         if role == "trial":
-            s.append(1)
-            a.append(_parse_cell(row[1], "treatment", line_no))
-            y.append(_parse_cell(row[2], "outcome", line_no))
+            _parse_cell(row[1], "treatment", line_no)
+            _parse_cell(row[2], "outcome", line_no)
         elif role == "external":
             if row[1] or row[2]:
                 raise DataError(f"line {line_no}: external rows must not carry a/y")
-            s.append(0)
-            a.append(math.nan)
-            y.append(math.nan)
         else:
             raise DataError(f"line {line_no}: unknown role {role!r}")
-        x.append([_parse_cell(v, "covariate", line_no) for v in row[3:]])
+        for v in row[3:]:
+            _parse_cell(v, "covariate", line_no)
+
+
+def read_dataset(csv_path, sidecar_path) -> ObservedDataset:
+    sidecar = load_json(sidecar_path)
+    design = design_from_dict(_require(sidecar, "design", "sidecar"), "sidecar.design")
+
+    try:
+        text = Path(csv_path).read_text()
+        header = next(csv.reader(_lines(text)), None)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {csv_path}: {exc}") from exc
+    if header is None:
+        raise DataError(f"{csv_path}: empty dataset file")
+    if header[:3] != ["role", "a", "y"]:
+        raise DataError(f"{csv_path}: header must start with role,a,y")
+    p = len(header) - 3
+
+    # one bulk parse; the per-row pass runs only when it fails or skipped a line
+    n_rows = text.count("\n") - text.endswith("\n")
+    table = np.empty((0, p + 3))
+    if n_rows:
+        try:
+            table = _parse_rows(csv_path, _BULK)
+        except ValueError:
+            table = None
+    if (
+        table is None
+        or table.shape != (n_rows, p + 3)
+        or not (np.isnan(table[:, 1:3]) == (table[:, :1] == 0.0)).all()  # a, y empty iff external
+    ):
+        _raise_first_bad_row(text, p, csv_path)
+        # every row is well formed, but spelt in ways that only float() reads
+        # ("1_0", digits of other scripts, a trial's "nan")
+        converters = {0: _role, 1: _a_or_y, 2: _a_or_y, **dict.fromkeys(range(3, p + 3), float)}
+        try:
+            table = _parse_rows(csv_path, converters)
+        except ValueError as exc:
+            raise DataError(f"cannot read {csv_path}: {exc}") from exc
 
     return ObservedDataset(
-        x=np.asarray(x, dtype=float).reshape(len(s), p),
-        s=np.asarray(s),
-        a=np.asarray(a),
-        y=np.asarray(y),
+        x=np.ascontiguousarray(table[:, 3:]),
+        s=table[:, 0].astype(int),
+        a=table[:, 1].copy(),
+        y=table[:, 2].copy(),
         design=design,
         k=_integer(sidecar.get("k", 0), "sidecar.k"),
         treatment_prob=_number(sidecar.get("treatment_prob", 0.5), "sidecar.treatment_prob"),

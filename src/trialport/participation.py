@@ -172,7 +172,7 @@ def _newton_fit(xmat, labels, weights, norm):
         return (xw * (prob * (1.0 - prob))) @ xt.T
 
     coef = np.zeros(q)
-    obj = objective(np.zeros(n), np.ones(n))  # eta = 0, t = exp(-0)
+    obj = -_dot(weights, np.full(n, np.log1p(1.0))) / norm  # eta = 0: softplus(0) = log1p(1)
     prob = np.full(n, 0.5)
     hess = hessian(prob)  # the weighted Gram matrix / 4
     # rank of D^-1 H D^-1, D = sqrt(diag(H)), so that no column's units hide
@@ -238,7 +238,11 @@ def participation_design(data: ObservedDataset):
     the row count.
     """
     n = data.n_rows
-    xmat = np.column_stack([np.ones(n), data.x])
+    # filled as (q, n) so that _newton_fit's contiguous transpose is this block itself
+    xt = np.empty((data.p + 1, n))
+    xt[0] = 1.0
+    xt[1:] = data.x.T
+    xmat = xt.T
     labels = data.s.astype(float)
     if is_nested(data.design):
         return xmat, labels, data.design_weights, float(n + data.n_unsampled_nonrandomized)

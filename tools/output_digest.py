@@ -5,8 +5,9 @@ Usage: python tools/output_digest.py CHECKOUT
 Runs ``trialport.cli.main`` from ``CHECKOUT/src`` in-process, in a temporary
 directory, on a two-covariate DGP with one auxiliary covariate: ``simulate``
 per design, ``estimate --out`` for every method and estimand on each dataset,
-``diagnose`` at B = 8, ``experiment`` per design at workers 1, 2 and 4 plus one
-misspecified config, a two-estimator ``experiment`` with a bootstrap at
+``diagnose`` at B = 8, ``estimate`` on seven hand-written malformed datasets
+(each exits 2 naming its first bad line), ``experiment`` per design at
+workers 1, 2 and 4 plus one misspecified config, a two-estimator ``experiment`` with a bootstrap at
 workers 1 and 2, and a three-cell ``sweep`` at workers 1, 2 and 4. Prints
 ``sha256  name`` per output (each written file; each command's exit code,
 stdout and stderr), then a total over those lines: equal totals mean the same
@@ -37,6 +38,18 @@ DESIGNS = {
     "sub": {"variant": "subsampled_nested", "c": 0.3},
     "cov": {"variant": "subsampled_nested_covariate", "c_table": STEP},
     "nonnested": {"variant": "non_nested", "u_hidden": 0.4},
+}
+# hand-written datasets that the reader refuses; "formfeed" has a form feed at
+# the end of data row 1 and a blank line 4
+MALFORMED_ROWS = "trial,0,1.5,0.1\ntrial,1,2.5,0.2\nexternal,,,0.3\n"
+MALFORMED = {
+    "cell_count": MALFORMED_ROWS.replace("2.5,0.2", "2.5"),
+    "blank_line": MALFORMED_ROWS.replace("\ntrial", "\n\ntrial"),
+    "unknown_role": MALFORMED_ROWS.replace("trial,1", "bogus,1"),
+    "external_a": MALFORMED_ROWS.replace("external,,", "external,1,"),
+    "bad_cells": MALFORMED_ROWS.replace("0,1.5,0.1", "0,1.5,#"),
+    "header_only": "",
+    "formfeed": MALFORMED_ROWS.replace("0.1\n", "0.1\x0c\n").replace("\nex", "\n\nex"),
 }
 METHODS = ("gformula", "ipw", "ipw_ht", "ipw_hajek", "trial_only")
 ESTIMANDS = ("target", "nonrandomized", "randomized")
@@ -78,6 +91,13 @@ def run_all(main) -> dict:
         for method in ("gformula", "ipw"):
             argv = ["diagnose", f"data_{d}", "--method", method, "--bootstrap-b", "8", "--seed", "3"]
             _run(main, f"diagnose_{d}_{method}", argv, streams)
+    sidecar = {"design": DESIGNS["census"], "k": 1, "treatment_prob": 0.5,
+               "n_unsampled_nonrandomized": 0}
+    for m, rows in MALFORMED.items():
+        Path(f"malformed_{m}.csv").write_text("role,a,y,x1\n" + rows)
+        _write(f"malformed_{m}.json", sidecar)
+        argv = ["estimate", f"malformed_{m}", "--estimand", "target"]
+        _run(main, f"estimate_malformed_{m}", argv, streams)
     base = {"dgp": DGP, "n": 2000, "replications": 6, "master_seed": 77, "oracle_m": 100_000}
     configs = {d: {**base, "design": design} for d, design in DESIGNS.items()}
     configs["misspecified"] = {**configs["sub"], "misspecify": {"participation": True, "s_shift": 0.5}}
