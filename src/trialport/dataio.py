@@ -251,11 +251,11 @@ def write_dataset(data: ObservedDataset, csv_path, sidecar_path) -> None:
 
 
 def _lines(text: str):
-    """The lines of ``text``, each ended by a newline only (other line breaks stay in a cell)."""
+    """``text`` split at each newline only, as ``str.splitlines`` splits it at every line break."""
     start = 0
-    while (end := text.find("\n", start) + 1) > 0:
+    while (end := text.find("\n", start)) >= 0:
         yield text[start:end]
-        start = end
+        start = end + 1
     if start < len(text):
         yield text[start:]
 
