@@ -18,7 +18,6 @@ designs only — the count of unsampled non-randomized individuals. The hidden
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import warnings
@@ -219,19 +218,28 @@ def dgp_from_dict(d: dict, where: str = "dgp") -> DgpSpec:
 # Dataset CSV + sidecar
 
 
+# rows per block of the CSV writer: cell strings for the whole file at once
+# would take several times the memory of its text
+_WRITE_BLOCK = 4096
+
+
 def dataset_to_csv_text(data: ObservedDataset) -> str:
-    # column by column: a cell is repr(float), or "0"/"1" for a treatment, so
-    # none needs csv quoting; external rows leave a and y (NaN there) empty
-    arm = np.where(data.s == 1, data.a + 1.0, 0.0).astype(int).tolist()
-    y = list(map(repr, data.y.tolist()))
-    columns = [
-        map(("external", "trial", "trial").__getitem__, arm),
-        map(("", "0", "1").__getitem__, arm),
-        map({"nan": ""}.get, y, y),  # trial outcomes are finite
-        *(map(repr, column) for column in data.x.T.tolist()),
-    ]
     header = ",".join(["role", "a", "y"] + [f"x{j + 1}" for j in range(data.p)])
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+    blocks = [header + "\n"]
+    for start in range(0, data.n_rows, _WRITE_BLOCK):
+        rows = slice(start, start + _WRITE_BLOCK)
+        # column by column: a cell is repr(float), or "0"/"1" for a treatment,
+        # so none needs csv quoting; external rows leave a and y (NaN there) empty
+        arm = np.where(data.s[rows] == 1, data.a[rows] + 1.0, 0.0).astype(int).tolist()
+        y = list(map(repr, data.y[rows].tolist()))
+        columns = [
+            map(("external", "trial", "trial").__getitem__, arm),
+            map(("", "0", "1").__getitem__, arm),
+            map({"nan": ""}.get, y, y),  # trial outcomes are finite
+            *(map(repr, column) for column in data.x[rows].T.tolist()),
+        ]
+        blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
+    return "".join(blocks)
 
 
 def dataset_sidecar_dict(data: ObservedDataset) -> dict:

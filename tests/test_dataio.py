@@ -110,7 +110,8 @@ class TestReaderErrorContract:
              "line 4: external rows must not carry a/y"),
             (HEADER + "trial,x,1.5,0.1\n" + "bogus,1,2.5,0.2\n",
              "line 2: cannot parse treatment value 'x'"),
-            (HEADER + "trial,0,1.5,0.1,\n" + "trial,x,1.5,0.1\n", "line 2: expected 4 cells, got 5"),
+            (HEADER + "trial,0,1.5,0.1,\n" + "trial,x,1.5,0.1\n",
+             "line 2: expected 4 cells, got 5"),
             ("", "empty dataset file"),
             ("role,y,a,x1\n" + TRIAL_0, "header must start with role,a,y"),
             ("\n" + TRIAL_0, "header must start with role,a,y"),
@@ -148,7 +149,8 @@ class TestReaderErrorContract:
     @pytest.mark.parametrize(
         "text",
         [
-            '"role","a","y","x1"\n"trial","0","1.5","0.1"\n"trial",1,"2.5",0.2\n"external","","",0.3\n',
+            '"role","a","y","x1"\n"trial","0","1.5","0.1"\n'
+            '"trial",1,"2.5",0.2\n"external","","",0.3\n',
             VALID.replace("\n", "\r\n"),
             VALID[:-1],
             HEADER + "trial, 0 ,1.5 ,\t0.1\n" + TRIAL_1 + EXTERNAL,
@@ -263,11 +265,18 @@ class TestRoundTripProperty:
         path = tmp_path_factory.mktemp("rt")
         dataio.write_dataset(data, path / "d.csv", path / "d.json")
         text = (path / "d.csv").read_text()
-        assert dataio.dataset_to_csv_text(dataio.read_dataset(path / "d.csv", path / "d.json")) == text
+        back = dataio.read_dataset(path / "d.csv", path / "d.json")
+        assert dataio.dataset_to_csv_text(back) == text
 
     @settings(max_examples=100, deadline=None)
     @given(data=datasets())
     def test_writer_matches_the_per_row_reference(self, data):
+        assert dataio.dataset_to_csv_text(data) == reference_csv_text(data)
+
+    def test_writer_matches_the_reference_across_blocks(self, dgp1):
+        pop = tp.simulate_actual_population(dgp1, 20_000)
+        data = tp.apply_design(pop, tp.SubsampledNested(c=0.4), seed=3)
+        assert data.n_rows > 2 * dataio._WRITE_BLOCK and data.n_rows % dataio._WRITE_BLOCK
         assert dataio.dataset_to_csv_text(data) == reference_csv_text(data)
 
 

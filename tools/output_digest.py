@@ -7,8 +7,9 @@ directory, on a two-covariate DGP with one auxiliary covariate: ``simulate``
 per design, ``estimate --out`` for every method and estimand on each dataset,
 ``diagnose`` at B = 8, ``estimate`` on seven hand-written malformed datasets
 (each exits 2 naming its first bad line), ``experiment`` per design at
-workers 1, 2 and 4 plus one misspecified config, a two-estimator ``experiment`` with a bootstrap at
-workers 1 and 2, and a three-cell ``sweep`` at workers 1, 2 and 4. Prints
+workers 1, 2 and 4 plus one misspecified config, a two-estimator
+``experiment`` with a bootstrap at workers 1 and 2, and a three-cell
+``sweep`` at workers 1, 2 and 4. Prints
 ``sha256  name`` per output (each written file; each command's exit code,
 stdout and stderr), then a total over those lines: equal totals mean the same
 bytes. Each ``experiment`` and ``sweep`` CSV is also digested with its
