@@ -268,14 +268,9 @@ def _lines(text: str):
         yield text[start:]
 
 
+# the parsed table's role codes; np.loadtxt turns the KeyError of an unknown
+# role, like any converter's error, into a ValueError
 _ROLES = {"trial": 1.0, "external": 0.0}
-
-
-def _role(cell: str) -> float:
-    try:
-        return _ROLES[cell]
-    except KeyError:
-        raise ValueError(f"unknown role {cell!r}") from None
 
 
 def _a_or_y(cell: str) -> float:
@@ -291,7 +286,7 @@ def _a_or_y_bulk(cell: str) -> float:
     return value
 
 
-_BULK = {0: _role, 1: _a_or_y_bulk, 2: _a_or_y_bulk}
+_BULK = {0: _ROLES.__getitem__, 1: _a_or_y_bulk, 2: _a_or_y_bulk}
 
 
 def _parse_rows(csv_path, converters: dict) -> np.ndarray:
@@ -367,7 +362,7 @@ def read_dataset(csv_path, sidecar_path) -> ObservedDataset:
         _raise_first_bad_row(text, p, csv_path)
         # every row is well formed, but spelt in ways that only float() reads
         # ("1_0", digits of other scripts, a trial's "nan")
-        converters = {0: _role, 1: _a_or_y, 2: _a_or_y, **dict.fromkeys(range(3, p + 3), float)}
+        converters = {**_BULK, 1: _a_or_y, 2: _a_or_y, **dict.fromkeys(range(3, p + 3), float)}
         try:
             table = _parse_rows(csv_path, converters)
         except ValueError as exc:
