@@ -30,11 +30,13 @@ from .experiment import (
     DIAGNOSE_BOOT_TAG,
     SIMULATE_SAMPLING_TAG,
     EstimatorSpec,
+    IpwDifferenceFromCounts,
     bootstrap_replicates,
     bootstrap_sd,
     design_comparison,
     fit_models,
     mix_seed,
+    resampled_dataset,
     summary_rows_to_csv,
 )
 from .sampling import apply_design
@@ -158,12 +160,20 @@ def _cmd_diagnose(args) -> int:
         )
         for arm in (0, 1)
     ]
-    # the full-sample models serve both arms; each resample refits its own
+    # the full-sample models serve both arms. Each resample refits its own: the
+    # ipw contrast from the resample's row counts, warm-started at the
+    # full-sample participation fit; the gformula one on the resampled dataset
     models = fit_models([spec for pair in pairs for spec in pair], data)
+    count_difference = (
+        IpwDifferenceFromCounts(data, models[0].coefficients) if args.method == "ipw" else None
+    )
     arms_out = []
     for arm, (trial_spec, external_spec) in enumerate(pairs):
 
-        def stat(d):
+        def stat(rows):
+            if count_difference is not None:
+                return count_difference(rows, arm)
+            d = resampled_dataset(data, rows)
             return trial_spec.fit_and_evaluate(d).value - external_spec.fit_and_evaluate(d).value
 
         trial = trial_spec.evaluate(data, *models).value

@@ -41,7 +41,7 @@ from .estimators import (
     trial_only_mean,
 )
 from .outcome import fit_outcome
-from .participation import fit_participation
+from .participation import _NewtonWorkspace, fit_participation, participation_design
 from .sampling import apply_design
 
 _MASK64 = (1 << 64) - 1
@@ -433,28 +433,85 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
 # Stratified bootstrap
 
 
-def _resample_dataset(data: ObservedDataset, rng: np.random.Generator) -> ObservedDataset:
-    """Resample trial and external rows separately, keeping the unsampled tally."""
+def _resample_rows(data: ObservedDataset, rng: np.random.Generator) -> np.ndarray:
+    """Row positions of one stratified resample: trial draws, then external draws."""
     trial_idx, ext_idx = data._trial_rows, data._external_rows
     parts = [trial_idx.take(rng.integers(0, trial_idx.size, trial_idx.size))]
     if ext_idx.size:
         parts.append(ext_idx.take(rng.integers(0, ext_idx.size, ext_idx.size)))
-    idx = np.concatenate(parts)
+    return np.concatenate(parts)
+
+
+def resampled_dataset(data: ObservedDataset, rows: np.ndarray) -> ObservedDataset:
+    """The dataset of ``data``'s rows at positions ``rows``, keeping the unsampled tally."""
     return replace(
-        data, x=data.x.take(idx, axis=0), s=data.s.take(idx), a=data.a.take(idx), y=data.y.take(idx)
+        data,
+        x=data.x.take(rows, axis=0), s=data.s.take(rows), a=data.a.take(rows), y=data.y.take(rows),
     )
 
 
 def bootstrap_replicates(data: ObservedDataset, stat_fn, b: int, seed: int) -> np.ndarray:
-    """Vector of ``stat_fn`` evaluated on ``b`` stratified resamples (NaN on failure)."""
+    """Vector of ``stat_fn`` over ``b`` stratified resamples (NaN where it fails).
+
+    ``stat_fn`` receives one resample's row positions in ``data``: as many
+    draws with replacement from the trial rows as there are trial rows, then
+    likewise from the external rows, all from one Philox stream of ``seed``.
+    :func:`resampled_dataset` turns them into the resampled dataset;
+    ``np.bincount`` turns them into per-row counts. A ``TrialportError`` from
+    ``stat_fn`` (an invalid resampled dataset, a failed fit) gives NaN.
+    """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed & _MASK64)))
     out = np.empty(b)
     for i in range(b):
+        rows = _resample_rows(data, rng)
         try:
-            out[i] = stat_fn(_resample_dataset(data, rng))
+            out[i] = stat_fn(rows)
         except TrialportError:
             out[i] = math.nan
     return out
+
+
+class IpwDifferenceFromCounts:
+    """``diagnose --method ipw``'s statistic on a resample, from its row counts.
+
+    The statistic is one arm's trial-only mean minus its odds-weighted Hájek
+    mean of the non-randomized: what those two :class:`EstimatorSpec` cells
+    give on the resampled dataset. Here the resample's row positions become
+    per-row counts instead. Participation is refit on the full sample's design
+    with weights design weight × count, warm-started from the full-sample
+    coefficients ``start``, in one Newton workspace that every resample and
+    both arms share; both means are count-weighted sums over the arm's trial
+    rows. No resampled dataset is built or validated: a resample that draws no
+    trial row of some arm, whose dataset would be invalid, gives NaN, and a
+    failed refit raises as :func:`fit_participation` would.
+    """
+
+    def __init__(self, data: ObservedDataset, start: np.ndarray):
+        xmat, labels, self._design_weights, norm = participation_design(data)
+        self._work = _NewtonWorkspace(xmat, labels, norm)
+        self._weights = np.empty(data.n_rows)
+        self._start = start
+        trial_rows = data._trial_rows
+        trial_a = data.a.take(trial_rows)
+        # positions of each arm's trial rows, in the row order of data.arm(arm)
+        self._arm_rows = [trial_rows.take(np.flatnonzero(trial_a == arm)) for arm in (0, 1)]
+        self._arms = (data.arm(0), data.arm(1))
+
+    def __call__(self, rows: np.ndarray, arm: int) -> float:
+        counts = np.bincount(rows, minlength=self._weights.size)
+        arm_counts = [counts.take(r) for r in self._arm_rows]
+        if not (arm_counts[0].any() and arm_counts[1].any()):
+            return math.nan
+        np.multiply(self._design_weights, counts, out=self._weights)
+        slopes = self._work.fit(self._weights, self._start)[0][1:]
+        # over the drawn rows only, so that the odds are centred at the least
+        # score among them, as ipw_mean_nonrandomized centres them
+        drawn = np.flatnonzero(arm_counts[arm])
+        c = arm_counts[arm].take(drawn).astype(float)
+        x, y = self._arms[arm].x.take(drawn, axis=0), self._arms[arm].y.take(drawn)
+        score = np.einsum("ij,j->i", x, slopes)
+        w = c * np.exp(score.min() - score)
+        return float(np.einsum("i,i", c, y) / c.sum() - np.einsum("i,i", w, y) / w.sum())
 
 
 def bootstrap_se(data: ObservedDataset, spec: EstimatorSpec, b: int, seed: int) -> float:
@@ -466,7 +523,9 @@ def bootstrap_se(data: ObservedDataset, spec: EstimatorSpec, b: int, seed: int) 
     """
     if b < MIN_BOOTSTRAP_B:
         raise ValueError(f"bootstrap needs b >= {MIN_BOOTSTRAP_B}, got {b}")
-    reps = bootstrap_replicates(data, lambda d: spec.fit_and_evaluate(d).value, b, seed)
+    reps = bootstrap_replicates(
+        data, lambda rows: spec.fit_and_evaluate(resampled_dataset(data, rows)).value, b, seed
+    )
     return bootstrap_sd(reps)
 
 

@@ -18,11 +18,16 @@ So a nested fit is on the population scale and a non-nested fit is shifted.
 A sample-scale fit of nested rows is the non-nested fit of the same rows.
 
 Fitting is Newton-Raphson with step-halving on the size-normalized
-objective. Each iterate's linear predictor eta is computed once, by the line
-search that accepts it; one exp(-|eta|) per iterate then gives both the
-objective (through a stable softplus) and the fitted probabilities that the
-gradient and the Hessian use. The rank guard runs on the first Hessian, which
-at coef = 0 is the weighted Gram matrix / 4. The fit stops when the max-norm
+objective, from 0 or from a given start point (a bootstrap refit starts at
+the full-sample fit). Each iterate's linear predictor eta is computed once,
+by the line search that accepts it; one exp(-|eta|) per iterate then gives
+both the objective (through a stable softplus) and the fitted probabilities
+that the gradient and the Hessian use. The rank guard runs on the first
+Hessian of every fit, X^T diag(w p (1 - p)) X at the start point: at coef = 0
+that is the weighted Gram matrix / 4, and since p (1 - p) > 0 it has the
+Gram matrix's rank at any start, so a warm-started fit is guarded like a cold
+one. Rows of weight 0 drop out of it, so a refit weighted by a resample's row
+counts checks the resample's own rank. The fit stops when the max-norm
 of the gradient in standardized coordinates (covariates centred and scaled by
 their weighted means and SDs) drops below 1e-8, and raises
 ``SeparationDetected`` when a standardized coefficient passes 30, so neither
@@ -144,89 +149,137 @@ def log_pseudo_likelihood_gradient(coef, xmat, labels, weights, norm: float) -> 
     return xmat.T @ (weights * (labels - prob)) / norm
 
 
-def _newton_fit(xmat, labels, weights, norm):
-    """Maximize the weighted objective; returns (coef, objective, grad_norm, iters).
+class _NewtonWorkspace:
+    """Newton fits of one design matrix and label vector under any row weights.
 
-    ``xmat``'s first column is the intercept. The convergence and separation
-    guards work in standardized coordinates eta = a + sum_j b_j (x_j - m_j) / s_j,
-    with m_j and s_j the covariates' weighted means and SDs: the gradient's
-    max-norm in (a, b) is compared with ``GRAD_TOL``, and (a, b) themselves
-    with ``SEPARATION_BOUND``.
+    Built once from ``(xmat, labels, norm)``; :meth:`fit` may then run many
+    times, with different weights and start points, in the same work buffers,
+    so repeated fits (e.g. bootstrap refits from row counts) allocate no
+    row-sized arrays. A weight of 0 drops a row; an integer weight k counts it
+    k times.
     """
-    n, q = xmat.shape
-    xt = np.ascontiguousarray(xmat.T)
-    xw = xt * weights
-    ws = weights * labels
-    score0 = xt @ ws
-    wsum = float(np.sum(weights))
-    xmean = np.sum(xw[1:], axis=1) / wsum
-    centred = xt[1:] - xmean[:, None]
-    # einsum, not `@`: with one covariate that product is a ddot (see _dot)
-    xsd = np.sqrt(np.einsum("ij,ij,j->i", centred, centred, weights) / wsum)
 
-    def objective(eta, t):
-        return (_dot(ws, eta) - _dot(weights, _softplus(eta, t))) / norm
+    def __init__(self, xmat, labels, norm: float):
+        n, q = xmat.shape
+        self.xt = np.ascontiguousarray(xmat.T)
+        self.labels = labels
+        self.norm = norm
+        self._xw = np.empty((q, n))  # X^T diag(w)
+        self._scratch = np.empty((q, n))  # centred covariates, then Hessian terms
+        self._ws = np.empty(n)  # w * s
+        self._eta = np.empty(n)  # linear predictor of the latest candidate
+        self._t = np.empty(n)  # exp(-|eta|)
+        self._prob = np.empty(n)  # fitted probabilities; scratch in the line search
+        self._tmp = np.empty(n)
+        self._is_pos = np.empty(n, dtype=bool)
 
-    def hessian(prob):
+    def _set_eta(self, coef) -> None:
+        np.matmul(coef, self.xt, out=self._eta)
+        t = np.abs(self._eta, out=self._t)
+        np.exp(np.negative(t, out=t), out=t)
+
+    def _objective(self, weights) -> float:
+        """The objective at the latest eta: :func:`_softplus` into buffers."""
+        softplus = np.maximum(self._eta, 0.0, out=self._tmp)
+        softplus += np.log1p(self._t, out=self._prob)
+        return (_dot(self._ws, self._eta) - _dot(weights, softplus)) / self.norm
+
+    def _set_prob(self) -> None:
+        """Probabilities at the latest eta: :func:`_logistic` into buffers."""
+        numer = self._tmp
+        np.copyto(numer, self._t)
+        np.copyto(numer, 1.0, where=np.greater_equal(self._eta, 0.0, out=self._is_pos))
+        np.divide(numer, np.add(1.0, self._t, out=self._prob), out=self._prob)
+
+    def _hessian(self):
         # unnormalized: X^T diag(w p (1 - p)) X
-        return (xw * (prob * (1.0 - prob))) @ xt.T
+        pq = np.subtract(1.0, self._prob, out=self._tmp)
+        pq *= self._prob
+        return np.multiply(self._xw, pq, out=self._scratch) @ self.xt.T
 
-    coef = np.zeros(q)
-    obj = -_dot(weights, np.full(n, np.log1p(1.0))) / norm  # eta = 0: softplus(0) = log1p(1)
-    prob = np.full(n, 0.5)
-    hess = hessian(prob)  # the weighted Gram matrix / 4
-    # rank of D^-1 H D^-1, D = sqrt(diag(H)), so that no column's units hide
-    # another's; H sums n rows, so its entries carry up to n eps relative rounding
-    d = np.sqrt(np.diag(hess))
-    if not np.all(d > 0):
-        raise RankDeficient("weighted design matrix is rank deficient")
-    sv = np.linalg.svd(hess / np.outer(d, d), compute_uv=False)
-    if np.count_nonzero(sv > n * np.finfo(float).eps * sv[0]) < q:
-        raise RankDeficient("weighted design matrix is rank deficient")
+    def fit(self, weights, start=None):
+        """Maximize the weighted objective from ``start`` (default 0).
 
-    iters = 0
-    while True:
-        grad = (score0 - xw @ prob) / norm
-        # d/da = d/dc_0; d/db_j = (d/dc_j - m_j d/dc_0) / s_j
-        std_grad = np.append(grad[0], (grad[1:] - xmean * grad[0]) / xsd)
-        gnorm = float(np.max(np.abs(std_grad)))
-        if gnorm < GRAD_TOL:
-            return coef, obj, gnorm, iters
-        if iters == MAX_ITER:
-            raise NonConvergence(
-                f"no convergence in {MAX_ITER} iterations (gradient max-norm {gnorm:.3e})",
-                gnorm,
-            )
-        if iters:
-            hess = hessian(prob)
-        iters += 1
-        try:
-            delta = np.linalg.solve(hess / norm, grad)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient("singular Hessian in participation fit") from exc
+        Returns (coef, objective, grad_norm, iters). The design's first column
+        is the intercept. The convergence and separation guards work in
+        standardized coordinates eta = a + sum_j b_j (x_j - m_j) / s_j, with
+        m_j and s_j the covariates' weighted means and SDs: the gradient's
+        max-norm in (a, b) is compared with ``GRAD_TOL``, and (a, b)
+        themselves with ``SEPARATION_BOUND``. The rank guard runs on the first
+        Hessian, at the start point, whatever it is.
+        """
+        xt, norm = self.xt, self.norm
+        q, n = xt.shape
+        xw = np.multiply(xt, weights, out=self._xw)
+        ws = np.multiply(weights, self.labels, out=self._ws)
+        score0 = xt @ ws
+        wsum = float(np.sum(weights))
+        xmean = np.sum(xw[1:], axis=1) / wsum
+        centred = np.subtract(xt[1:], xmean[:, None], out=self._scratch[1:])
+        # einsum, not `@`: with one covariate that product is a ddot (see _dot)
+        xsd = np.sqrt(np.einsum("ij,ij,j->i", centred, centred, weights) / wsum)
 
-        step = 1.0
+        coef = np.zeros(q) if start is None else np.array(start, dtype=float)
+        self._set_eta(coef)
+        obj = self._objective(weights)
+        self._set_prob()
+        hess = self._hessian()  # at coef = 0, the weighted Gram matrix / 4
+        # rank of D^-1 H D^-1, D = sqrt(diag(H)), so that no column's units hide
+        # another's; H sums n rows, so its entries carry up to n eps relative rounding
+        d = np.sqrt(np.diag(hess))
+        if not np.all(d > 0):
+            raise RankDeficient("weighted design matrix is rank deficient")
+        sv = np.linalg.svd(hess / np.outer(d, d), compute_uv=False)
+        if np.count_nonzero(sv > n * np.finfo(float).eps * sv[0]) < q:
+            raise RankDeficient("weighted design matrix is rank deficient")
+
+        iters = 0
         while True:
-            cand = coef + step * delta
-            cand_eta = cand @ xt
-            cand_t = np.exp(-np.abs(cand_eta))
-            cand_obj = objective(cand_eta, cand_t)
-            if cand_obj >= obj:
-                break
-            step *= 0.5
-            if step < 2.0**-30:
+            grad = (score0 - xw @ self._prob) / norm
+            # d/da = d/dc_0; d/db_j = (d/dc_j - m_j d/dc_0) / s_j
+            std_grad = np.append(grad[0], (grad[1:] - xmean * grad[0]) / xsd)
+            gnorm = float(np.max(np.abs(std_grad)))
+            if gnorm < GRAD_TOL:
+                return coef, obj, gnorm, iters
+            if iters == MAX_ITER:
                 raise NonConvergence(
-                    f"step halving stalled (gradient max-norm {gnorm:.3e})", gnorm
+                    f"no convergence in {MAX_ITER} iterations (gradient max-norm {gnorm:.3e})",
+                    gnorm,
                 )
-        coef, obj = cand, cand_obj
-        # a = c_0 + sum_j c_j m_j; b_j = c_j s_j
-        standardized = np.append(coef[0] + coef[1:] @ xmean, coef[1:] * xsd)
-        if np.max(np.abs(standardized)) > SEPARATION_BOUND:
-            raise SeparationDetected(
-                "standardized participation coefficients diverged beyond "
-                f"{SEPARATION_BOUND:g}; data are likely separated"
-            )
-        prob = _logistic(cand_eta, cand_t)
+            if iters:
+                hess = self._hessian()
+            iters += 1
+            try:
+                delta = np.linalg.solve(hess / norm, grad)
+            except np.linalg.LinAlgError as exc:
+                raise RankDeficient("singular Hessian in participation fit") from exc
+
+            step = 1.0
+            while True:
+                cand = coef + step * delta
+                self._set_eta(cand)
+                cand_obj = self._objective(weights)
+                if cand_obj >= obj:
+                    break
+                step *= 0.5
+                if step < 2.0**-30:
+                    raise NonConvergence(
+                        f"step halving stalled (gradient max-norm {gnorm:.3e})", gnorm
+                    )
+            coef, obj = cand, cand_obj
+            # a = c_0 + sum_j c_j m_j; b_j = c_j s_j
+            standardized = np.append(coef[0] + coef[1:] @ xmean, coef[1:] * xsd)
+            if np.max(np.abs(standardized)) > SEPARATION_BOUND:
+                raise SeparationDetected(
+                    "standardized participation coefficients diverged beyond "
+                    f"{SEPARATION_BOUND:g}; data are likely separated"
+                )
+            self._set_prob()
+
+
+def _newton_fit(xmat, labels, weights, norm, start=None):
+    """One fit in a fresh :class:`_NewtonWorkspace`: (coef, objective, grad_norm, iters)."""
+    return _NewtonWorkspace(xmat, labels, norm).fit(weights, start)
 
 
 def participation_design(data: ObservedDataset):

@@ -1,6 +1,8 @@
+import dataclasses
 import errno
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 import trialport as tp
 from trialport import cli, dataio, experiment
 from trialport.cli import main
+from trialport.estimators import Method, StudyPopulation
+from trialport.experiment import EstimatorSpec
 
 from support import oracles
 
@@ -42,6 +46,76 @@ def run_json(capsys, args):
     capsys.readouterr()
     code = main(args)
     return code, capsys.readouterr()
+
+
+def capture_replicates(monkeypatch) -> list:
+    """Record, per ``cli.bootstrap_replicates`` call: (data, resample rows, replicates)."""
+    calls = []
+    original = cli.bootstrap_replicates
+
+    def recording(data, stat_fn, b, seed):
+        draws = []
+
+        def stat(rows):
+            draws.append(rows)
+            return stat_fn(rows)
+
+        reps = original(data, stat, b, seed)
+        calls.append((data, draws, reps))
+        return reps
+
+    monkeypatch.setattr(cli, "bootstrap_replicates", recording)
+    return calls
+
+
+def materialized_difference(data, rows, arm, method):
+    """diagnose's replicate refit on the resampled dataset itself (NaN where that fails)."""
+    trial = EstimatorSpec(Method.TRIAL_ONLY, StudyPopulation.RANDOMIZED, arm)
+    external = EstimatorSpec(method, StudyPopulation.NONRANDOMIZED, arm)
+    try:
+        resample = dataclasses.replace(
+            data, x=data.x.take(rows, axis=0), s=data.s.take(rows), a=data.a.take(rows),
+            y=data.y.take(rows),
+        )
+        return trial.fit_and_evaluate(resample).value - external.fit_and_evaluate(resample).value
+    except tp.TrialportError:
+        return math.nan
+
+
+def write_dataset(tmp_path, data, name="data"):
+    out = tmp_path / name
+    dataio.write_dataset(data, out.with_suffix(".csv"), out.with_suffix(".json"))
+    return out
+
+
+def degenerate_dataset(kind):
+    """A census dataset on which some resamples, not the full sample, cannot be refit.
+
+    Returns (dataset, the row that such a resample misses). "lone_arm": arm 1
+    has a single trial row. "rare_level": a binary covariate is 1 on a single
+    external row, so without it that column is all zeros.
+    """
+    rng = np.random.Generator(np.random.Philox(7))
+    n_trial, n_external = 40, 40
+    n = n_trial + n_external
+    x = np.column_stack([rng.normal(size=n), np.zeros(n)])
+    a = np.full(n, np.nan)
+    y = np.full(n, np.nan)
+    y[:n_trial] = rng.normal(size=n_trial)
+    if kind == "lone_arm":
+        a[:n_trial] = 0.0
+        a[0] = 1.0
+        lone = 0
+        x = x[:, :1]
+    else:
+        a[:n_trial] = [i % 2 for i in range(n_trial)]
+        lone = n_trial
+        x[lone, 1] = 1.0
+    data = tp.ObservedDataset(
+        x=x, s=np.array([1] * n_trial + [0] * n_external), a=a, y=y,
+        design=tp.CensusNested(), k=1, n_unsampled_nonrandomized=0,
+    )
+    return data, lone
 
 
 class TestSimulate:
@@ -176,6 +250,14 @@ class TestEstimate:
         assert exc.value.code == 2
 
 
+DIAGNOSE_DESIGNS = [
+    {"variant": "census_nested"},
+    {"variant": "subsampled_nested_covariate",
+     "c_table": {"type": "step", "coord": 0, "cutoff": 0.0, "low": 0.2, "high": 0.8}},
+    {"variant": "non_nested", "u_hidden": 0.4},
+]
+
+
 class TestDiagnose:
     def test_reports_difference_with_bootstrap_se(self, tmp_path, capsys):
         out = simulate(tmp_path, n=6_000)
@@ -223,6 +305,51 @@ class TestDiagnose:
         doc = json.loads(captured.out, parse_constant=_reject_non_finite)
         assert [arm["difference_bootstrap_se"] for arm in doc["arms"]] == [None, None]
         assert all(math.isfinite(arm["difference"]) for arm in doc["arms"])
+
+    @pytest.mark.parametrize("design", DIAGNOSE_DESIGNS, ids=lambda d: d["variant"])
+    def test_ipw_replicates_match_refits_of_the_resampled_dataset(
+        self, tmp_path, capsys, monkeypatch, design
+    ):
+        out = simulate(tmp_path, design=design, n=6_000)
+        calls = capture_replicates(monkeypatch)
+        argv = ["diagnose", str(out), "--method", "ipw", "--bootstrap-b", "60", "--seed", "5"]
+        assert run_json(capsys, argv)[0] == 0
+        assert len(calls) == 2
+        for arm, (data, draws, reps) in enumerate(calls):
+            assert len(draws) == 60
+            ref = [materialized_difference(data, rows, arm, Method.IPW_HAJEK) for rows in draws]
+            np.testing.assert_array_equal(np.isnan(reps), np.isnan(ref))
+            np.testing.assert_allclose(reps, ref, rtol=1e-6)
+
+    @pytest.mark.parametrize("design", DIAGNOSE_DESIGNS, ids=lambda d: d["variant"])
+    def test_gformula_replicates_are_refits_of_the_resampled_dataset(
+        self, tmp_path, capsys, monkeypatch, design
+    ):
+        out = simulate(tmp_path, design=design, n=6_000)
+        calls = capture_replicates(monkeypatch)
+        argv = ["diagnose", str(out), "--method", "gformula", "--bootstrap-b", "60", "--seed", "5"]
+        assert run_json(capsys, argv)[0] == 0
+        assert len(calls) == 2
+        for arm, (data, draws, reps) in enumerate(calls):
+            ref = [materialized_difference(data, rows, arm, Method.GFORMULA) for rows in draws]
+            np.testing.assert_array_equal(reps, ref)
+
+    @pytest.mark.parametrize("kind", ["lone_arm", "rare_level"])
+    def test_degenerate_resamples_give_nan_replicates(self, tmp_path, capsys, monkeypatch, kind):
+        data, lone = degenerate_dataset(kind)
+        out = write_dataset(tmp_path, data)
+        calls = capture_replicates(monkeypatch)
+        argv = ["diagnose", str(out), "--method", "ipw", "--bootstrap-b", "60", "--seed", "5"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, captured = run_json(capsys, argv)
+        assert code == 0, captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "Warning" not in captured.err
+        for _, draws, reps in calls:
+            missed = np.array([lone not in rows for rows in draws])
+            assert 0 < missed.sum() < missed.size
+            np.testing.assert_array_equal(np.isnan(reps), missed)
 
     def test_missing_external_stratum_exits_4(self, tmp_path, capsys):
         out = simulate(tmp_path)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 import trialport as tp
@@ -11,12 +12,15 @@ from trialport.participation import (
     MAX_ITER,
     Scale,
     _newton_fit,
+    _NewtonWorkspace,
     log_pseudo_likelihood,
     log_pseudo_likelihood_gradient,
     participation_design,
 )
 
-from conftest import as_non_nested
+from trialport.experiment import bootstrap_replicates
+
+from conftest import as_non_nested, make_tiny_dataset
 from support import oracles
 
 # an overflow or invalid value in the fit's kernel fails the test instead of warning
@@ -409,3 +413,69 @@ class TestProbabilityAndOdds:
         rows = np.array([tp.participation_probability(model, design, row)[0] for row in x])
         assert np.array_equal(prob, rows)
         assert np.array_equal(prob, expit(model.coefficients[0] + model.slope_score(x)))
+
+
+def _fit_or_error(fit, *args):
+    """``fit(*args)``, or the class of the trialport error that it raised."""
+    try:
+        return fit(*args)
+    except tp.TrialportError as exc:
+        return type(exc)
+
+
+COUNT_REFIT_DESIGNS = {
+    "census": tp.CensusNested(),
+    "c=0.3": tp.SubsampledNested(c=0.3),
+    "step_rule": tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
+    "non_nested": tp.NonNested(),
+}
+
+
+class TestCountRefit:
+    """A fit with weights design weight x row count is the fit of the resampled rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        design=st.sampled_from(sorted(COUNT_REFIT_DESIGNS)),
+        p=st.integers(0, 2),
+        n_trial=st.integers(8, 60),
+        n_external=st.integers(8, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_count_refit_equals_refit_on_materialized_rows(
+        self, design, p, n_trial, n_external, seed
+    ):
+        if design == "step_rule" and p == 0:
+            p = 1  # the step rule needs an auxiliary covariate
+        data = make_tiny_dataset(
+            COUNT_REFIT_DESIGNS[design], n_trial, n_external, p, n_unsampled=n_external, seed=seed
+        )
+        draws = []
+        bootstrap_replicates(data, lambda rows: draws.append(rows) or 0.0, 3, seed)
+        xmat, labels, weights, norm = participation_design(data)
+        work = _NewtonWorkspace(xmat, labels, norm)
+        full = _fit_or_error(work.fit, weights)
+        starts = [None] if isinstance(full, type) else [None, full[0]]
+        for rows in draws:
+            counted = weights * np.bincount(rows, minlength=data.n_rows)
+            for start in starts:
+                by_counts = _fit_or_error(work.fit, counted, start)
+                by_rows = _fit_or_error(
+                    _newton_fit, xmat.take(rows, axis=0), labels.take(rows), weights.take(rows),
+                    norm, start,
+                )
+                if isinstance(by_rows, type):
+                    assert by_counts is by_rows
+                    continue
+                assert not isinstance(by_counts, type), by_counts
+                coef, obj, gnorm, iters = by_counts
+                assert iters == by_rows[3]
+                if np.max(np.abs(by_rows[0])) > 10.0:
+                    # nearly separated: p(1 - p) is tiny on some rows, so the
+                    # Hessian amplifies rounding and pins the optimum only loosely
+                    continue
+                assert np.max(np.abs(coef - by_rows[0])) <= 1e-10 * np.max(np.abs(by_rows[0]))
+                # a start at the optimum is already converged
+                again = work.fit(counted, coef)
+                assert again[1:] == (obj, gnorm, 0)
+                np.testing.assert_array_equal(again[0], coef)

@@ -15,6 +15,10 @@ stdout and stderr), then a total over those lines: equal totals mean the same
 bytes. Each ``experiment`` and ``sweep`` CSV is also digested with its
 oracle-derived columns (``truth``, ``bias``, ``rmse``) removed, as
 ``NAME.no_truth``: a change to the oracle alone moves only the full digests.
+Each ``diagnose`` output is also digested with its ``difference_bootstrap_se``
+rounded to 6 significant digits, as ``NAME.se6``: a change that refits the
+same resamples to the same optimum by another route moves only the full
+digests.
 """
 
 import contextlib
@@ -78,6 +82,19 @@ def _without_truth(data: bytes) -> bytes:
     return out.getvalue().encode()
 
 
+def _se6(stream: bytes) -> bytes:
+    """A diagnose output with each arm's bootstrap SE rounded to 6 significant digits."""
+    head, _, text = stream.decode().partition("\n")
+    try:
+        doc, end = json.JSONDecoder().raw_decode(text)
+    except json.JSONDecodeError:  # no report: a refused run
+        return stream
+    for arm in doc["arms"]:
+        if arm["difference_bootstrap_se"] is not None:
+            arm["difference_bootstrap_se"] = float(f"{arm['difference_bootstrap_se']:.6g}")
+    return f"{head}\n{json.dumps(doc, indent=2)}{text[end:]}".encode()
+
+
 def run_all(main) -> dict:
     """Run every command in the current directory; return name -> output bytes."""
     streams = {}
@@ -91,7 +108,9 @@ def run_all(main) -> dict:
                 _run(main, name, argv + ["--out", f"{name}.csv"], streams)
         for method in ("gformula", "ipw"):
             argv = ["diagnose", f"data_{d}", "--method", method, "--bootstrap-b", "8", "--seed", "3"]
-            _run(main, f"diagnose_{d}_{method}", argv, streams)
+            name = f"diagnose_{d}_{method}"
+            _run(main, name, argv, streams)
+            streams[f"{name}.se6"] = _se6(streams[name])
     sidecar = {"design": DESIGNS["census"], "k": 1, "treatment_prob": 0.5,
                "n_unsampled_nonrandomized": 0}
     for m, rows in MALFORMED.items():
