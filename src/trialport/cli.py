@@ -17,7 +17,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +33,12 @@ from .experiment import (
     SIMULATE_SAMPLING_TAG,
     EstimatorSpec,
     IpwDifferenceFromCounts,
+    ResampledDifference,
     bootstrap_replicates,
     bootstrap_sd,
     design_comparison,
     fit_models,
     mix_seed,
-    resampled_dataset,
     summary_rows_to_csv,
 )
 from .sampling import apply_design
@@ -144,6 +146,14 @@ def _cmd_estimate(args) -> int:
 # diagnose
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _cmd_diagnose(args) -> int:
     if args.bootstrap_b < 2:
         raise ConfigError(f"--bootstrap-b must be >= 2, got {args.bootstrap_b}")
@@ -164,22 +174,20 @@ def _cmd_diagnose(args) -> int:
     # ipw contrast from the resample's row counts, warm-started at the
     # full-sample participation fit; the gformula one on the resampled dataset
     models = fit_models([spec for pair in pairs for spec in pair], data)
-    count_difference = (
-        IpwDifferenceFromCounts(data, models[0].coefficients) if args.method == "ipw" else None
-    )
+    if args.method == "ipw":
+        count_difference = IpwDifferenceFromCounts(data, models[0].coefficients)
+        stats = [partial(count_difference, arm=arm) for arm in (0, 1)]
+    else:
+        stats = [ResampledDifference(data, *pair) for pair in pairs]
+    # the replicates are the same at any process count, so use every CPU there is
+    workers = _usable_cpus()
     arms_out = []
-    for arm, (trial_spec, external_spec) in enumerate(pairs):
-
-        def stat(rows):
-            if count_difference is not None:
-                return count_difference(rows, arm)
-            d = resampled_dataset(data, rows)
-            return trial_spec.fit_and_evaluate(d).value - external_spec.fit_and_evaluate(d).value
-
+    for arm, ((trial_spec, external_spec), stat) in enumerate(zip(pairs, stats)):
         trial = trial_spec.evaluate(data, *models).value
         external = external_spec.evaluate(data, *models).value
         reps = bootstrap_replicates(
-            data, stat, args.bootstrap_b, seed=mix_seed(seed, DIAGNOSE_BOOT_TAG, arm)
+            data, stat, args.bootstrap_b, seed=mix_seed(seed, DIAGNOSE_BOOT_TAG, arm),
+            workers=workers,
         )
         boot_se = bootstrap_sd(reps)
         arms_out.append(

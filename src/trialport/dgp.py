@@ -15,12 +15,15 @@ by a ``numpy.random.SeedSequence`` spawn key under the 64-bit seed:
   simulated population: 0 participation (every record), 1 treatment and 2
   outcome noise (trial participants only);
 - ``(1, c, 0, j)`` and ``(1, c, 1, 0)``: oracle chunk ``c``'s covariates and participation;
-- ``(2, 0)`` the design-thinning draw of :mod:`trialport.sampling`.
+- ``(2, 0)`` the design-thinning draw of :mod:`trialport.sampling`;
+- ``(3, i)`` resample ``i`` of a bootstrap (:mod:`trialport.experiment`): its
+  trial-row draws, then its external-row draws.
 
 Record ``i`` of a population or oracle chunk consumes the i-th variate of each
 stream it draws from; the k-th trial participant, the k-th of fields 1 and 2.
-Output therefore depends only on the seed and the record's index (and chunk),
-never on scheduling, partitioning or the number of worker processes.
+Output therefore depends only on the seed and the record's index (and chunk,
+or resample), never on scheduling, partitioning or the number of worker
+processes.
 """
 
 from __future__ import annotations
@@ -235,19 +238,40 @@ class OracleTruth:
     se_pr_s1: float
 
 
-def _map_in_workers(fn, tasks, workers: int) -> list:
-    """``[fn(*task) for task in tasks]``, run over ``min(workers, len(tasks))`` processes.
+# (fn, shared) of a pool process, set once by its initializer
+_installed = None
+
+
+def _install(fn, shared) -> None:
+    global _installed
+    _installed = fn, shared
+
+
+def _call_installed(*task):
+    fn, shared = _installed
+    return fn(*shared, *task)
+
+
+def _map_in_workers(fn, tasks, workers: int, shared: tuple = ()) -> list:
+    """``[fn(*shared, *task) for task in tasks]``, run over ``min(workers, len(tasks))`` processes.
 
     The package's one process pool. With one process to use, the calls run in
-    this one; either way the results come back in task order.
+    this one; either way the results come back in task order. ``fn`` and the
+    ``shared`` leading arguments reach each pool process once, through its
+    initializer: under fork they are inherited, under spawn or forkserver they
+    are pickled once per process, never once per task. Only ``tasks`` and the
+    results travel per task.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     processes = min(workers, len(tasks))
     if processes <= 1:
-        return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * processes))))
+        return [fn(*shared, *task) for task in tasks]
+    with ProcessPoolExecutor(
+        max_workers=processes, initializer=_install, initargs=(fn, shared)
+    ) as pool:
+        chunksize = max(1, len(tasks) // (4 * processes))
+        return list(pool.map(_call_installed, *zip(*tasks), chunksize=chunksize))
 
 
 # rows drawn and reduced per oracle chunk; bounds the oracle's memory whatever m is

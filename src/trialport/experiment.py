@@ -19,7 +19,14 @@ from itertools import islice
 
 import numpy as np
 
-from .dgp import DgpSpec, OracleTruth, _map_in_workers, oracle_truth, simulate_actual_population
+from .dgp import (
+    DgpSpec,
+    OracleTruth,
+    _map_in_workers,
+    _stream,
+    oracle_truth,
+    simulate_actual_population,
+)
 from .domain import (
     CensusNested,
     Design,
@@ -433,6 +440,10 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
 # Stratified bootstrap
 
 
+# spawn-key prefix for resample draws; distinct from the dgp and sampling prefixes
+_RESAMPLE = 3
+
+
 def _resample_rows(data: ObservedDataset, rng: np.random.Generator) -> np.ndarray:
     """Row positions of one stratified resample: trial draws, then external draws."""
     trial_idx, ext_idx = data._trial_rows, data._external_rows
@@ -450,25 +461,60 @@ def resampled_dataset(data: ObservedDataset, rows: np.ndarray) -> ObservedDatase
     )
 
 
-def bootstrap_replicates(data: ObservedDataset, stat_fn, b: int, seed: int) -> np.ndarray:
+def _replicates(data: ObservedDataset, stat_fn, seed: int, indices: range) -> np.ndarray:
+    """``stat_fn`` on resamples ``indices`` of the bootstrap with ``seed``; NaN where it fails."""
+    out = np.empty(len(indices))
+    for k, i in enumerate(indices):
+        rows = _resample_rows(data, _stream(seed, _RESAMPLE, i))
+        try:
+            out[k] = stat_fn(rows)
+        except TrialportError:
+            out[k] = math.nan
+    return out
+
+
+def bootstrap_replicates(
+    data: ObservedDataset, stat_fn, b: int, seed: int, workers: int = 1
+) -> np.ndarray:
     """Vector of ``stat_fn`` over ``b`` stratified resamples (NaN where it fails).
 
     ``stat_fn`` receives one resample's row positions in ``data``: as many
     draws with replacement from the trial rows as there are trial rows, then
-    likewise from the external rows, all from one Philox stream of ``seed``.
-    :func:`resampled_dataset` turns them into the resampled dataset;
-    ``np.bincount`` turns them into per-row counts. A ``TrialportError`` from
-    ``stat_fn`` (an invalid resampled dataset, a failed fit) gives NaN.
+    likewise from the external rows. Resample ``i`` draws both from its own
+    Philox stream, keyed ``(3, i)`` under ``seed``, so it is the same resample
+    whichever process draws it. :func:`resampled_dataset` turns the positions
+    into the resampled dataset; ``np.bincount`` turns them into per-row counts.
+    A ``TrialportError`` from ``stat_fn`` (an invalid resampled dataset, a
+    failed fit) gives NaN.
+
+    The resamples are spread, in runs of consecutive indices, over
+    ``min(workers, b)`` processes, which receive ``data`` and ``stat_fn`` once
+    each (see :func:`~trialport.dgp._map_in_workers`; ``stat_fn`` must then
+    pickle where processes are not forked). The runs are concatenated in
+    index order, so the vector is bit for bit the same at any ``workers``.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed & _MASK64)))
-    out = np.empty(b)
-    for i in range(b):
-        rows = _resample_rows(data, rng)
-        try:
-            out[i] = stat_fn(rows)
-        except TrialportError:
-            out[i] = math.nan
-    return out
+    # four runs per process, so that a process slowed by other load hands work on
+    n_runs = min(b, 4 * workers)
+    runs = [(range(b * k // n_runs, b * (k + 1) // n_runs),) for k in range(n_runs)]
+    per_run = _map_in_workers(_replicates, runs, workers, shared=(data, stat_fn, seed))
+    return np.concatenate(per_run) if per_run else np.empty(0)
+
+
+@dataclass(frozen=True, eq=False)
+class ResampledDifference:
+    """``diagnose --method gformula``'s statistic on a resample, from its dataset.
+
+    ``trial`` minus ``external``, two :class:`EstimatorSpec` cells of one arm,
+    each fit and evaluated on the resampled dataset.
+    """
+
+    data: ObservedDataset
+    trial: EstimatorSpec
+    external: EstimatorSpec
+
+    def __call__(self, rows: np.ndarray) -> float:
+        d = resampled_dataset(self.data, rows)
+        return self.trial.fit_and_evaluate(d).value - self.external.fit_and_evaluate(d).value
 
 
 class IpwDifferenceFromCounts:
@@ -479,11 +525,12 @@ class IpwDifferenceFromCounts:
     give on the resampled dataset. Here the resample's row positions become
     per-row counts instead. Participation is refit on the full sample's design
     with weights design weight × count, warm-started from the full-sample
-    coefficients ``start``, in one Newton workspace that every resample and
-    both arms share; both means are count-weighted sums over the arm's trial
-    rows. No resampled dataset is built or validated: a resample that draws no
-    trial row of some arm, whose dataset would be invalid, gives NaN, and a
-    failed refit raises as :func:`fit_participation` would.
+    coefficients ``start``, in one Newton workspace per process: every
+    resample that a process refits reuses it, and so do both arms when they
+    run in this process. Both means are count-weighted sums over the arm's
+    trial rows. No resampled dataset is built or validated: a resample that
+    draws no trial row of some arm, whose dataset would be invalid, gives NaN,
+    and a failed refit raises as :func:`fit_participation` would.
     """
 
     def __init__(self, data: ObservedDataset, start: np.ndarray):

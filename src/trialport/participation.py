@@ -178,11 +178,17 @@ class _NewtonWorkspace:
         t = np.abs(self._eta, out=self._t)
         np.exp(np.negative(t, out=t), out=t)
 
-    def _objective(self, weights) -> float:
-        """The objective at the latest eta: :func:`_softplus` into buffers."""
+    def _objective(self, weights) -> tuple[float, float]:
+        """The objective at the latest eta (:func:`_softplus` into buffers), and its rounding.
+
+        The rounding is a bound on the objective's rounding error: each of the
+        two sums it subtracts adds n rows, so n eps times their sizes.
+        """
         softplus = np.maximum(self._eta, 0.0, out=self._tmp)
         softplus += np.log1p(self._t, out=self._prob)
-        return (_dot(self._ws, self._eta) - _dot(weights, softplus)) / self.norm
+        fit, spread = _dot(self._ws, self._eta), _dot(weights, softplus)
+        rounding = self._t.size * np.finfo(float).eps * (abs(fit) + spread) / self.norm
+        return (fit - spread) / self.norm, rounding
 
     def _set_prob(self) -> None:
         """Probabilities at the latest eta: :func:`_logistic` into buffers."""
@@ -221,7 +227,7 @@ class _NewtonWorkspace:
 
         coef = np.zeros(q) if start is None else np.array(start, dtype=float)
         self._set_eta(coef)
-        obj = self._objective(weights)
+        obj, rounding = self._objective(weights)
         self._set_prob()
         hess = self._hessian()  # at coef = 0, the weighted Gram matrix / 4
         # rank of D^-1 H D^-1, D = sqrt(diag(H)), so that no column's units hide
@@ -254,19 +260,23 @@ class _NewtonWorkspace:
             except np.linalg.LinAlgError as exc:
                 raise RankDeficient("singular Hessian in participation fit") from exc
 
+            # a step that gains less than the objective's rounding, by its quadratic
+            # model grad . delta / 2, cannot be judged by the objective: so close
+            # to the optimum the full Newton step is taken without a line search
+            unjudged = _dot(grad, delta) / 2 <= rounding
             step = 1.0
             while True:
                 cand = coef + step * delta
                 self._set_eta(cand)
-                cand_obj = self._objective(weights)
-                if cand_obj >= obj:
+                cand_obj, cand_rounding = self._objective(weights)
+                if unjudged or cand_obj >= obj:
                     break
                 step *= 0.5
                 if step < 2.0**-30:
                     raise NonConvergence(
                         f"step halving stalled (gradient max-norm {gnorm:.3e})", gnorm
                     )
-            coef, obj = cand, cand_obj
+            coef, obj, rounding = cand, cand_obj, cand_rounding
             # a = c_0 + sum_j c_j m_j; b_j = c_j s_j
             standardized = np.append(coef[0] + coef[1:] @ xmean, coef[1:] * xsd)
             if np.max(np.abs(standardized)) > SEPARATION_BOUND:

@@ -2,13 +2,15 @@ import dataclasses
 import errno
 import json
 import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 import trialport as tp
-from trialport import cli, dataio, experiment
+from trialport import cli, dataio, dgp, experiment
 from trialport.cli import main
 from trialport.estimators import Method, StudyPopulation
 from trialport.experiment import EstimatorSpec
@@ -49,18 +51,21 @@ def run_json(capsys, args):
 
 
 def capture_replicates(monkeypatch) -> list:
-    """Record, per ``cli.bootstrap_replicates`` call: (data, resample rows, replicates)."""
+    """Record, per ``cli.bootstrap_replicates`` call: (data, resample rows, replicates).
+
+    The replicates are recorded here, as the call returns them; the rows of
+    resample ``i`` are drawn again from its keyed stream, since the calls of
+    ``stat_fn`` may run in other processes.
+    """
     calls = []
     original = cli.bootstrap_replicates
 
-    def recording(data, stat_fn, b, seed):
-        draws = []
-
-        def stat(rows):
-            draws.append(rows)
-            return stat_fn(rows)
-
-        reps = original(data, stat, b, seed)
+    def recording(data, stat_fn, b, seed, workers=1):
+        reps = original(data, stat_fn, b, seed, workers)
+        draws = [
+            experiment._resample_rows(data, dgp._stream(seed, experiment._RESAMPLE, i))
+            for i in range(b)
+        ]
         calls.append((data, draws, reps))
         return reps
 
@@ -295,7 +300,7 @@ class TestDiagnose:
 
     def test_undefined_bootstrap_se_is_json_null(self, tmp_path, capsys, monkeypatch):
         # every resample failing leaves no SE; stdout must stay strict JSON
-        def all_failed(data, stat_fn, b, seed):
+        def all_failed(data, stat_fn, b, seed, workers=1):
             return np.full(b, np.nan)
 
         monkeypatch.setattr(cli, "bootstrap_replicates", all_failed)
@@ -334,10 +339,15 @@ class TestDiagnose:
             ref = [materialized_difference(data, rows, arm, Method.GFORMULA) for rows in draws]
             np.testing.assert_array_equal(reps, ref)
 
+    # a warning raised in another process never reaches this one, so one CPU count is 1
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("kind", ["lone_arm", "rare_level"])
-    def test_degenerate_resamples_give_nan_replicates(self, tmp_path, capsys, monkeypatch, kind):
+    def test_degenerate_resamples_give_nan_replicates(
+        self, tmp_path, capsys, monkeypatch, kind, cpus
+    ):
         data, lone = degenerate_dataset(kind)
         out = write_dataset(tmp_path, data)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         calls = capture_replicates(monkeypatch)
         argv = ["diagnose", str(out), "--method", "ipw", "--bootstrap-b", "60", "--seed", "5"]
         with warnings.catch_warnings(record=True) as caught:
@@ -351,6 +361,25 @@ class TestDiagnose:
             assert 0 < missed.sum() < missed.size
             np.testing.assert_array_equal(np.isnan(reps), missed)
 
+    @pytest.mark.parametrize("method", ["ipw", "gformula"])
+    def test_stdout_is_the_same_at_any_cpu_count(self, tmp_path, capsys, monkeypatch, method):
+        out = simulate(tmp_path, design=DIAGNOSE_DESIGNS[1], n=2_000)
+        argv = ["diagnose", str(out), "--method", method, "--bootstrap-b", "9", "--seed", "5"]
+        stdouts = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            code, captured = run_json(capsys, argv)
+            assert code == 0, captured.err
+            assert not multiprocessing.active_children()
+            stdouts.append(captured.out)
+        assert stdouts[0] == stdouts[1]
+
+    def test_usable_cpus_falls_back_to_the_cpu_count_without_affinity(self, monkeypatch):
+        assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cli._usable_cpus() == 5
+
     def test_missing_external_stratum_exits_4(self, tmp_path, capsys):
         out = simulate(tmp_path)
         csv_path = out.with_suffix(".csv")
@@ -359,6 +388,7 @@ class TestDiagnose:
         code = main(["diagnose", str(out), "--bootstrap-b", "120"])
         assert code == 4
         assert "non-randomized" in capsys.readouterr().err
+        assert not multiprocessing.active_children()
 
 
 class TestExperiment:

@@ -215,9 +215,9 @@ class TestOracle:
         pools = []
 
         class RecordingPool(dgp_module.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(dgp_module, "ProcessPoolExecutor", RecordingPool)
         m = 3 * 30_000 + 12_345

@@ -1,7 +1,10 @@
 import collections
+import concurrent.futures
 import dataclasses
+import functools
 import gc
 import math
+import multiprocessing
 import sys
 import weakref
 
@@ -14,6 +17,7 @@ from trialport import experiment
 from trialport.estimators import Method, StudyPopulation
 from trialport.experiment import splitmix64, summary_rows_to_csv
 
+from conftest import make_tiny_dataset
 from support import oracles
 
 
@@ -31,10 +35,12 @@ def small_config(dgp, design, **kwargs):
 def pool_sizes(monkeypatch):
     """Sizes of the process pools opened while the test runs; each maps in this process."""
     sizes = []
+    monkeypatch.setattr(dgp_module, "_installed", None)  # restored after the test
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -438,6 +444,83 @@ class TestBootstrap:
             data = tp.apply_design(pop, tp.CensusNested(), seed=seed + 100)
             boot = tp.bootstrap_se(data, est, 200, seed=seed)
             assert boot == pytest.approx(empirical_sd, rel=0.3)
+
+
+def bootstrap_dataset(design):
+    """A tiny dataset with two arm-1 trial rows, so that some resamples fail either statistic."""
+    data = make_tiny_dataset(design, n_trial=10, n_external=10, p=1, n_unsampled=10, seed=3)
+    a = data.a.copy()
+    a[:10] = 0.0
+    a[[1, 4]] = 1.0
+    return dataclasses.replace(data, a=a)
+
+
+def diagnose_statistic(data, method, arm=1):
+    """``diagnose``'s replicate statistic for ``arm``, as the command line builds it."""
+    trial = spec("trial_only", "randomized", arm)
+    if method == "ipw":
+        count_difference = experiment.IpwDifferenceFromCounts(
+            data, tp.fit_participation(data).coefficients
+        )
+        return functools.partial(count_difference, arm=arm)
+    return experiment.ResampledDifference(data, trial, spec("gformula", "nonrandomized", arm))
+
+
+BOOTSTRAP_DESIGNS = {
+    "census": tp.CensusNested(),
+    "step_rule": tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
+    "non_nested": tp.NonNested(),
+}
+
+
+class TestBootstrapProcesses:
+    """Resample i draws from its own keyed stream, so no replicate depends on the process count."""
+
+    @pytest.mark.parametrize("method", ["ipw", "gformula"])
+    @pytest.mark.parametrize("design", sorted(BOOTSTRAP_DESIGNS))
+    def test_replicates_are_bit_identical_at_any_worker_count(self, design, method):
+        data = bootstrap_dataset(BOOTSTRAP_DESIGNS[design])
+        stat = diagnose_statistic(data, method)
+        ref = experiment.bootstrap_replicates(data, stat, 7, seed=2)
+        assert 0 < np.isnan(ref).sum() < ref.size  # NaN positions are part of the check
+        for workers in (2, 3, 4):
+            reps = experiment.bootstrap_replicates(data, stat, 7, seed=2, workers=workers)
+            assert reps.tobytes() == ref.tobytes(), workers
+
+    def test_resample_i_draws_from_its_keyed_stream(self):
+        data = bootstrap_dataset(tp.CensusNested())
+        draws = []
+        experiment.bootstrap_replicates(data, lambda rows: draws.append(rows) or 0.0, 5, seed=9)
+        assert len(draws) == 5
+        for i, rows in enumerate(draws):
+            expected = experiment._resample_rows(data, dgp_module._stream(9, 3, i))
+            np.testing.assert_array_equal(rows, expected)
+
+    def test_processes_are_capped_at_the_resample_count(self, pool_sizes):
+        data = bootstrap_dataset(tp.CensusNested())
+        reps = experiment.bootstrap_replicates(data, diagnose_statistic(data, "ipw"), 2, 1, 4)
+        assert pool_sizes == [2]
+        assert reps.shape == (2,)
+
+    def test_zero_workers_is_rejected_and_zero_resamples_give_an_empty_vector(self):
+        data = bootstrap_dataset(tp.CensusNested())
+        stat = diagnose_statistic(data, "ipw")
+        with pytest.raises(ValueError, match="workers"):
+            experiment.bootstrap_replicates(data, stat, 7, 1, 0)
+        assert experiment.bootstrap_replicates(data, stat, 0, 1, 2).shape == (0,)
+
+    def test_spawned_workers_give_the_same_replicates(self, monkeypatch):
+        # spawn and forkserver pickle the dataset and statistic once per process
+        data = bootstrap_dataset(tp.CensusNested())
+        stats = [diagnose_statistic(data, method) for method in ("ipw", "gformula")]
+        refs = [experiment.bootstrap_replicates(data, stat, 4, seed=2) for stat in stats]
+        spawn = functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        )
+        monkeypatch.setattr(dgp_module, "ProcessPoolExecutor", spawn)
+        for stat, ref in zip(stats, refs):
+            reps = experiment.bootstrap_replicates(data, stat, 4, seed=2, workers=2)
+            assert reps.tobytes() == ref.tobytes()
 
 
 class TestDesignComparison:

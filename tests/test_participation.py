@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 import trialport as tp
+from trialport import participation
 from trialport.participation import (
     GRAD_TOL,
     MAX_ITER,
@@ -21,7 +22,7 @@ from trialport.participation import (
 from trialport.experiment import bootstrap_replicates
 
 from conftest import as_non_nested, make_tiny_dataset
-from support import oracles
+from support import oracles, specs
 
 # an overflow or invalid value in the fit's kernel fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -413,6 +414,40 @@ class TestProbabilityAndOdds:
         rows = np.array([tp.participation_probability(model, design, row)[0] for row in x])
         assert np.array_equal(prob, rows)
         assert np.array_equal(prob, expit(model.coefficients[0] + model.slope_score(x)))
+
+
+class TestRoundingFloor:
+    """Near the optimum a Newton step gains less than the objective's rounding."""
+
+    def test_start_whose_step_the_objective_cannot_judge_converges_in_one_step(self, dgp1):
+        # starts with an intercept gradient just above GRAD_TOL: the step's gain,
+        # about 1e-16, is below the objective's rounding, which then reads every
+        # candidate as no better (a line search stalled or took no-op steps)
+        for seed in range(12):
+            pop = tp.simulate_actual_population(dgp1, 4_000, seed=seed)
+            xmat, labels, weights, norm = participation_design(
+                tp.apply_design(pop, tp.CensusNested(), seed=seed + 50)
+            )
+            work = _NewtonWorkspace(xmat, labels, norm)
+            coef = work.fit(weights)[0]
+            prob = expit(xmat @ coef)
+            hess = xmat.T @ (xmat * (weights * prob * (1.0 - prob))[:, None]) / norm
+            for grad in (1.05e-8, -1.05e-8, 1.3e-8, -1.3e-8, 2e-8, -2e-8):
+                start = coef - np.linalg.solve(hess, np.array([grad, 0.0]))
+                _, _, gnorm, iters = work.fit(weights, start)
+                assert gnorm < GRAD_TOL and iters == 1, (seed, grad)
+
+    @pytest.mark.parametrize("dgp", ["dgp1", "p2"])
+    def test_gradient_floor_is_far_below_the_tolerance_at_a_million_rows(self, dgp, monkeypatch):
+        spec = oracles.make_dgp1(20240901) if dgp == "dgp1" else specs.P2_DGP
+        pop = tp.simulate_actual_population(spec, 1_000_000, seed=11)
+        data = tp.apply_design(pop, tp.CensusNested(), seed=12)
+        monkeypatch.setattr(participation, "GRAD_TOL", 0.0)
+        monkeypatch.setattr(participation, "MAX_ITER", 8)
+        with pytest.raises(tp.NonConvergence) as raised:
+            tp.fit_participation(data)
+        # measured: 1.2e-16 (dgp1) and 6.3e-18 (p2) after 8 iterates
+        assert raised.value.grad_norm < GRAD_TOL / 100
 
 
 def _fit_or_error(fit, *args):

@@ -18,7 +18,9 @@ oracle-derived columns (``truth``, ``bias``, ``rmse``) removed, as
 Each ``diagnose`` output is also digested with its ``difference_bootstrap_se``
 rounded to 6 significant digits, as ``NAME.se6``: a change that refits the
 same resamples to the same optimum by another route moves only the full
-digests.
+digests, while one that draws other resamples moves both. ``diagnose`` runs on
+every CPU the process may use; its output does not depend on how many there
+are, so digests from machines with different CPU counts compare.
 """
 
 import contextlib
