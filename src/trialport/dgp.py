@@ -1,4 +1,4 @@
-"""Parametric data-generating processes and the conditional Monte Carlo oracle.
+"""Data-generating processes, their exact truths, and the conditional Monte Carlo oracle.
 
 The generating family is fixed so that the model classes used downstream are
 correctly specified: logistic trial participation in the covariates, constant
@@ -7,6 +7,12 @@ with additive Gaussian noise. Each arm's outcome mean is a function of the
 covariates alone, so exchangeability over participation and positivity hold by
 construction (participation probabilities are strictly inside (0, 1) for every
 finite covariate value).
+
+The truths are integrals over the covariate law. :func:`exact_truth` computes
+them by quadrature (one Gaussian index for the Normal coordinates, Bernoulli
+coordinates enumerated, composite Gauss-Legendre rules) whenever the grid fits
+its budget and two node counts agree; :func:`oracle_truth` estimates them by
+Monte Carlo for any DGP, and the experiment harness falls back to it.
 
 Randomness is counter-based (Philox). Each field gets its own stream, keyed
 by a ``numpy.random.SeedSequence`` spawn key under the 64-bit seed:
@@ -150,7 +156,7 @@ class DgpSpec:
         return 1.0 / (1.0 + np.exp(-eta))
 
     def covariate_expectations(self) -> np.ndarray:
-        return np.array([d.expectation() for d in self.covariates])
+        return np.array([d.expectation() for d in self.covariates], dtype=float)
 
 
 class ActualPopulation:
@@ -222,9 +228,11 @@ def simulate_actual_population(dgp: DgpSpec, n: int, seed: int | None = None) ->
 
 @dataclass(frozen=True)
 class OracleTruth:
-    """Monte Carlo truth for every estimand, with per-entry standard errors.
+    """Truth for every estimand, with per-entry standard errors.
 
-    Tuples are indexed by arm (entry 0 for a=0, entry 1 for a=1).
+    Tuples are indexed by arm (entry 0 for a=0, entry 1 for a=1). A Monte
+    Carlo truth (:func:`oracle_truth`) records its sample size; an exact one
+    (:func:`exact_truth`) has ``mc_sample_size`` 0 and every SE 0.
     """
 
     mean_target: tuple[float, float]
@@ -404,4 +412,198 @@ def oracle_truth(
         se_mean_nonrandomized=se_nonrand,
         se_mean_randomized=se_rand,
         se_pr_s1=se_pr,
+    )
+
+
+# composite Gauss-Legendre nodes per panel: the rule whose truths are reported,
+# then the coarser one that must agree with it
+_PANEL_NODES = (20, 10)
+# integrand evaluations the finer rule may take, and the agreement it must reach
+_QUADRATURE_BUDGET = 1 << 22
+_QUADRATURE_RTOL = 1e-12
+# the Gaussian index's window reaches this many standard deviations past the
+# tilt of its integrands; the density there is below 1e-31 of its peak
+_GAUSS_REACH = 12.0
+# grid points evaluated at a time; bounds the quadrature's memory
+_QUADRATURE_BLOCK = 1 << 16
+
+
+def _coordinate_sd(dist: CovariateDist) -> float:
+    if isinstance(dist, Normal):
+        return dist.sd
+    if isinstance(dist, Uniform):
+        return (dist.hi - dist.lo) / math.sqrt(12.0)
+    return math.sqrt(dist.p * (1.0 - dist.p))
+
+
+def _legendre_panels(lo: float, hi: float, panels: int, k: int):
+    """Nodes and weights of the k-node Gauss-Legendre rule on each of ``panels`` equal panels."""
+    t, w = np.polynomial.legendre.leggauss(k)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (0.5 * (edges[:-1, None] + edges[1:, None]) + half * t).ravel(), (half * w).ravel()
+
+
+def _panels(width: float) -> float:
+    """How many panels of width at most 1 cover ``width``; inf or NaN pass through."""
+    return float(np.maximum(1.0, np.ceil(width)))
+
+
+def _quadrature_rules(dgp: DgpSpec):
+    """The participation index's fixed part and its quadrature axes, one rule per node count.
+
+    Returns ``(intercept, normal, grid, rules)``: eta = intercept + tau Z +
+    sum over ``grid`` of g_j X_j, with ``normal`` the (j, slope) of the Normal
+    coordinates that tau Z gathers and ``grid`` the indices of the Bernoulli
+    and Uniform ones. ``rules[k]`` holds, per axis (Z first, then ``grid``),
+    the nodes, their slope in eta and their weights. A coordinate that eta
+    does not move (zero slope or a point law) is independent of S, and only
+    its mean enters the intercept. None, before any rule is built, when the
+    finer rule would have more than ``_QUADRATURE_BUDGET`` points.
+    """
+    g = dgp.participation_logit
+    intercept, tau, normal, grid = g[0], 0.0, [], []
+    for j, (dist, slope) in enumerate(zip(dgp.covariates, g[1:])):
+        if not (slope and _coordinate_sd(dist)):
+            intercept += slope * dist.expectation()
+        elif isinstance(dist, Normal):
+            intercept += slope * dist.mean
+            tau = math.hypot(tau, slope * dist.sd)
+            normal.append((j, slope))
+        else:
+            grid.append(j)
+    # each grid coordinate's support, and its panels (None where it is enumerated)
+    steps = []
+    for j in grid:
+        dist = dgp.covariates[j]
+        if isinstance(dist, Uniform):
+            steps.append(((dist.lo, dist.hi), _panels(abs(g[j + 1]) * (dist.hi - dist.lo))))
+        else:
+            steps.append(((0.0, 1.0), None))
+    if tau:
+        # each integrand z^i sigma(+-(a + tau z)) phi(z), with a = eta - tau z
+        # at a grid point, is log-concave with its mode in
+        # [-tau sigma(a), tau sigma(-a)], so the window reaches past that for
+        # every a the grid holds; eta moves by at most 1 across a panel
+        ends = [sorted((g[j + 1] * lo, g[j + 1] * hi)) for j, ((lo, hi), _) in zip(grid, steps)]
+        a_lo, a_hi = (intercept + sum(end[i] for end in ends) for i in (0, 1))
+        z_lo = -tau * 0.5 * (1.0 + math.tanh(0.5 * a_hi)) - _GAUSS_REACH
+        z_hi = tau * 0.5 * (1.0 - math.tanh(0.5 * a_lo)) + _GAUSS_REACH
+        z_panels = _panels((z_hi - z_lo) * max(1.0, tau))
+    fine = _PANEL_NODES[0]
+    size = (fine * z_panels if tau else 1.0) * math.prod(2.0 if n is None else fine * n for _, n in steps)
+    if not size <= _QUADRATURE_BUDGET:
+        return None
+    rules = {}
+    for k in _PANEL_NODES:
+        if tau:
+            z, w = _legendre_panels(z_lo, z_hi, int(z_panels), k)
+            axes = [(z, tau, w * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi))]
+        else:
+            axes = [(np.zeros(1), 0.0, np.ones(1))]
+        for j, ((lo, hi), n) in zip(grid, steps):
+            if n is None:
+                p = dgp.covariates[j].p
+                axes.append((np.array([0.0, 1.0]), g[j + 1], np.array([1.0 - p, p])))
+            else:
+                x, w = _legendre_panels(lo, hi, int(n), k)
+                axes.append((x, g[j + 1], w / (hi - lo)))
+        rules[k] = axes
+    return intercept, normal, grid, rules
+
+
+def _stratum_moments(intercept: float, axes) -> np.ndarray:
+    """``out[0]`` = (E[sigma(eta)], E[sigma(-eta)]); ``out[1 + i]`` the same weighted by axis i's node.
+
+    Sums over the tensor-product rule of ``axes`` in blocks of grid points, so
+    its memory does not grow with the grid.
+    """
+    shape = tuple(x.size for x, _, _ in axes)
+    total = math.prod(shape)
+    out = np.zeros((len(axes) + 1, 2))
+    for start in range(0, total, _QUADRATURE_BLOCK):
+        index = np.unravel_index(np.arange(start, min(total, start + _QUADRATURE_BLOCK)), shape)
+        eta = np.full(index[0].size, intercept)
+        rows = np.empty((len(axes) + 1, eta.size))
+        rows[0] = 1.0
+        for i, ((x, slope, w), at) in enumerate(zip(axes, index)):
+            rows[i + 1] = x.take(at)
+            eta += slope * rows[i + 1]
+            rows[0] *= w.take(at)
+        rows[1:] *= rows[0]
+        # sigma(|eta|) and sigma(-|eta|), without overflow
+        e = np.exp(-np.abs(eta))
+        far = 1.0 / (1.0 + e)
+        near = e * far
+        upper = eta >= 0
+        probs = np.stack((np.where(upper, far, near), np.where(upper, near, far)))
+        out += (rows[:, None, :] * probs).sum(axis=-1)
+    return out
+
+
+def _stratum_truths(dgp: DgpSpec, intercept, normal, grid, axes) -> np.ndarray:
+    """Pr[S = 1], Pr[S = 0], then E[X | S = 1] and E[X | S = 0], by one quadrature rule.
+
+    A Normal coordinate and the Gaussian index Z are jointly Gaussian, so
+    E[X_j | Z] = m_j + g_j s_j^2 Z / tau; for a function h of eta this is
+    Stein's lemma, E[X_j h] = m_j E[h] + g_j s_j^2 E[h']. Raises
+    ``DataError`` when Pr[S = 1] rounds to 0 or 1.
+    """
+    moments = _stratum_moments(intercept, axes)
+    probs = moments[0]
+    if not (probs.min() >= np.finfo(float).tiny and probs[0] < 1.0):
+        raise DataError(f"participation leaves a stratum empty: Pr[S = 1] = {probs[0]!r}")
+    means = moments[1:] / probs
+    cond = np.tile(dgp.covariate_expectations()[:, None], 2)
+    tau = axes[0][1]
+    for j, slope in normal:
+        sd = dgp.covariates[j].sd
+        cond[j] += sd * (slope * sd / tau) * means[0]
+    for j, row in zip(grid, means[1:]):
+        cond[j] = row
+    return np.concatenate((probs, cond.T.ravel()))
+
+
+def exact_truth(dgp: DgpSpec) -> OracleTruth | None:
+    """The truths of :func:`oracle_truth` by quadrature: exact up to rounding, or None.
+
+    With independent coordinates and eta = g0 + g.X, every truth is b0 + b.E[X]
+    or b0 + b.E[X | S = s], and E[X | S = s] = E[X sigma(+-eta)] / E[sigma(+-eta)].
+    Normal coordinates enter eta through one Gaussian index (Stein 1981), on a
+    composite Gauss-Legendre rule; Bernoulli coordinates are enumerated and
+    Uniform ones get composite Gauss-Legendre rules whose panels eta crosses
+    by at most 1 (Golub & Welsch 1969). The grid is their tensor product.
+
+    None when the 20-node-per-panel rule would take more than
+    ``_QUADRATURE_BUDGET`` integrand evaluations, or when the 10-node rule
+    does not reproduce its stratum probabilities and conditional means within
+    ``_QUADRATURE_RTOL`` (relative to each value plus, for a mean, its
+    coordinate's SD); :func:`oracle_truth` is then the way to the truths.
+    Raises ``DataError`` when Pr[S = 1] rounds to 0 or 1.
+    """
+    quadrature = _quadrature_rules(dgp)
+    if quadrature is None:
+        return None
+    intercept, normal, grid, rules = quadrature
+    fine, coarse = (_stratum_truths(dgp, intercept, normal, grid, rules[k]) for k in _PANEL_NODES)
+    sd = [_coordinate_sd(d) for d in dgp.covariates]
+    if np.any(np.abs(fine - coarse) > _QUADRATURE_RTOL * (np.abs(fine) + [0.0, 0.0, *sd, *sd])):
+        return None
+    pr_s1, ex1, ex0 = fine[0], fine[2 : 2 + dgp.p], fine[2 + dgp.p :]
+    ex = dgp.covariate_expectations()
+
+    def mean(coefs, x):
+        return coefs[0] + float(np.dot(coefs[1:], x))
+
+    coefs = (dgp.outcome_mean_a0, dgp.outcome_mean_a1)
+    return OracleTruth(
+        mean_target=tuple(mean(b, ex) for b in coefs),
+        mean_nonrandomized=tuple(mean(b, ex0) for b in coefs),
+        mean_randomized=tuple(mean(b, ex1) for b in coefs),
+        pr_s1=float(pr_s1),
+        mc_sample_size=0,
+        se_mean_target=(0.0, 0.0),
+        se_mean_nonrandomized=(0.0, 0.0),
+        se_mean_randomized=(0.0, 0.0),
+        se_pr_s1=0.0,
     )

@@ -13,6 +13,7 @@ for a fixed master seed at any worker count. Failures inside a replication
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -24,6 +25,7 @@ from .dgp import (
     OracleTruth,
     _map_in_workers,
     _stream,
+    exact_truth,
     oracle_truth,
     simulate_actual_population,
 )
@@ -203,6 +205,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"bootstrap_b must be 0 (off) or >= {MIN_BOOTSTRAP_B}, got {self.bootstrap_b}"
             )
+        if self.oracle_m < 100_000:
+            raise ValueError(f"oracle sample size must be >= 1e5, got {self.oracle_m}")
         if isinstance(self.design, SubsampledNestedCovariate):
             # a misspecified fit's basis keeps min(aux_split, p - 1) auxiliary covariates
             drops_covariate = self.misspecify.participation or self.misspecify.outcome
@@ -282,9 +286,46 @@ def _drop_last_covariate(data: ObservedDataset) -> ObservedDataset:
 
 OK, NOT_IDENTIFIABLE, FAILED = "ok", "not_identifiable", "failed"
 
+# glibc's mallopt parameters, and the values the replication loop pins them to:
+# its dynamic rule's 64-bit ceiling for the mmap threshold, and twice that
+# for the trim threshold, as the rule keeps them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
+
+
+def _libc_mallopt():
+    """The C library's ``mallopt`` with its signature declared, or None where it has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for the life of this process.
+
+    A replication allocates and frees arrays of several MiB. glibc starts
+    both thresholds low and raises them only when the process frees an
+    mmapped chunk larger than the mmap threshold, so left to that rule they
+    depend on what ran before: below a replication's arrays, each array is
+    mmapped or trimmed off the heap when freed, and the next replication
+    faults its pages in again. Pinned above a replication's peak, the heap
+    keeps them. Idempotent, and a no-op where the C library has no
+    ``mallopt``.
+    """
+    mallopt = _libc_mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
 
 def _run_replication(cfg: ExperimentConfig, r: int):
     """Return per-estimator (status, value, boot_se) triples for replication r."""
+    # here, so that it holds in every pool process however it was started
+    _pin_malloc_thresholds()
     try:
         pop = simulate_actual_population(
             cfg.dgp, cfg.n, seed=mix_seed(cfg.master_seed, _SIM_TAG, r)
@@ -358,19 +399,33 @@ def _oracle_key(cfg: ExperimentConfig) -> tuple:
     return cfg.dgp, cfg.oracle_m, seed
 
 
-def _run_cells(configs, workers: int, oracles: dict) -> tuple[SummaryRow, ...]:
+def _cell_truths(configs, workers: int) -> list[OracleTruth]:
+    """Each cell's truths, each distinct one computed once.
+
+    Exact truths (:func:`~trialport.dgp.exact_truth`) are keyed by the DGP
+    alone. Where a DGP has none, the Monte Carlo oracle runs once per
+    :func:`_oracle_key`, over ``workers`` processes.
+    """
+    truths, out = {}, []
+    for cfg in configs:
+        if cfg.dgp not in truths:
+            truths[cfg.dgp] = exact_truth(cfg.dgp)
+        key = cfg.dgp if truths[cfg.dgp] is not None else _oracle_key(cfg)
+        if key not in truths:
+            truths[key] = oracle_truth(*key, workers=workers)
+        out.append(truths[key])
+    return out
+
+
+def _run_cells(configs, workers: int, truths) -> tuple[SummaryRow, ...]:
     """Every cell's summary rows, in order, from one task list of all replications.
 
-    ``oracles`` maps :func:`_oracle_key` to truths; each one it lacks is computed once.
+    ``truths`` holds each cell's :class:`OracleTruth`.
     """
-    for key in map(_oracle_key, configs):
-        if key not in oracles:
-            oracles[key] = oracle_truth(*key, workers=workers)
     tasks = [(cfg, r) for cfg in configs for r in range(cfg.replications)]
     per_rep = iter(_map_in_workers(_run_replication, tasks, workers))
     rows = []
-    for cfg in configs:
-        oracle = oracles[_oracle_key(cfg)]
+    for cfg, oracle in zip(configs, truths):
         reps = list(islice(per_rep, cfg.replications))
         for j, spec in enumerate(cfg.estimators):
             cells = [rep[j] for rep in reps]
@@ -416,24 +471,30 @@ def run_experiment(
 
     Deterministic given ``cfg.master_seed`` regardless of ``workers``:
     replications derive their own seeds and are reduced in index order.
-    A precomputed ``oracle`` (matching ``cfg.dgp``) skips the truth run.
+    The truths are exact when ``cfg.dgp`` has an :func:`~trialport.dgp.exact_truth`;
+    otherwise the Monte Carlo oracle draws them at ``cfg.oracle_m`` and
+    ``cfg.oracle_seed``. A precomputed ``oracle`` (matching ``cfg.dgp``)
+    skips the truth run. The run pins glibc's malloc thresholds for the life
+    of every process it uses (:func:`_pin_malloc_thresholds`).
     """
-    oracles = {} if oracle is None else {_oracle_key(cfg): oracle}
-    return ExperimentSummary(rows=_run_cells((cfg,), workers, oracles))
+    truths = _cell_truths((cfg,), workers) if oracle is None else [oracle]
+    return ExperimentSummary(rows=_run_cells((cfg,), workers, truths))
 
 
 def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
     """Run each grid cell and concatenate summary rows (one sweep table).
 
-    The truth is a property of the superpopulation, not of the design, so the
-    oracle runs once per distinct (DGP, oracle m, oracle seed) in the grid and
-    is shared by every cell that has it. ``workers`` processes run each
-    oracle's chunks, then one pool of them runs the replications of every cell.
+    The truth is a property of the superpopulation, not of the design, so it
+    is computed once per distinct DGP in the grid when that DGP has an exact
+    truth, and otherwise once per distinct (DGP, oracle m, oracle seed) by the
+    Monte Carlo oracle; every cell that has it shares it. ``workers``
+    processes run each Monte Carlo oracle's chunks, then one pool of them runs
+    the replications of every cell, as :func:`run_experiment` does.
     """
     configs = tuple(configs)
     if not configs:
         raise ValueError("design grid must be nonempty")
-    return _run_cells(configs, workers, {})
+    return _run_cells(configs, workers, _cell_truths(configs, workers))
 
 
 # ---------------------------------------------------------------------------

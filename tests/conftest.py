@@ -17,6 +17,21 @@ def dgp1():
     return oracles.make_dgp1(seed=20240901)
 
 
+@pytest.fixture
+def over_budget_dgp():
+    """DGP-1's covariate plus three steep Uniform ones: too large a grid for an exact truth."""
+    return tp.DgpSpec(
+        covariates=(tp.Normal(0.0, 1.0),) + (tp.Uniform(0.0, 1.0),) * 3,
+        participation_logit=(-1.0, 0.5, 4.0, -4.0, 3.0),
+        treatment_prob=0.5,
+        outcome_mean_a0=(1.0, 1.0, 0.5, 0.0, -0.5),
+        outcome_mean_a1=(2.0, 1.3, -0.3, 0.2, 0.0),
+        noise_sd=1.0,
+        seed=20240901,
+        aux_split=1,
+    )
+
+
 @pytest.fixture(scope="session")
 def dgp1_session():
     return oracles.make_dgp1(seed=20240901)

@@ -660,12 +660,14 @@ class TestMalformedInput:
             lambda d: '{"replications": ' + _TOO_LONG_INTEGER + "}",
             lambda d: d.update(n=10**300),
             lambda d: d.update(bootstrap_b=10**21),
+            # DGP-1's truths are exact, so no oracle runs to reject it
+            lambda d: d.update(oracle_m=50_000),
         ],
         ids=[
             "replications_string", "estimators_not_list", "estimators_empty", "estimator_not_object",
             "arm_list", "flag_string", "misspecify_not_object", "oracle_seed_string",
             "covariate_null", "bootstrap_b_below_minimum", "nested_too_deep", "integer_too_long",
-            "n_beyond_any_array", "bootstrap_b_beyond_any_array",
+            "n_beyond_any_array", "bootstrap_b_beyond_any_array", "oracle_m_below_minimum",
         ],
     )
     def test_bad_experiment_config_exits_2(self, tmp_path, capsys, edit):
@@ -674,6 +676,7 @@ class TestMalformedInput:
         cfg = _edited_config(tmp_path, doc, edit)
         code, captured = run_json(capsys, ["experiment", str(cfg), str(out)])
         assert code == 2
+        assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert not out.exists()
 
@@ -718,8 +721,8 @@ class TestMalformedInput:
             data = simulate(tmp_path, n=2_000)
             args = ["estimate", str(data), "--estimand", "target", "--out", out]
         else:
-            # the oracle is the first stage of every experiment and sweep run
-            monkeypatch.setattr(experiment, "oracle_truth", must_not_run)
+            # the truths are the first stage of every experiment and sweep run
+            monkeypatch.setattr(experiment, "_cell_truths", must_not_run)
             doc = TestExperiment().experiment_doc(replications=2)
             doc["grid"] = [doc["design"]]
             args = [command, str(write_config(tmp_path, doc)), out]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -239,3 +240,81 @@ class TestOracle:
 
         chunk = dgp_module._ORACLE_CHUNK
         assert peak_bytes(8 * chunk) <= 1.25 * peak_bytes(2 * chunk)
+
+
+def _truth_fields(truth):
+    return (truth.pr_s1, *truth.mean_target, *truth.mean_randomized, *truth.mean_nonrandomized)
+
+
+class TestExactTruth:
+    def test_matches_the_frozen_quadrature_constants(self, dgp1):
+        truth = dgp_module.exact_truth(dgp1)
+        expected = (
+            oracles.P_S1, *oracles.MEAN_TARGET, *oracles.MEAN_RANDOMIZED, *oracles.MEAN_NONRANDOMIZED
+        )
+        assert np.max(np.abs(np.subtract(_truth_fields(truth), expected))) <= 1e-14
+        assert truth.mc_sample_size == 0
+        assert truth.se_pr_s1 == 0.0
+        assert truth.se_mean_target == truth.se_mean_randomized == truth.se_mean_nonrandomized
+        assert truth.se_mean_target == (0.0, 0.0)
+
+    def test_matches_the_monte_carlo_oracle_on_a_steep_mixed_dgp(self):
+        dgp = tp.DgpSpec(
+            covariates=(tp.Normal(0.5, 1.0), tp.Bernoulli(0.3), tp.Uniform(0.0, 1.0)),
+            participation_logit=(-2.0, 5.0, 1.0, -20.0),
+            treatment_prob=0.5,
+            outcome_mean_a0=(1.0, 1.0, 1.1, 1.2),
+            outcome_mean_a1=(2.0, -0.5, -0.2, 0.1),
+            noise_sd=1.0,
+            seed=11,
+        )
+        exact = dgp_module.exact_truth(dgp)
+        mc = tp.oracle_truth(dgp, 4_000_000, oracle_seed=11)
+        assert abs(exact.pr_s1 - mc.pr_s1) <= 4 * mc.se_pr_s1
+        for name in ("mean_target", "mean_randomized", "mean_nonrandomized"):
+            for arm in (0, 1):
+                gap = abs(getattr(exact, name)[arm] - getattr(mc, name)[arm])
+                assert gap <= 4 * getattr(mc, "se_" + name)[arm], (name, arm)
+
+    def test_over_the_budget_there_is_none(self, dgp1, over_budget_dgp, monkeypatch):
+        assert dgp_module.exact_truth(over_budget_dgp) is None
+        # decided before any rule is built: this one would need 2e13 nodes
+        steep = dataclasses.replace(
+            dgp1, covariates=(tp.Uniform(0.0, 1.0),), participation_logit=(-1.0, 1e12)
+        )
+        assert dgp_module.exact_truth(steep) is None
+        monkeypatch.setattr(dgp_module, "_QUADRATURE_BUDGET", 100)
+        assert dgp_module.exact_truth(dgp1) is None
+
+    def test_rules_that_disagree_give_none(self, dgp1, monkeypatch):
+        # one node a panel cannot reproduce the 20-node rule's truths within 1e-12
+        monkeypatch.setattr(dgp_module, "_PANEL_NODES", (20, 1))
+        assert dgp_module.exact_truth(dgp1) is None
+
+    def test_point_laws_are_constants(self):
+        # every point-law coordinate moves eta and the outcome means, but the
+        # intercepts cancel them, which leaves DGP-1
+        dgp = tp.DgpSpec(
+            covariates=(
+                tp.Normal(0.0, 1.0), tp.Normal(2.0, 0.0), tp.Uniform(1.0, 1.0),
+                tp.Bernoulli(0.0), tp.Bernoulli(1.0),
+            ),
+            participation_logit=(-1.125, 0.5, 0.25, -0.5, 0.75, 0.125),
+            treatment_prob=0.5,
+            outcome_mean_a0=(-1.25, 1.0, 0.5, 0.5, 3.0, 0.75),
+            outcome_mean_a1=(0.25, 1.3, 0.5, 0.25, 1.0, 0.5),
+            noise_sd=1.0,
+            seed=3,
+        )
+        got = _truth_fields(dgp_module.exact_truth(dgp))
+        expected = _truth_fields(dgp_module.exact_truth(oracles.make_dgp1(3)))
+        assert np.max(np.abs(np.subtract(got, expected))) <= 1e-14
+
+    @pytest.mark.parametrize("intercept", [-800.0, 40.0], ids=["rounds_to_0", "rounds_to_1"])
+    def test_an_empty_stratum_raises_like_the_monte_carlo_oracle(self, intercept):
+        dgp = dataclasses.replace(oracles.make_dgp1(3), participation_logit=(intercept, 0.5))
+        # exp(-eta) overflows to inf in the oracle's draws, which gives the right 0
+        with pytest.raises(tp.DataError), np.errstate(over="ignore"):
+            tp.oracle_truth(dgp, 100_000)
+        with pytest.raises(tp.DataError):
+            dgp_module.exact_truth(dgp)

@@ -1,5 +1,6 @@
 import collections
 import concurrent.futures
+import ctypes
 import dataclasses
 import functools
 import gc
@@ -7,6 +8,7 @@ import math
 import multiprocessing
 import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -536,50 +538,75 @@ class TestDesignComparison:
         with pytest.raises(ValueError):
             tp.design_comparison([])
 
-    def test_computes_each_distinct_oracle_once(self, dgp1, monkeypatch):
-        calls = []
-        original = experiment.oracle_truth
+    def test_computes_each_distinct_oracle_once(self, dgp1, over_budget_dgp, monkeypatch):
+        exact, sampled = [], []
+        exact_truth, oracle_truth = experiment.exact_truth, experiment.oracle_truth
 
-        def counting(*args, workers):
-            calls.append((args, workers))
-            return original(*args, workers=workers)
+        def counting_exact(dgp):
+            exact.append(dgp)
+            return exact_truth(dgp)
 
-        monkeypatch.setattr(experiment, "oracle_truth", counting)
+        def counting_oracle(*args, workers):
+            sampled.append((args, workers))
+            return oracle_truth(*args, workers=workers)
+
+        monkeypatch.setattr(experiment, "exact_truth", counting_exact)
+        monkeypatch.setattr(experiment, "oracle_truth", counting_oracle)
         est = (spec("gformula", "target"), spec("trial_only", "randomized"))
         shared = [
             small_config(dgp1, design, replications=4, estimators=est)
             for design in (tp.CensusNested(), tp.SubsampledNested(c=0.5), tp.NonNested(u_hidden=0.3))
         ]
-        tp.design_comparison(shared)
-        assert [workers for _, workers in calls] == [1]
-
         grid = shared + [
             dataclasses.replace(shared[0], oracle_m=300_000),
             dataclasses.replace(shared[1], oracle_seed=5),
         ]
-        calls.clear()
+        # DGP-1's truths are exact and keyed by the DGP alone, whatever the oracle settings
         rows = tp.design_comparison(grid, workers=2)
-        assert [workers for _, workers in calls] == [2, 2, 2]
+        assert exact == [dgp1] and sampled == []
         separately = [row for cfg in grid for row in tp.run_experiment(cfg).rows]
         assert experiment.summary_rows_to_csv(rows) == experiment.summary_rows_to_csv(separately)
 
+        # over the budget: one Monte Carlo oracle per distinct (DGP, oracle m, oracle seed)
+        over = [dataclasses.replace(cfg, dgp=over_budget_dgp) for cfg in grid]
+        exact.clear()
+        tp.design_comparison(over[:3])
+        assert exact == [over_budget_dgp]
+        assert [workers for _, workers in sampled] == [1]
+
+        exact.clear()
+        sampled.clear()
+        rows = tp.design_comparison(over, workers=2)
+        assert exact == [over_budget_dgp]
+        assert [workers for _, workers in sampled] == [2, 2, 2]
+        assert {args for args, _ in sampled} == set(map(experiment._oracle_key, over))
+        separately = [row for cfg in over for row in tp.run_experiment(cfg).rows]
+        assert experiment.summary_rows_to_csv(rows) == experiment.summary_rows_to_csv(separately)
+
+    def test_a_dgp_over_the_budget_gets_the_monte_carlo_truths(self, over_budget_dgp):
+        cfg = small_config(over_budget_dgp, tp.CensusNested(), oracle_seed=77)
+        assert dgp_module.exact_truth(over_budget_dgp) is None
+        assert experiment._cell_truths([cfg], 1) == [tp.oracle_truth(over_budget_dgp, 200_000, 77)]
+
     @pytest.mark.parametrize(
-        "chunk, pools", [(None, [2]), (60_000, [2, 2])], ids=["one_chunk", "four_chunks"]
+        "chunk, dgp, pools",
+        [(None, "dgp1", [2]), (60_000, "over_budget_dgp", [2, 2])],
+        ids=["one_chunk", "four_chunks"],
     )
     def test_one_pool_runs_the_replications_of_every_cell(
-        self, dgp1, monkeypatch, pool_sizes, chunk, pools
+        self, request, monkeypatch, pool_sizes, chunk, dgp, pools
     ):
         if chunk is not None:
             monkeypatch.setattr(dgp_module, "_ORACLE_CHUNK", chunk)
         est = (spec("gformula", "target"), spec("trial_only", "randomized"))
         grid = [
-            small_config(dgp1, design, replications=4, estimators=est)
+            small_config(request.getfixturevalue(dgp), design, replications=4, estimators=est)
             for design in (tp.CensusNested(), tp.SubsampledNested(c=0.5), tp.NonNested(u_hidden=0.3))
         ]
         alone = [row for cfg in grid for row in tp.run_experiment(cfg, workers=1).rows]
         assert pool_sizes == []
         rows = tp.design_comparison(grid, workers=2)
-        # a pool for a multi-chunk oracle, then one for all 12 replications
+        # a pool for a multi-chunk Monte Carlo oracle, then one for all 12 replications
         assert pool_sizes == pools
         assert summary_rows_to_csv(rows) == summary_rows_to_csv(alone)
 
@@ -594,3 +621,27 @@ class TestDesignComparison:
             rows[c] = tp.run_experiment(cfg).rows[0]
         noise = rows[1.0].sd / math.sqrt(2 * 400)
         assert rows[1.0].sd <= rows[0.1].sd + 2 * noise
+
+
+class TestMallocThresholds:
+    def test_mallopt_is_declared_with_its_c_signature(self):
+        mallopt = experiment._libc_mallopt()
+        if mallopt is None:
+            pytest.skip("this C library has no mallopt")
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert mallopt.restype is ctypes.c_int
+
+    def test_pins_the_mmap_then_the_trim_threshold(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+
+        monkeypatch.setattr(experiment.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        experiment._pin_malloc_thresholds()
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_a_c_library_without_mallopt_is_left_alone(self, monkeypatch):
+        monkeypatch.setattr(experiment.ctypes, "CDLL", lambda name: object())
+        assert experiment._libc_mallopt() is None
+        experiment._pin_malloc_thresholds()
