@@ -291,6 +291,21 @@ class TestExactTruth:
         monkeypatch.setattr(dgp_module, "_PANEL_NODES", (20, 1))
         assert dgp_module.exact_truth(dgp1) is None
 
+    def test_a_far_tilted_model_keeps_its_mass_in_the_window(self):
+        # Pr[S = 1] is 9.2e-35 and the S = 1 mass sits near z = 12.5, past 12
+        # SDs of the index; the reference is a fine Riemann sum over [-20, 30]
+        dgp = dataclasses.replace(oracles.make_dgp1(3), participation_logit=(-150.0, 12.0))
+        truth = dgp_module.exact_truth(dgp)
+        z, h = np.linspace(-20.0, 30.0, 500_001, retstep=True)
+        density = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+        s1 = density * np.exp(-np.logaddexp(0.0, 150.0 - 12.0 * z))
+        s0 = density * np.exp(-np.logaddexp(0.0, 12.0 * z - 150.0))
+        assert truth.pr_s1 == pytest.approx(h * s1.sum(), rel=1e-12, abs=0)
+        for means, weights in ((truth.mean_randomized, s1), (truth.mean_nonrandomized, s0)):
+            ex = np.dot(z, weights) / weights.sum()
+            assert means[0] == pytest.approx(1.0 + ex, rel=0, abs=1e-12)
+            assert means[1] == pytest.approx(2.0 + 1.3 * ex, rel=0, abs=1e-12)
+
     def test_point_laws_are_constants(self):
         # every point-law coordinate moves eta and the outcome means, but the
         # intercepts cancel them, which leaves DGP-1
