@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +30,8 @@ from .estimators import Method, StudyPopulation
 from .experiment import (
     DIAGNOSE_BOOT_TAG,
     SIMULATE_SAMPLING_TAG,
+    CountRefit,
     EstimatorSpec,
-    IpwDifferenceFromCounts,
-    ResampledDifference,
     bootstrap_replicates,
     bootstrap_sd,
     design_comparison,
@@ -170,21 +168,16 @@ def _cmd_diagnose(args) -> int:
         )
         for arm in (0, 1)
     ]
-    # the full-sample models serve both arms. Each resample refits its own: the
-    # ipw contrast from the resample's row counts, warm-started at the
-    # full-sample participation fit; the gformula one on the resampled dataset
+    # the full-sample models serve both arms; each resample refits its own
+    # from its row counts, participation warm-started at the full-sample fit
     models = fit_models([spec for pair in pairs for spec in pair], data)
-    if args.method == "ipw":
-        count_difference = IpwDifferenceFromCounts(data, models[0].coefficients)
-        stats = [partial(count_difference, arm=arm) for arm in (0, 1)]
-    else:
-        stats = [ResampledDifference(data, *pair) for pair in pairs]
     # the replicates are the same at any process count, so use every CPU there is
     workers = _usable_cpus()
     arms_out = []
-    for arm, ((trial_spec, external_spec), stat) in enumerate(zip(pairs, stats)):
+    for arm, (trial_spec, external_spec) in enumerate(pairs):
         trial = trial_spec.evaluate(data, *models).value
         external = external_spec.evaluate(data, *models).value
+        stat = CountRefit(data, [(1, trial_spec), (-1, external_spec)], models[0])
         reps = bootstrap_replicates(
             data, stat, args.bootstrap_b, seed=mix_seed(seed, DIAGNOSE_BOOT_TAG, arm),
             workers=workers,

@@ -153,7 +153,9 @@ class DgpSpec:
     def participation_prob(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.participation_logit)
         eta = g[0] + np.einsum("ij,j->i", x, g[1:])  # not `@`, see outcome_mean
-        return 1.0 / (1.0 + np.exp(-eta))
+        # exp(-eta) overflows to inf where eta < -709, and 1 / (1 + inf) is the right 0
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-eta))
 
     def covariate_expectations(self) -> np.ndarray:
         return np.array([d.expectation() for d in self.covariates], dtype=float)

@@ -322,7 +322,7 @@ class ObservedDataset:
         for arm in (0, 1):
             rows = self._trial_rows.take(np.flatnonzero(trial_a == arm))
             x, y = self.x.take(rows, axis=0), self.y.take(rows)
-            out.append(_ArmRows(_read_only(x), _read_only(y)))
+            out.append(_ArmRows(_read_only(x), _read_only(y), _read_only(rows)))
         return tuple(out)
 
     @cached_property
@@ -386,11 +386,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _weight_diagnostics(weights: np.ndarray) -> tuple[float, float]:
-    """(max normalized weight, effective sample size) of the positive weights."""
-    w = weights if weights.min() > 0 else weights[weights > 0]
-    v = w / w.sum()
-    return float(v.max()), float(1.0 / np.sum(v * v))
+def _weight_diagnostics(weights: np.ndarray, counts=None) -> tuple[float, float]:
+    """(max normalized weight, effective sample size) of the positive weights.
+
+    A row of count k in per-row ``counts`` counts as k rows; None counts each once.
+    """
+    w, c = weights, 1.0 if counts is None else counts
+    if w.min() <= 0 or (counts is not None and counts.min() <= 0):
+        kept = np.flatnonzero((w > 0) & (c > 0))
+        w, c = w.take(kept), c if counts is None else c.take(kept)
+    v = w / (w * c).sum()
+    return float(v.max()), float(1.0 / (c * v * v).sum())
 
 
 @dataclass(frozen=True)
@@ -410,10 +416,18 @@ class _WeightedSample:
         diagnostics = _weight_diagnostics(weights if positive is None else positive)
         return cls(_read_only(weights), total, diagnostics)
 
+    def counted(self, counts=None) -> tuple[np.ndarray, float, tuple[float, float]]:
+        """(weights, total, diagnostics), each row's weight times its count (None: once)."""
+        if counts is None:
+            return self.weights, self.total, self.diagnostics
+        weights = self.weights * counts
+        return weights, float(weights.sum()), _weight_diagnostics(self.weights, counts)
+
 
 @dataclass(frozen=True)
 class _ArmRows:
-    """One treatment arm's trial rows: their covariates and outcomes."""
+    """One treatment arm's trial rows: their covariates, outcomes and positions in the dataset."""
 
     x: np.ndarray
     y: np.ndarray
+    positions: np.ndarray

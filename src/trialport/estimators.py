@@ -12,6 +12,10 @@ diagnostics — are cached on the ``ObservedDataset`` itself, derived once and
 shared by every estimator and fit on it; each estimator adds only the work
 that depends on its model and arm.
 
+Every estimator also takes per-row frequency ``counts`` (a bootstrap
+resample's): a row of count k counts k times in each sum and in the weight
+diagnostics, which gives the estimate on the resampled rows without them.
+
 The non-randomized-mean weighting estimator is deliberately built from
 intercept-free slope scores: multiplicative constants in the participation
 odds cancel in its ratio, and dropping the intercept before exponentiation
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import ObservedDataset, SubsampledNestedCovariate, _weight_diagnostics
+from .errors import InsufficientData
 from .outcome import OutcomeModel, predict
 from .participation import ParticipationModel, Scale, participation_probability
 
@@ -105,44 +110,65 @@ def _report(estimand, arm, method, value, diagnostics, extra_warnings=()):
     )
 
 
+def _mean(values: np.ndarray, counts) -> float:
+    """The mean of ``values``, each counted as often as ``counts`` says (None: once)."""
+    if counts is None:
+        return float(np.mean(values))
+    return float(np.einsum("i,i", counts, values) / counts.sum())
+
+
+def _arm_sample(data: ObservedDataset, arm: int, counts):
+    """(x, y, counts) of ``arm``'s trial rows: all of them, with counts None, when
+    ``counts`` is None, else those of positive count, with their counts."""
+    rows = data.arm(arm)
+    if counts is None:
+        return rows.x, rows.y, None
+    arm_counts = counts.take(rows.positions)
+    drawn = np.flatnonzero(arm_counts > 0)
+    if not drawn.size:
+        raise InsufficientData(f"no trial row of arm {arm} is counted")
+    return rows.x.take(drawn, axis=0), rows.y.take(drawn), arm_counts.take(drawn)
+
+
 # ---------------------------------------------------------------------------
 # G-formula route
 
 
-def gformula_mean_target(data: ObservedDataset, model: OutcomeModel, arm: int) -> EstimateReport:
+def gformula_mean_target(
+    data: ObservedDataset, model: OutcomeModel, arm: int, counts=None
+) -> EstimateReport:
     """Standardize the trial outcome regression over the target covariate law.
 
     Weighted average of per-row predictions with target-population weights; a
     plain average over all rows for a census.
     """
-    sample = data.target
+    weights, total, diagnostics = data.target.counted(counts)
     preds = predict(model, arm, data.x)
-    value = float(np.sum(sample.weights * preds) / sample.total)
-    return _report(StudyPopulation.TARGET, arm, Method.GFORMULA, value, sample.diagnostics)
+    value = float(np.sum(weights * preds) / total)
+    return _report(StudyPopulation.TARGET, arm, Method.GFORMULA, value, diagnostics)
 
 
 def gformula_mean_nonrandomized(
-    data: ObservedDataset, model: OutcomeModel, arm: int
+    data: ObservedDataset, model: OutcomeModel, arm: int, counts=None
 ) -> EstimateReport:
     """Average the trial outcome regression over sampled non-randomized rows.
 
     Identifiable under every design, non-nested included.
     """
-    sample = data.nonrandomized
+    weights, total, diagnostics = data.nonrandomized.counted(counts)
     preds = predict(model, arm, data.external_x)
-    value = float(np.sum(sample.weights.take(data._external_rows) * preds) / sample.total)
-    return _report(
-        StudyPopulation.NONRANDOMIZED, arm, Method.GFORMULA, value, sample.diagnostics
-    )
+    value = float(np.sum(weights.take(data._external_rows) * preds) / total)
+    return _report(StudyPopulation.NONRANDOMIZED, arm, Method.GFORMULA, value, diagnostics)
 
 
 def gformula_mean_randomized(
-    data: ObservedDataset, model: OutcomeModel, arm: int
+    data: ObservedDataset, model: OutcomeModel, arm: int, counts=None
 ) -> EstimateReport:
     """Average the trial outcome regression over trial rows (the S=1 stratum)."""
     trial_x = data.trial_x
-    value = float(np.mean(predict(model, arm, trial_x)))
-    diagnostics = _weight_diagnostics(np.ones(len(trial_x)))
+    trial_counts = None if counts is None else counts.take(data._trial_rows)
+    value = _mean(predict(model, arm, trial_x), trial_counts)
+    diagnostics = _weight_diagnostics(np.ones(len(trial_x)), trial_counts)
     return _report(StudyPopulation.RANDOMIZED, arm, Method.GFORMULA, value, diagnostics)
 
 
@@ -150,9 +176,12 @@ def gformula_mean_randomized(
 # Inverse-probability route
 
 
-def _truncate(weights: np.ndarray, q: float | None) -> tuple[np.ndarray, tuple[str, ...]]:
+def _truncate(weights: np.ndarray, q: float | None, counts) -> tuple[np.ndarray, tuple[str, ...]]:
     if q is None:
         return weights, ()
+    if counts is not None:
+        # the cap is a quantile of the rows, and a counted row would have to repeat in it
+        raise ValueError("weight truncation does not take row counts")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"truncation quantile must be in (0, 1], got {q}")
     cap = float(np.quantile(weights, q))
@@ -165,6 +194,7 @@ def ipw_mean_target(
     arm: int,
     variant: str = "hajek",
     truncate_q: float | None = None,
+    counts=None,
 ) -> EstimateReport:
     """Weight trial outcomes by inverse participation and treatment probability.
 
@@ -176,17 +206,19 @@ def ipw_mean_target(
     if variant not in ("ht", "hajek"):
         raise ValueError(f"variant must be 'ht' or 'hajek', got {variant!r}")
     target = data.target  # also enforces the gate
-    rows = data.arm(arm)
-    prob = participation_probability(model, data.design, rows.x)
+    x, y, arm_counts = _arm_sample(data, arm, counts)
+    prob = participation_probability(model, data.design, x)
     w = 1.0 / (prob * data.prob_treatment(arm))
-    w, notes = _truncate(w, truncate_q)
+    w, notes = _truncate(w, truncate_q, counts)
+    counted = w if arm_counts is None else w * arm_counts
     if variant == "ht":
-        value = float(np.sum(rows.y * w) / target.total)
+        value = float(np.sum(y * counted) / target.counted(counts)[1])
         method = Method.IPW_HT
     else:
-        value = float(np.sum(rows.y * w) / np.sum(w))
+        value = float(np.sum(y * counted) / np.sum(counted))
         method = Method.IPW_HAJEK
-    return _report(StudyPopulation.TARGET, arm, method, value, _weight_diagnostics(w), notes)
+    diagnostics = _weight_diagnostics(w, arm_counts)
+    return _report(StudyPopulation.TARGET, arm, method, value, diagnostics, notes)
 
 
 def ipw_mean_nonrandomized(
@@ -194,6 +226,7 @@ def ipw_mean_nonrandomized(
     model: ParticipationModel,
     arm: int,
     truncate_q: float | None = None,
+    counts=None,
 ) -> EstimateReport:
     """Ratio estimator of the non-randomized mean from inverse participation odds.
 
@@ -210,25 +243,27 @@ def ipw_mean_nonrandomized(
             "a shifted participation model is off by ln c(X1) under covariate-dependent "
             "sampling; fit it on the nested design"
         )
-    rows = data.arm(arm)
-    score = model.slope_score(rows.x)
+    x, y, arm_counts = _arm_sample(data, arm, counts)
+    score = model.slope_score(x)
     w = np.exp(score.min() - score) / data.prob_treatment(arm)
-    w, notes = _truncate(w, truncate_q)
-    value = float(np.sum(rows.y * w) / np.sum(w))
+    w, notes = _truncate(w, truncate_q, counts)
+    counted = w if arm_counts is None else w * arm_counts
+    value = float(np.sum(y * counted) / np.sum(counted))
     return _report(
-        StudyPopulation.NONRANDOMIZED, arm, Method.IPW_HAJEK, value, _weight_diagnostics(w), notes
+        StudyPopulation.NONRANDOMIZED, arm, Method.IPW_HAJEK, value,
+        _weight_diagnostics(w, arm_counts), notes,
     )
 
 
-def trial_only_mean(data: ObservedDataset, arm: int) -> EstimateReport:
+def trial_only_mean(data: ObservedDataset, arm: int, counts=None) -> EstimateReport:
     """Unweighted outcome mean among trial participants assigned to ``arm``.
 
     Estimates the randomized-stratum mean E[Y^a | S=1] under marginal
     randomization; its contrast with the non-randomized estimates is the
     basic transportability diagnostic.
     """
-    y = data.arm(arm).y
+    _, y, arm_counts = _arm_sample(data, arm, counts)
     return _report(
-        StudyPopulation.RANDOMIZED, arm, Method.TRIAL_ONLY, float(np.mean(y)),
-        _weight_diagnostics(np.ones(y.size)),
+        StudyPopulation.RANDOMIZED, arm, Method.TRIAL_ONLY, _mean(y, arm_counts),
+        _weight_diagnostics(np.ones(y.size), arm_counts),
     )

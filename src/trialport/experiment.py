@@ -9,6 +9,10 @@ are fully independent: replication ``r`` derives every stream it needs from
 ``mix_seed(master_seed, tag, r)`` (splitmix64), so summaries are byte-identical
 for a fixed master seed at any worker count. Failures inside a replication
 (separation, rank deficiency, degenerate samples) are tallied, never fatal.
+
+The stratified bootstrap hands each resample to its statistic as per-row
+counts; :class:`CountRefit`, the statistic of ``diagnose`` and of
+:func:`bootstrap_se`, refits and evaluates estimator cells from them.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .domain import (
     SubsampledNestedCovariate,
     design_name,
 )
-from .errors import NotIdentifiable, TrialportError
+from .errors import InsufficientData, NotIdentifiable, TrialportError
 from .estimators import (
     EstimateReport,
     Method,
@@ -50,7 +54,13 @@ from .estimators import (
     trial_only_mean,
 )
 from .outcome import fit_outcome
-from .participation import _NewtonWorkspace, fit_participation, participation_design
+from .participation import (
+    ParticipationModel,
+    _fitted_model,
+    _NewtonWorkspace,
+    fit_participation,
+    participation_design,
+)
 from .sampling import apply_design
 
 _MASK64 = (1 << 64) - 1
@@ -113,26 +123,31 @@ class EstimatorSpec:
     def needs_outcome(self) -> bool:
         return self.method is Method.GFORMULA
 
-    def evaluate(self, data: ObservedDataset, pmodel, omodel, truncate_q=None) -> EstimateReport:
+    def evaluate(
+        self, data: ObservedDataset, pmodel, omodel, truncate_q=None, counts=None
+    ) -> EstimateReport:
         """Evaluate this estimator on ``data`` with already-fitted models.
 
-        ``pmodel``/``omodel`` may be None when the spec does not need them.
-        The estimator functions are looked up as module globals at call time,
-        so a wrapper installed on this module sees every call.
+        ``pmodel``/``omodel`` may be None when the spec does not need them;
+        ``counts`` are per-row frequency counts (see :mod:`.estimators`). The
+        estimator functions are looked up as module globals at call time, so a
+        wrapper installed on this module sees every call; ``counts`` is passed
+        on only when given, so such a wrapper need not take it.
         """
         arm = self.arm
+        kw = {} if counts is None else {"counts": counts}
         if self.method is Method.GFORMULA:
             if self.population is StudyPopulation.TARGET:
-                return gformula_mean_target(data, omodel, arm)
+                return gformula_mean_target(data, omodel, arm, **kw)
             if self.population is StudyPopulation.NONRANDOMIZED:
-                return gformula_mean_nonrandomized(data, omodel, arm)
-            return gformula_mean_randomized(data, omodel, arm)
+                return gformula_mean_nonrandomized(data, omodel, arm, **kw)
+            return gformula_mean_randomized(data, omodel, arm, **kw)
         if self.method is Method.TRIAL_ONLY:
-            return trial_only_mean(data, arm)
+            return trial_only_mean(data, arm, **kw)
         if self.population is StudyPopulation.TARGET:
             variant = "ht" if self.method is Method.IPW_HT else "hajek"
-            return ipw_mean_target(data, pmodel, arm, variant, truncate_q)
-        return ipw_mean_nonrandomized(data, pmodel, arm, truncate_q)
+            return ipw_mean_target(data, pmodel, arm, variant, truncate_q, **kw)
+        return ipw_mean_nonrandomized(data, pmodel, arm, truncate_q, **kw)
 
     def fit_and_evaluate(self, data: ObservedDataset) -> EstimateReport:
         """Fit whatever this estimator needs on ``data`` and evaluate it."""
@@ -505,30 +520,17 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
 _RESAMPLE = 3
 
 
-def _resample_rows(data: ObservedDataset, rng: np.random.Generator) -> np.ndarray:
-    """Row positions of one stratified resample: trial draws, then external draws."""
-    trial_idx, ext_idx = data._trial_rows, data._external_rows
-    parts = [trial_idx.take(rng.integers(0, trial_idx.size, trial_idx.size))]
-    if ext_idx.size:
-        parts.append(ext_idx.take(rng.integers(0, ext_idx.size, ext_idx.size)))
-    return np.concatenate(parts)
-
-
-def resampled_dataset(data: ObservedDataset, rows: np.ndarray) -> ObservedDataset:
-    """The dataset of ``data``'s rows at positions ``rows``, keeping the unsampled tally."""
-    return replace(
-        data,
-        x=data.x.take(rows, axis=0), s=data.s.take(rows), a=data.a.take(rows), y=data.y.take(rows),
-    )
-
-
 def _replicates(data: ObservedDataset, stat_fn, seed: int, indices: range) -> np.ndarray:
     """``stat_fn`` on resamples ``indices`` of the bootstrap with ``seed``; NaN where it fails."""
+    strata = [rows for rows in (data._trial_rows, data._external_rows) if rows.size]
     out = np.empty(len(indices))
     for k, i in enumerate(indices):
-        rows = _resample_rows(data, _stream(seed, _RESAMPLE, i))
+        rng = _stream(seed, _RESAMPLE, i)
+        counts = np.empty(data.n_rows, dtype=np.intp)  # every row is in one stratum
+        for rows in strata:
+            counts[rows] = np.bincount(rng.integers(0, rows.size, rows.size), minlength=rows.size)
         try:
-            out[k] = stat_fn(rows)
+            out[k] = stat_fn(counts)
         except TrialportError:
             out[k] = math.nan
     return out
@@ -539,14 +541,14 @@ def bootstrap_replicates(
 ) -> np.ndarray:
     """Vector of ``stat_fn`` over ``b`` stratified resamples (NaN where it fails).
 
-    ``stat_fn`` receives one resample's row positions in ``data``: as many
-    draws with replacement from the trial rows as there are trial rows, then
-    likewise from the external rows. Resample ``i`` draws both from its own
-    Philox stream, keyed ``(3, i)`` under ``seed``, so it is the same resample
-    whichever process draws it. :func:`resampled_dataset` turns the positions
-    into the resampled dataset; ``np.bincount`` turns them into per-row counts.
-    A ``TrialportError`` from ``stat_fn`` (an invalid resampled dataset, a
-    failed fit) gives NaN.
+    ``stat_fn`` receives one resample as per-row counts in ``data``: how often
+    the resample drew each row, with as many draws with replacement from the
+    trial rows as there are trial rows, then likewise from the external rows.
+    Resample ``i`` draws both from its own Philox stream, keyed ``(3, i)``
+    under ``seed``, so it is the same resample whichever process draws it.
+    :class:`CountRefit` is the statistic that refits and evaluates estimators
+    from the counts. A ``TrialportError`` from ``stat_fn`` (a resample whose
+    dataset would be invalid, a failed fit) gives NaN.
 
     The resamples are spread, in runs of consecutive indices, over
     ``min(workers, b)`` processes, which receive ``data`` and ``stat_fn`` once
@@ -561,65 +563,46 @@ def bootstrap_replicates(
     return np.concatenate(per_run) if per_run else np.empty(0)
 
 
-@dataclass(frozen=True, eq=False)
-class ResampledDifference:
-    """``diagnose --method gformula``'s statistic on a resample, from its dataset.
+class CountRefit:
+    """A signed sum of estimator cells, refit and evaluated from a resample's row counts.
 
-    ``trial`` minus ``external``, two :class:`EstimatorSpec` cells of one arm,
-    each fit and evaluated on the resampled dataset.
+    ``terms`` are ``(sign, EstimatorSpec)`` pairs, e.g. ``[(1, trial-only),
+    (-1, external)]`` for ``diagnose``. Each call refits the models the terms
+    need from the counts and evaluates the terms on them: what the resampled
+    dataset would give. Participation is refit with weights design weight ×
+    count from ``start`` (the full-sample model; None: from 0), in one Newton
+    workspace that every resample in the process reuses. A resample with no
+    trial row in some arm, whose dataset would be invalid, raises
+    ``InsufficientData``; a failed refit raises as the fit would.
     """
 
-    data: ObservedDataset
-    trial: EstimatorSpec
-    external: EstimatorSpec
+    def __init__(self, data: ObservedDataset, terms, start: ParticipationModel | None = None):
+        self.data, self.terms = data, tuple(terms)
+        self._needs_outcome = any(spec.needs_outcome for _, spec in self.terms)
+        self._work = None
+        if any(spec.needs_participation for _, spec in self.terms):
+            xmat, labels, self._design_weights, norm = participation_design(data)
+            self._work = _NewtonWorkspace(xmat, labels, norm)
+            self._weights = np.empty(data.n_rows)
+            self._start = None if start is None else start.coefficients
 
-    def __call__(self, rows: np.ndarray) -> float:
-        d = resampled_dataset(self.data, rows)
-        return self.trial.fit_and_evaluate(d).value - self.external.fit_and_evaluate(d).value
+    def reports(self, counts: np.ndarray) -> list[EstimateReport]:
+        """Each term's report on the resample with per-row ``counts``."""
+        data = self.data
+        for arm in (0, 1):
+            if not counts.take(data.arm(arm).positions).any():
+                raise InsufficientData(f"the resample draws no trial row of arm {arm}")
+        pmodel = omodel = None
+        if self._work is not None:
+            np.multiply(self._design_weights, counts, out=self._weights)
+            pmodel = _fitted_model(data.design, self._work.fit(self._weights, self._start))
+        if self._needs_outcome:
+            omodel = fit_outcome(data, counts)
+        return [spec.evaluate(data, pmodel, omodel, counts=counts) for _, spec in self.terms]
 
-
-class IpwDifferenceFromCounts:
-    """``diagnose --method ipw``'s statistic on a resample, from its row counts.
-
-    The statistic is one arm's trial-only mean minus its odds-weighted Hájek
-    mean of the non-randomized: what those two :class:`EstimatorSpec` cells
-    give on the resampled dataset. Here the resample's row positions become
-    per-row counts instead. Participation is refit on the full sample's design
-    with weights design weight × count, warm-started from the full-sample
-    coefficients ``start``, in one Newton workspace per process: every
-    resample that a process refits reuses it, and so do both arms when they
-    run in this process. Both means are count-weighted sums over the arm's
-    trial rows. No resampled dataset is built or validated: a resample that
-    draws no trial row of some arm, whose dataset would be invalid, gives NaN,
-    and a failed refit raises as :func:`fit_participation` would.
-    """
-
-    def __init__(self, data: ObservedDataset, start: np.ndarray):
-        xmat, labels, self._design_weights, norm = participation_design(data)
-        self._work = _NewtonWorkspace(xmat, labels, norm)
-        self._weights = np.empty(data.n_rows)
-        self._start = start
-        trial_rows = data._trial_rows
-        trial_a = data.a.take(trial_rows)
-        # positions of each arm's trial rows, in the row order of data.arm(arm)
-        self._arm_rows = [trial_rows.take(np.flatnonzero(trial_a == arm)) for arm in (0, 1)]
-        self._arms = (data.arm(0), data.arm(1))
-
-    def __call__(self, rows: np.ndarray, arm: int) -> float:
-        counts = np.bincount(rows, minlength=self._weights.size)
-        arm_counts = [counts.take(r) for r in self._arm_rows]
-        if not (arm_counts[0].any() and arm_counts[1].any()):
-            return math.nan
-        np.multiply(self._design_weights, counts, out=self._weights)
-        slopes = self._work.fit(self._weights, self._start)[0][1:]
-        # over the drawn rows only, so that the odds are centred at the least
-        # score among them, as ipw_mean_nonrandomized centres them
-        drawn = np.flatnonzero(arm_counts[arm])
-        c = arm_counts[arm].take(drawn).astype(float)
-        x, y = self._arms[arm].x.take(drawn, axis=0), self._arms[arm].y.take(drawn)
-        score = np.einsum("ij,j->i", x, slopes)
-        w = c * np.exp(score.min() - score)
-        return float(np.einsum("i,i", c, y) / c.sum() - np.einsum("i,i", w, y) / w.sum())
+    def __call__(self, counts: np.ndarray) -> float:
+        reports = self.reports(counts)
+        return sum(sign * report.value for (sign, _), report in zip(self.terms, reports))
 
 
 def bootstrap_se(data: ObservedDataset, spec: EstimatorSpec, b: int, seed: int) -> float:
@@ -627,13 +610,13 @@ def bootstrap_se(data: ObservedDataset, spec: EstimatorSpec, b: int, seed: int) 
 
     Resampling is within stratum (trial rows and external rows separately) so
     the relative stratum sizes the design conditions on are preserved; models
-    are refit on every resample.
+    are refit on every resample, from its row counts (:class:`CountRefit`),
+    participation warm-started at the full-sample fit.
     """
     if b < MIN_BOOTSTRAP_B:
         raise ValueError(f"bootstrap needs b >= {MIN_BOOTSTRAP_B}, got {b}")
-    reps = bootstrap_replicates(
-        data, lambda rows: spec.fit_and_evaluate(resampled_dataset(data, rows)).value, b, seed
-    )
+    start = fit_participation(data) if spec.needs_participation else None
+    reps = bootstrap_replicates(data, CountRefit(data, [(1, spec)], start), b, seed)
     return bootstrap_sd(reps)
 
 

@@ -47,32 +47,43 @@ class OutcomeModel:
         }
 
 
-def _ols_qr(xmat: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _ols_qr(xmat: np.ndarray, y: np.ndarray, n_rows: int) -> np.ndarray:
+    """Least-squares coefficients; ``n_rows`` is the row count that rounding scales with."""
     q, r = np.linalg.qr(xmat)
     # |R_jj| is column j's distance from the span of the columns before it;
     # relative to the column's norm, ||R[:, j]|| = ||x_j||, it does not depend on units
-    tol = xmat.shape[0] * np.finfo(float).eps * np.linalg.norm(r, axis=0)
+    tol = n_rows * np.finfo(float).eps * np.linalg.norm(r, axis=0)
     if np.any(np.abs(np.diag(r)) <= tol):
         raise RankDeficient("outcome design matrix is rank deficient")
     return solve_triangular(r, q.T @ y)
 
 
-def fit_outcome(data: ObservedDataset) -> OutcomeModel:
-    """OLS fit of the outcome on covariates within each treatment arm's trial rows."""
+def fit_outcome(data: ObservedDataset, counts=None) -> OutcomeModel:
+    """OLS fit of the outcome on covariates within each treatment arm's trial rows.
+
+    With per-row ``counts``, each row enters scaled by sqrt(count), and the row
+    check and residual dof use the counts' sum: the fit of the resampled rows.
+    """
     coefs, variances, sizes = [], [], []
     for arm in (0, 1):
         rows = data.arm(arm)
-        n_arm = rows.y.size
+        if counts is None:
+            n_arm = rows.y.size
+            xmat, y = np.column_stack([np.ones(n_arm), rows.x]), rows.y
+        else:
+            arm_counts = counts.take(rows.positions)
+            n_arm = int(arm_counts.sum())
+            root = np.sqrt(arm_counts)
+            xmat, y = np.column_stack([root, rows.x * root[:, None]]), rows.y * root
         if n_arm < data.p + 2:
             raise InsufficientData(
                 f"arm {arm} has {n_arm} trial rows; need at least p+2 = {data.p + 2}"
             )
-        xmat = np.column_stack([np.ones(n_arm), rows.x])
-        coef = _ols_qr(xmat, rows.y)
+        coef = _ols_qr(xmat, y, n_arm)
         # einsum, not `@`: OpenBLAS runs long dot and matrix-vector products
         # on several threads, which then spin for ~0.1 s on cores that other
         # replication workers use
-        resid = rows.y - np.einsum("ij,j->i", xmat, coef)
+        resid = y - np.einsum("ij,j->i", xmat, coef)
         dof = n_arm - (data.p + 1)
         variances.append(float(np.einsum("i,i", resid, resid) / dof) if dof > 0 else 0.0)
         coefs.append(coef)

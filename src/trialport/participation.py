@@ -312,6 +312,18 @@ def participation_design(data: ObservedDataset):
     return xmat, labels, np.ones(n), float(n)
 
 
+def _fitted_model(design: Design, fit) -> ParticipationModel:
+    """The model of a Newton fit ``(coef, objective, grad_norm, iters)`` under ``design``."""
+    coef, obj, gnorm, iters = fit
+    return ParticipationModel(
+        coefficients=coef,
+        scale=Scale.POPULATION if is_nested(design) else Scale.SHIFTED,
+        objective=obj,
+        grad_norm=gnorm,
+        iterations=iters,
+    )
+
+
 def fit_participation(data: ObservedDataset) -> ParticipationModel:
     """Fit the logistic participation model by (design-weighted) maximum likelihood.
 
@@ -319,14 +331,7 @@ def fit_participation(data: ObservedDataset) -> ParticipationModel:
     """
     if data.n_external == 0:
         raise InsufficientData("participation fit needs both trial and external records")
-    coef, obj, gnorm, iters = _newton_fit(*participation_design(data))
-    return ParticipationModel(
-        coefficients=coef,
-        scale=Scale.POPULATION if is_nested(data.design) else Scale.SHIFTED,
-        objective=obj,
-        grad_norm=gnorm,
-        iterations=iters,
-    )
+    return _fitted_model(data.design, _newton_fit(*participation_design(data)))
 
 
 # ---------------------------------------------------------------------------

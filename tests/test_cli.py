@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import json
 import math
@@ -10,12 +9,12 @@ import numpy as np
 import pytest
 
 import trialport as tp
-from trialport import cli, dataio, dgp, experiment
+from trialport import cli, dataio, experiment
 from trialport.cli import main
 from trialport.estimators import Method, StudyPopulation
 from trialport.experiment import EstimatorSpec
 
-from support import oracles
+from support import oracles, resamples
 
 
 def dgp1_doc(seed=20240901, **overrides):
@@ -51,37 +50,30 @@ def run_json(capsys, args):
 
 
 def capture_replicates(monkeypatch) -> list:
-    """Record, per ``cli.bootstrap_replicates`` call: (data, resample rows, replicates).
+    """Record, per ``cli.bootstrap_replicates`` call: (data, resample counts, replicates).
 
-    The replicates are recorded here, as the call returns them; the rows of
-    resample ``i`` are drawn again from its keyed stream, since the calls of
-    ``stat_fn`` may run in other processes.
+    The replicates are recorded here, as the call returns them; the counts of
+    resample ``i`` are those of its row positions, drawn again from its keyed
+    stream, since the calls of ``stat_fn`` may run in other processes.
     """
     calls = []
     original = cli.bootstrap_replicates
 
     def recording(data, stat_fn, b, seed, workers=1):
         reps = original(data, stat_fn, b, seed, workers)
-        draws = [
-            experiment._resample_rows(data, dgp._stream(seed, experiment._RESAMPLE, i))
-            for i in range(b)
-        ]
-        calls.append((data, draws, reps))
+        calls.append((data, [resamples.resample_counts(data, seed, i) for i in range(b)], reps))
         return reps
 
     monkeypatch.setattr(cli, "bootstrap_replicates", recording)
     return calls
 
 
-def materialized_difference(data, rows, arm, method):
+def materialized_difference(data, counts, arm, method):
     """diagnose's replicate refit on the resampled dataset itself (NaN where that fails)."""
     trial = EstimatorSpec(Method.TRIAL_ONLY, StudyPopulation.RANDOMIZED, arm)
     external = EstimatorSpec(method, StudyPopulation.NONRANDOMIZED, arm)
     try:
-        resample = dataclasses.replace(
-            data, x=data.x.take(rows, axis=0), s=data.s.take(rows), a=data.a.take(rows),
-            y=data.y.take(rows),
-        )
+        resample = resamples.materialized(data, counts)
         return trial.fit_and_evaluate(resample).value - external.fit_and_evaluate(resample).value
     except tp.TrialportError:
         return math.nan
@@ -322,7 +314,7 @@ class TestDiagnose:
         assert len(calls) == 2
         for arm, (data, draws, reps) in enumerate(calls):
             assert len(draws) == 60
-            ref = [materialized_difference(data, rows, arm, Method.IPW_HAJEK) for rows in draws]
+            ref = [materialized_difference(data, c, arm, Method.IPW_HAJEK) for c in draws]
             np.testing.assert_array_equal(np.isnan(reps), np.isnan(ref))
             np.testing.assert_allclose(reps, ref, rtol=1e-6)
 
@@ -336,8 +328,9 @@ class TestDiagnose:
         assert run_json(capsys, argv)[0] == 0
         assert len(calls) == 2
         for arm, (data, draws, reps) in enumerate(calls):
-            ref = [materialized_difference(data, rows, arm, Method.GFORMULA) for rows in draws]
-            np.testing.assert_array_equal(reps, ref)
+            ref = [materialized_difference(data, c, arm, Method.GFORMULA) for c in draws]
+            np.testing.assert_array_equal(np.isnan(reps), np.isnan(ref))
+            np.testing.assert_allclose(reps, ref, rtol=1e-10)
 
     # a warning raised in another process never reaches this one, so one CPU count is 1
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -357,7 +350,7 @@ class TestDiagnose:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "Warning" not in captured.err
         for _, draws, reps in calls:
-            missed = np.array([lone not in rows for rows in draws])
+            missed = np.array([counts[lone] == 0 for counts in draws])
             assert 0 < missed.sum() < missed.size
             np.testing.assert_array_equal(np.isnan(reps), missed)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -328,8 +329,12 @@ class TestExactTruth:
     @pytest.mark.parametrize("intercept", [-800.0, 40.0], ids=["rounds_to_0", "rounds_to_1"])
     def test_an_empty_stratum_raises_like_the_monte_carlo_oracle(self, intercept):
         dgp = dataclasses.replace(oracles.make_dgp1(3), participation_logit=(intercept, 0.5))
-        # exp(-eta) overflows to inf in the oracle's draws, which gives the right 0
-        with pytest.raises(tp.DataError), np.errstate(over="ignore"):
-            tp.oracle_truth(dgp, 100_000)
+        with warnings.catch_warnings():
+            # exp(-eta) overflows to inf where eta < -709, which gives the right 0 silently
+            warnings.simplefilter("error")
+            with pytest.raises(tp.DataError):
+                tp.oracle_truth(dgp, 100_000)
+            participants = tp.simulate_actual_population(dgp, 1_000, seed=1).s.sum()
+            assert participants == (1_000 if intercept > 0 else 0)
         with pytest.raises(tp.DataError):
             dgp_module.exact_truth(dgp)

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trialport as tp
 from trialport import dgp as dgp_module
@@ -20,7 +21,7 @@ from trialport.estimators import Method, StudyPopulation
 from trialport.experiment import splitmix64, summary_rows_to_csv
 
 from conftest import make_tiny_dataset
-from support import oracles
+from support import oracles, resamples
 
 
 def spec(method, population, arm=1):
@@ -460,12 +461,9 @@ def bootstrap_dataset(design):
 def diagnose_statistic(data, method, arm=1):
     """``diagnose``'s replicate statistic for ``arm``, as the command line builds it."""
     trial = spec("trial_only", "randomized", arm)
-    if method == "ipw":
-        count_difference = experiment.IpwDifferenceFromCounts(
-            data, tp.fit_participation(data).coefficients
-        )
-        return functools.partial(count_difference, arm=arm)
-    return experiment.ResampledDifference(data, trial, spec("gformula", "nonrandomized", arm))
+    external = spec("ipw_hajek" if method == "ipw" else "gformula", "nonrandomized", arm)
+    start = tp.fit_participation(data) if method == "ipw" else None
+    return experiment.CountRefit(data, [(1, trial), (-1, external)], start)
 
 
 BOOTSTRAP_DESIGNS = {
@@ -492,11 +490,11 @@ class TestBootstrapProcesses:
     def test_resample_i_draws_from_its_keyed_stream(self):
         data = bootstrap_dataset(tp.CensusNested())
         draws = []
-        experiment.bootstrap_replicates(data, lambda rows: draws.append(rows) or 0.0, 5, seed=9)
+        experiment.bootstrap_replicates(data, lambda c: draws.append(c) or 0.0, 5, seed=9)
         assert len(draws) == 5
-        for i, rows in enumerate(draws):
-            expected = experiment._resample_rows(data, dgp_module._stream(9, 3, i))
-            np.testing.assert_array_equal(rows, expected)
+        for i, counts in enumerate(draws):
+            assert counts.sum() == data.n_rows
+            np.testing.assert_array_equal(counts, resamples.resample_counts(data, 9, i))
 
     def test_processes_are_capped_at_the_resample_count(self, pool_sizes):
         data = bootstrap_dataset(tp.CensusNested())
@@ -523,6 +521,99 @@ class TestBootstrapProcesses:
         for stat, ref in zip(stats, refs):
             reps = experiment.bootstrap_replicates(data, stat, 4, seed=2, workers=2)
             assert reps.tobytes() == ref.tobytes()
+
+
+COUNT_PATH_DESIGNS = {
+    "census": tp.CensusNested(),
+    "c=0.3": tp.SubsampledNested(c=0.3),
+    "step_rule": tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
+    "non_nested": tp.NonNested(),
+}
+EVERY_SPEC = tuple(
+    tp.EstimatorSpec(method, population, arm)
+    for method, populations in tp.EstimatorSpec._VALID.items()
+    for population in sorted(populations, key=lambda pop: pop.value)
+    for arm in (0, 1)
+)
+
+
+def _report_or_error(fn):
+    try:
+        return fn()
+    except tp.TrialportError as exc:
+        return type(exc)
+
+
+class TestCountPath:
+    """Refitting and evaluating from row counts gives what the resampled rows themselves give."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        design=st.sampled_from(sorted(COUNT_PATH_DESIGNS)),
+        p=st.integers(0, 2),
+        n_trial=st.integers(6, 40),
+        n_external=st.integers(4, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_cell_agrees_with_the_materialized_resample(
+        self, design, p, n_trial, n_external, seed
+    ):
+        if design == "step_rule" and p == 0:
+            p = 1  # the step rule needs an auxiliary covariate
+        data = make_tiny_dataset(
+            COUNT_PATH_DESIGNS[design], n_trial, n_external, p, n_unsampled=n_external, seed=seed
+        )
+        for i in range(3):
+            counts = resamples.resample_counts(data, seed, i)
+            for s in EVERY_SPEC:
+                by_counts = _report_or_error(
+                    lambda: experiment.CountRefit(data, [(1, s)]).reports(counts)[0]
+                )
+                by_rows = _report_or_error(
+                    lambda: s.fit_and_evaluate(resamples.materialized(data, counts))
+                )
+                if isinstance(by_rows, type):
+                    assert isinstance(by_counts, type), (s, by_rows, by_counts)
+                    continue
+                assert not isinstance(by_counts, type), (s, by_counts)
+                assert by_counts.warnings == by_rows.warnings
+                for field in ("value", "effective_sample_size", "max_normalized_weight"):
+                    got, want = getattr(by_counts, field), getattr(by_rows, field)
+                    assert abs(got - want) <= 1e-10 * abs(want), (s, field, got, want)
+
+    def test_an_arm_with_no_counted_row_raises_insufficient_data(self):
+        data = bootstrap_dataset(tp.CensusNested())
+        start = tp.fit_participation(data)
+        for arm in (0, 1):
+            counts = np.ones(data.n_rows, dtype=np.intp)
+            counts[data.arm(arm).positions] = 0
+            counts[data.arm(1 - arm).positions[0]] += data.arm(arm).positions.size
+            # every cell, the other arm's too: the resampled rows make no dataset
+            for s in EVERY_SPEC:
+                with pytest.raises(tp.InsufficientData):
+                    experiment.CountRefit(data, [(1, s)], start)(counts)
+            with pytest.raises(tp.DataError):
+                resamples.materialized(data, counts)
+        reps = experiment.bootstrap_replicates(data, diagnose_statistic(data, "ipw"), 40, seed=2)
+        empty = [
+            not all(resamples.resample_counts(data, 2, i).take(rows).any()
+                    for rows in (data.arm(0).positions, data.arm(1).positions))
+            for i in range(40)
+        ]
+        assert any(empty)
+        np.testing.assert_array_equal(np.isnan(reps), empty)
+
+    @pytest.mark.parametrize(
+        "cell", [("ipw_ht", "target"), ("ipw_hajek", "target"), ("ipw_hajek", "nonrandomized")]
+    )
+    def test_weight_truncation_does_not_take_counts(self, cell):
+        data, cell = bootstrap_dataset(tp.CensusNested()), spec(*cell)
+        pmodel = tp.fit_participation(data)
+        report = cell.evaluate(data, pmodel, None, truncate_q=0.9)
+        assert any("truncated" in w for w in report.warnings)
+        counts = np.ones(data.n_rows, dtype=np.intp)
+        with pytest.raises(ValueError, match="counts"):
+            cell.evaluate(data, pmodel, None, truncate_q=0.9, counts=counts)
 
 
 class TestDesignComparison:

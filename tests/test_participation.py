@@ -486,13 +486,14 @@ class TestCountRefit:
             COUNT_REFIT_DESIGNS[design], n_trial, n_external, p, n_unsampled=n_external, seed=seed
         )
         draws = []
-        bootstrap_replicates(data, lambda rows: draws.append(rows) or 0.0, 3, seed)
+        bootstrap_replicates(data, lambda counts: draws.append(counts) or 0.0, 3, seed)
         xmat, labels, weights, norm = participation_design(data)
         work = _NewtonWorkspace(xmat, labels, norm)
         full = _fit_or_error(work.fit, weights)
         starts = [None] if isinstance(full, type) else [None, full[0]]
-        for rows in draws:
-            counted = weights * np.bincount(rows, minlength=data.n_rows)
+        for counts in draws:
+            counted = weights * counts
+            rows = np.repeat(np.arange(data.n_rows), counts)
             for start in starts:
                 by_counts = _fit_or_error(work.fit, counted, start)
                 by_rows = _fit_or_error(

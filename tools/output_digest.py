@@ -16,9 +16,11 @@ bytes. Each ``experiment`` and ``sweep`` CSV is also digested with its
 oracle-derived columns (``truth``, ``bias``, ``rmse``) removed, as
 ``NAME.no_truth``: a change to the oracle alone moves only the full digests.
 Each ``diagnose`` output is also digested with its ``difference_bootstrap_se``
-rounded to 6 significant digits, as ``NAME.se6``: a change that refits the
-same resamples to the same optimum by another route moves only the full
-digests, while one that draws other resamples moves both. ``diagnose`` runs on
+rounded to 6 significant digits, as ``NAME.se6``, and so is each bootstrap
+``experiment`` CSV, with its ``boot_se_mean`` rounded likewise, as
+``experiment_bootstrap_wN.se6``: a change that refits the same resamples to
+the same optimum by another route moves only the full digests, while one that
+draws other resamples moves both. ``diagnose`` runs on
 every CPU the process may use; its output does not depend on how many there
 are, so digests from machines with different CPU counts compare.
 """
@@ -97,6 +99,17 @@ def _se6(stream: bytes) -> bytes:
     return f"{head}\n{json.dumps(doc, indent=2)}{text[end:]}".encode()
 
 
+def _boot_se6(data: bytes) -> bytes:
+    """A summary CSV's bytes with each row's ``boot_se_mean`` rounded to 6 significant digits."""
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    column = rows[0].index("boot_se_mean")
+    for row in rows[1:]:
+        row[column] = repr(float(f"{float(row[column]):.6g}"))
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode()
+
+
 def run_all(main) -> dict:
     """Run every command in the current directory; return name -> output bytes."""
     streams = {}
@@ -141,6 +154,8 @@ def run_all(main) -> dict:
         streams[path.name] = path.read_bytes()
         if path.name.startswith(("experiment_", "sweep_")) and path.suffix == ".csv":
             streams[f"{path.name}.no_truth"] = _without_truth(streams[path.name])
+        if path.name.startswith("experiment_bootstrap_") and path.suffix == ".csv":
+            streams[f"{path.stem}.se6"] = _boot_se6(streams[path.name])
     return streams
 
 
