@@ -277,6 +277,7 @@ def _map_in_workers(fn, tasks, workers: int, shared: tuple = ()) -> list:
     processes = min(workers, len(tasks))
     if processes <= 1:
         return [fn(*shared, *task) for task in tasks]
+    import numpy.random  # noqa: F401  (loaded once here, forked processes need not each load it)
     with ProcessPoolExecutor(
         max_workers=processes, initializer=_install, initargs=(fn, shared)
     ) as pool:

@@ -38,6 +38,9 @@ from .outcome import OutcomeModel, predict
 from .participation import ParticipationModel, Scale, participation_probability
 
 EXTREME_WEIGHT_THRESHOLD = 0.1
+# a share within this relative distance of the threshold ties with it: ten equal
+# weights give 0.1 up to rounding, which differs between rows and their counts
+_TIE_RTOL = 1e-12
 
 
 class Method(enum.Enum):
@@ -95,7 +98,7 @@ class EstimateReport:
 def _report(estimand, arm, method, value, diagnostics, extra_warnings=()):
     max_w, ess = diagnostics
     warnings = tuple(extra_warnings)
-    if max_w > EXTREME_WEIGHT_THRESHOLD:
+    if max_w > EXTREME_WEIGHT_THRESHOLD * (1.0 + _TIE_RTOL):
         warnings = warnings + (
             f"extreme weights: max normalized weight {max_w:.3g} > {EXTREME_WEIGHT_THRESHOLD}",
         )

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .domain import ObservedDataset
 from .errors import InsufficientData, RankDeficient
@@ -47,15 +46,23 @@ class OutcomeModel:
         }
 
 
-def _ols_qr(xmat: np.ndarray, y: np.ndarray, n_rows: int) -> np.ndarray:
-    """Least-squares coefficients; ``n_rows`` is the row count that rounding scales with."""
+def _ols_qr(xmat: np.ndarray, y: np.ndarray, n_rows: int, guard=None) -> np.ndarray:
+    """Least-squares coefficients; ``n_rows`` is the row count that rounding scales with.
+
+    The rank guard runs on ``guard`` (rows spanning xmat's row space), if given.
+    Back substitution solves R b = Q^T y row by row from the last up, as LAPACK's dtrsv.
+    """
     q, r = np.linalg.qr(xmat)
+    rg = r if guard is None else np.linalg.qr(guard, mode="r")
     # |R_jj| is column j's distance from the span of the columns before it;
     # relative to the column's norm, ||R[:, j]|| = ||x_j||, it does not depend on units
-    tol = n_rows * np.finfo(float).eps * np.linalg.norm(r, axis=0)
-    if np.any(np.abs(np.diag(r)) <= tol):
+    tol = n_rows * np.finfo(float).eps * np.linalg.norm(rg, axis=0)
+    if rg.shape[0] < rg.shape[1] or np.any(np.abs(np.diag(rg)) <= tol):
         raise RankDeficient("outcome design matrix is rank deficient")
-    return solve_triangular(r, q.T @ y)
+    z = q.T @ y
+    for j in range(z.size - 1, -1, -1):
+        z[j] = (z[j] - r[j, j + 1:] @ z[j + 1:]) / r[j, j]
+    return z
 
 
 def fit_outcome(data: ObservedDataset, counts=None) -> OutcomeModel:
@@ -63,10 +70,12 @@ def fit_outcome(data: ObservedDataset, counts=None) -> OutcomeModel:
 
     With per-row ``counts``, each row enters scaled by sqrt(count), and the row
     check and residual dof use the counts' sum: the fit of the resampled rows.
+    The rank guard then sees the counted rows unscaled: sqrt(count) rounds, and
+    can lift a column that a few distinct rows make dependent above its tolerance.
     """
     coefs, variances, sizes = [], [], []
     for arm in (0, 1):
-        rows = data.arm(arm)
+        rows, guard = data.arm(arm), None
         if counts is None:
             n_arm = rows.y.size
             xmat, y = np.column_stack([np.ones(n_arm), rows.x]), rows.y
@@ -75,11 +84,13 @@ def fit_outcome(data: ObservedDataset, counts=None) -> OutcomeModel:
             n_arm = int(arm_counts.sum())
             root = np.sqrt(arm_counts)
             xmat, y = np.column_stack([root, rows.x * root[:, None]]), rows.y * root
+            drawn = rows.x[arm_counts > 0]
+            guard = np.column_stack([np.ones(len(drawn)), drawn])
         if n_arm < data.p + 2:
             raise InsufficientData(
                 f"arm {arm} has {n_arm} trial rows; need at least p+2 = {data.p + 2}"
             )
-        coef = _ols_qr(xmat, y, n_arm)
+        coef = _ols_qr(xmat, y, n_arm, guard)
         # einsum, not `@`: OpenBLAS runs long dot and matrix-vector products
         # on several threads, which then spin for ~0.1 s on cores that other
         # replication workers use

@@ -40,7 +40,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .domain import (
     Design,
@@ -371,4 +370,5 @@ def participation_probability(model: ParticipationModel, design: Design, x) -> n
             "participation probabilities need a population-scale model; "
             "fit it on a nested design"
         )
-    return expit(model.coefficients[0] + model.slope_score(x))
+    with np.errstate(over="ignore"):  # exp(-eta) = inf where eta < -709 gives the right 0
+        return 1.0 / (1.0 + np.exp(-(model.coefficients[0] + model.slope_score(x))))

@@ -3,7 +3,10 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -746,3 +749,34 @@ class TestMalformedInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+# any `import scipy...` in this interpreter raises ImportError; the pool's
+# processes are forks of it, so they inherit the block
+_NUMPY_ONLY_RUN = """
+import sys
+sys.modules["scipy"] = None
+import trialport
+from trialport.cli import main
+cfg, data = sys.argv[1:]
+codes = [
+    main(["simulate", cfg, data]),
+    main(["estimate", data, "--estimand", "target", "--method", "gformula"]),
+    main(["estimate", data, "--estimand", "target", "--method", "ipw_hajek"]),
+    main(["diagnose", data, "--bootstrap-b", "4", "--seed", "3"]),
+]
+print("codes", codes, "scipy", sorted(k for k in sys.modules if k.startswith("scipy") and k != "scipy"))
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_commands_run_without_scipy(self, tmp_path):
+        doc = {"dgp": dgp1_doc(), "design": {"variant": "subsampled_nested", "c": 0.5}, "n": 2_000}
+        cfg = write_config(tmp_path, doc)
+        env = {**os.environ, "PYTHONPATH": str(Path(tp.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_ONLY_RUN, str(cfg), str(tmp_path / "data")],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "codes [0, 0, 0, 0] scipy []", proc.stderr

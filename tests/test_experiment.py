@@ -581,6 +581,18 @@ class TestCountPath:
                     got, want = getattr(by_counts, field), getattr(by_rows, field)
                     assert abs(got - want) <= 1e-10 * abs(want), (s, field, got, want)
 
+    def test_ten_equal_weights_tie_with_the_extreme_weight_threshold(self):
+        # ten external rows of weight 1/c: rows and counts round 1/10 to either side
+        data = make_tiny_dataset(COUNT_PATH_DESIGNS["c=0.3"], 7, 10, 0, n_unsampled=10, seed=1)
+        counts = resamples.resample_counts(data, 1, 0)
+        for arm in (0, 1):
+            s = tp.EstimatorSpec(Method.GFORMULA, StudyPopulation.NONRANDOMIZED, arm)
+            by_counts = experiment.CountRefit(data, [(1, s)]).reports(counts)[0]
+            by_rows = s.fit_and_evaluate(resamples.materialized(data, counts))
+            for report in (by_counts, by_rows):
+                assert report.max_normalized_weight == pytest.approx(0.1, rel=1e-15)
+                assert report.warnings == ()
+
     def test_an_arm_with_no_counted_row_raises_insufficient_data(self):
         data = bootstrap_dataset(tp.CensusNested())
         start = tp.fit_participation(data)

@@ -4,8 +4,10 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import solve_triangular
 
 import trialport as tp
+from trialport import outcome
 
 from conftest import make_tiny_dataset
 from support import oracles, specs
@@ -54,6 +56,14 @@ class TestFit:
         with pytest.raises(tp.RankDeficient):
             tp.fit_outcome(data)
 
+    def test_counted_rows_with_too_few_distinct_rows_are_rank_deficient(self):
+        # arm 1 counts two distinct rows (1 and 3 times) for three coefficients;
+        # scaled by sqrt(3), which rounds, its |R_33| passed the guard's tolerance
+        data = make_tiny_dataset(n_trial=9, n_external=4, p=2, seed=123028140)
+        counts = np.array([0, 0, 1, 1, 0, 0, 3, 3, 1, 1, 1, 1, 1])
+        with pytest.raises(tp.RankDeficient):
+            tp.fit_outcome(data, counts)
+
     def test_insufficient_rows_per_arm(self):
         data = make_tiny_dataset(n_trial=2, n_external=3, p=2)
         with pytest.raises(tp.InsufficientData):
@@ -83,6 +93,32 @@ class TestFit:
         model2 = tp.fit_outcome(perturbed)
         assert np.array_equal(model.coef_a0, model2.coef_a0)
         assert np.array_equal(model.coef_a1, model2.coef_a1)
+
+
+class TestBackSubstitution:
+    """``_ols_qr`` solves R b = Q^T y with numpy alone; scipy is the reference here."""
+
+    def test_bit_identical_to_scipy_solve_triangular(self):
+        rng = np.random.Generator(np.random.Philox(2024))
+        mismatches = 0
+        for _ in range(2_000):
+            q = int(rng.integers(2, 6))
+            n = int(rng.integers(q + 2, 60))
+            xmat = np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))])
+            xmat *= np.exp(rng.uniform(-9.0, 9.0, size=q))
+            y = rng.normal(size=n) * np.exp(rng.uniform(-9.0, 9.0))
+            qmat, r = np.linalg.qr(xmat)
+            expected = solve_triangular(r, qmat.T @ y)
+            mismatches += not np.array_equal(outcome._ols_qr(xmat, y, n), expected)
+        assert mismatches == 0
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_copied_column_raises_rank_deficient(self, scale):
+        rng = np.random.Generator(np.random.Philox(5))
+        x = rng.normal(size=(40, 2)) * scale
+        xmat = np.column_stack([np.ones(40), x, x[:, 1]])
+        with pytest.raises(tp.RankDeficient):
+            outcome._ols_qr(xmat, rng.normal(size=40), 40)
 
 
 _KNOWN_MODEL = tp.OutcomeModel(

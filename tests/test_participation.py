@@ -413,7 +413,11 @@ class TestProbabilityAndOdds:
         assert isinstance(prob, np.ndarray) and prob.shape == (1_000,)
         rows = np.array([tp.participation_probability(model, design, row)[0] for row in x])
         assert np.array_equal(prob, rows)
-        assert np.array_equal(prob, expit(model.coefficients[0] + model.slope_score(x)))
+        eta = model.coefficients[0] + model.slope_score(x)
+        assert np.array_equal(prob, 1.0 / (1.0 + np.exp(-eta)))
+        # scipy's expit rounds differently: its values are within 2 ulp
+        # (e.g. 0.43093558700902923 against 0.43093558700902934 at eta = -0.278)
+        np.testing.assert_array_max_ulp(prob, expit(eta), maxulp=2)
 
 
 class TestRoundingFloor:

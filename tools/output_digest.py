@@ -20,7 +20,10 @@ rounded to 6 significant digits, as ``NAME.se6``, and so is each bootstrap
 ``experiment`` CSV, with its ``boot_se_mean`` rounded likewise, as
 ``experiment_bootstrap_wN.se6``: a change that refits the same resamples to
 the same optimum by another route moves only the full digests, while one that
-draws other resamples moves both. ``diagnose`` runs on
+draws other resamples moves both. Each ``experiment`` and ``sweep`` CSV is
+also digested with every number rounded to 10 significant digits, as
+``NAME.r10`` (``NAME`` without ``.csv``): a change that moves only the last
+bits of some values moves the full digests but not these. ``diagnose`` runs on
 every CPU the process may use; its output does not depend on how many there
 are, so digests from machines with different CPU counts compare.
 """
@@ -77,13 +80,17 @@ def _run(main, name: str, argv: list, streams: dict) -> None:
     streams[name] = f"exit {code}\n{out.getvalue()}{err.getvalue()}".encode()
 
 
+def _csv_bytes(rows) -> bytes:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode()
+
+
 def _without_truth(data: bytes) -> bytes:
     """A summary CSV's bytes with the columns derived from the oracle's truths removed."""
     rows = list(csv.reader(io.StringIO(data.decode())))
     keep = [i for i, name in enumerate(rows[0]) if name not in TRUTH_COLUMNS]
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([row[i] for i in keep] for row in rows)
-    return out.getvalue().encode()
+    return _csv_bytes([row[i] for i in keep] for row in rows)
 
 
 def _se6(stream: bytes) -> bytes:
@@ -105,9 +112,19 @@ def _boot_se6(data: bytes) -> bytes:
     column = rows[0].index("boot_se_mean")
     for row in rows[1:]:
         row[column] = repr(float(f"{float(row[column]):.6g}"))
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue().encode()
+    return _csv_bytes(rows)
+
+
+def _round10(data: bytes) -> bytes:
+    """A summary CSV's bytes with every number rounded to 10 significant digits."""
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    for row in rows[1:]:
+        for i, cell in enumerate(row):
+            try:
+                row[i] = f"{float(cell):.10g}"
+            except ValueError:  # a label, not a number
+                pass
+    return _csv_bytes(rows)
 
 
 def run_all(main) -> dict:
@@ -154,6 +171,7 @@ def run_all(main) -> dict:
         streams[path.name] = path.read_bytes()
         if path.name.startswith(("experiment_", "sweep_")) and path.suffix == ".csv":
             streams[f"{path.name}.no_truth"] = _without_truth(streams[path.name])
+            streams[f"{path.stem}.r10"] = _round10(streams[path.name])
         if path.name.startswith("experiment_bootstrap_") and path.suffix == ".csv":
             streams[f"{path.stem}.se6"] = _boot_se6(streams[path.name])
     return streams
