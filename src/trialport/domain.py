@@ -36,6 +36,16 @@ class Estimand(enum.Enum):
 # Study designs
 
 
+def _reject_bool(value, what: str, kind: str = "a number") -> None:
+    """Refuse a boolean where a number is expected.
+
+    ``True`` passes numeric checks as 1, but the package's JSON writers keep it
+    as ``true``, which its own readers refuse.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise DataError(f"{what} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CensusNested:
     """Nested design where the whole actual population contributes data."""
@@ -48,6 +58,7 @@ class SubsampledNested:
     c: float
 
     def __post_init__(self):
+        _reject_bool(self.c, "sampling fraction c")
         if not (isinstance(self.c, (int, float)) and 0.0 < self.c <= 1.0):
             raise DataError(f"sampling fraction c must be in (0, 1], got {self.c}")
 
@@ -65,6 +76,8 @@ class StepRule:
     high: float = 1.0
 
     def __post_init__(self):
+        for name in ("cutoff", "low", "high"):
+            _reject_bool(getattr(self, name), f"step rule {name}")
         for v in (self.low, self.high):
             if not 0.0 < v <= 1.0:
                 raise DataError(f"step rule values must be in (0, 1], got {v}")
@@ -113,6 +126,7 @@ class NonNested:
     u_hidden: float | None = None
 
     def __post_init__(self):
+        _reject_bool(self.u_hidden, "u_hidden")
         if self.u_hidden is not None and not (0.0 < self.u_hidden <= 1.0):
             raise DataError(f"u_hidden must be in (0, 1], got {self.u_hidden}")
 

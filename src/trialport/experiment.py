@@ -18,6 +18,7 @@ counts; :class:`CountRefit`, the statistic of ``diagnose`` and of
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -308,8 +309,13 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
 
 
+@functools.cache
 def _libc_mallopt():
-    """The C library's ``mallopt`` with its signature declared, or None where it has none."""
+    """The C library's ``mallopt`` with its signature declared, or None where it has none.
+
+    Looked up once per process: each ``ctypes.CDLL`` builds a new function
+    pointer class, which costs more than the call it serves.
+    """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -571,9 +577,12 @@ class CountRefit:
     need from the counts and evaluates the terms on them: what the resampled
     dataset would give. Participation is refit with weights design weight ×
     count from ``start`` (the full-sample model; None: from 0), in one Newton
-    workspace that every resample in the process reuses. A resample with no
-    trial row in some arm, whose dataset would be invalid, raises
-    ``InsufficientData``; a failed refit raises as the fit would.
+    workspace that every resample in the process reuses. The workspace keeps
+    the start's linear predictor and probabilities, computed on the first
+    refit, so in the process that refits and not in the one that builds the
+    statistic; every later refit from the same start skips that pass. A
+    resample with no trial row in some arm, whose dataset would be invalid,
+    raises ``InsufficientData``; a failed refit raises as the fit would.
     """
 
     def __init__(self, data: ObservedDataset, terms, start: ParticipationModel | None = None):

@@ -17,19 +17,28 @@ How it is fit, and what the fitted coefficients mean, depends on the design:
 So a nested fit is on the population scale and a non-nested fit is shifted.
 A sample-scale fit of nested rows is the non-nested fit of the same rows.
 
-Fitting is Newton-Raphson with step-halving on the size-normalized
-objective, from 0 or from a given start point (a bootstrap refit starts at
-the full-sample fit). Each iterate's linear predictor eta is computed once,
-by the line search that accepts it; one exp(-|eta|) per iterate then gives
-both the objective (through a stable softplus) and the fitted probabilities
-that the gradient and the Hessian use. The rank guard runs on the first
-Hessian of every fit, X^T diag(w p (1 - p)) X at the start point: at coef = 0
-that is the weighted Gram matrix / 4, and since p (1 - p) > 0 it has the
-Gram matrix's rank at any start, so a warm-started fit is guarded like a cold
-one. Rows of weight 0 drop out of it, so a refit weighted by a resample's row
-counts checks the resample's own rank. The fit stops when the max-norm
-of the gradient in standardized coordinates (covariates centred and scaled by
-their weighted means and SDs) drops below 1e-8, and raises
+Fitting is Newton-Raphson from 0 or from a given start point (a bootstrap
+refit starts at the full-sample fit), on the size-normalized objective. Each
+iterate's linear predictor eta is computed once, by the step that reaches it;
+one exp(-|eta|) then gives both the fitted probabilities that the gradient and
+the Hessian use and, through a stable softplus, the objective. The objective
+is concave, so a full Newton step whose directional derivative at the
+candidate, grad(candidate) . delta, is still >= 0 has raised it, and it is
+accepted without the objective. Only a step that fails this sign test is
+judged by the objective: taken in full if its predicted gain is below the
+objective's rounding, else halved until the objective does not fall. The
+objective at the current point is computed then, from the eta kept for it,
+and at the end, for the fit to return. At coef = 0 every row has eta = 0 and
+p = 1/2 exactly, so a cold fit starts without a pass over the rows; at any
+other start a workspace keeps eta and the probabilities for the next fit from
+an equal start (see :class:`_NewtonWorkspace`). The rank guard runs on the
+first Hessian of every fit, X^T diag(w p (1 - p)) X at the start point: at
+coef = 0 that is the weighted Gram matrix / 4, and since p (1 - p) > 0 it has
+the Gram matrix's rank at any start, so a warm-started fit is guarded like a
+cold one. Rows of weight 0 drop out of it, so a refit weighted by a
+resample's row counts checks the resample's own rank. The fit stops when the
+max-norm of the gradient in standardized coordinates (covariates centred and
+scaled by their weighted means and SDs) drops below 1e-8, and raises
 ``SeparationDetected`` when a standardized coefficient passes 30, so neither
 guard depends on the covariates' units.
 """
@@ -156,6 +165,18 @@ class _NewtonWorkspace:
     so repeated fits (e.g. bootstrap refits from row counts) allocate no
     row-sized arrays. A weight of 0 drops a row; an integer weight k counts it
     k times.
+
+    A fit runs only the row passes whose results are not known in advance.
+    Each candidate gets its eta, exp(-|eta|), probabilities and gradient,
+    which an accepted step needs anyway. eta and exp(-|eta|) go to the spare
+    one of two buffer pairs, which swap on acceptance, so the current point's
+    pair outlives its candidate and gives the objective there when a step
+    fails the sign test. A start of 0 needs no row pass: eta = 0,
+    exp(-|eta|) = 1 and p = 1/2 exactly, and the first Hessian is the same
+    product on X^T diag(w) / 4. At any other start, eta, exp(-|eta|), p and
+    p (1 - p), which do not depend on the weights, are computed by the first
+    fit, in the process that fits, and kept for the next fit from an equal
+    start: every bootstrap refit starts at the full-sample fit.
     """
 
     def __init__(self, xmat, labels, norm: float):
@@ -164,43 +185,68 @@ class _NewtonWorkspace:
         self.labels = labels
         self.norm = norm
         self._xw = np.empty((q, n))  # X^T diag(w)
-        self._scratch = np.empty((q, n))  # centred covariates, then Hessian terms
+        # centred covariates, then Hessian terms; rows 0 and 1 (two even for an
+        # intercept-only fit) are also the objective's and the probabilities' scratch
+        self._scratch = np.empty((max(q, 2), n))
         self._ws = np.empty(n)  # w * s
-        self._eta = np.empty(n)  # linear predictor of the latest candidate
-        self._t = np.empty(n)  # exp(-|eta|)
-        self._prob = np.empty(n)  # fitted probabilities; scratch in the line search
-        self._tmp = np.empty(n)
+        # (eta, exp(-|eta|)) of the current point and of its candidate
+        self._pairs = ((np.empty(n), np.empty(n)), (np.empty(n), np.empty(n)))
+        self._prob = np.empty(n)  # fitted probabilities of the latest candidate
         self._is_pos = np.empty(n, dtype=bool)
+        # the last start fitted from, and its ((eta, exp(-|eta|)), p, p (1 - p))
+        self._kept_start = self._kept_terms = None
 
-    def _set_eta(self, coef) -> None:
-        np.matmul(coef, self.xt, out=self._eta)
-        t = np.abs(self._eta, out=self._t)
+    def _set_eta(self, coef, pair) -> None:
+        eta, t = pair
+        np.matmul(coef, self.xt, out=eta)
+        np.abs(eta, out=t)
         np.exp(np.negative(t, out=t), out=t)
 
-    def _objective(self, weights) -> tuple[float, float]:
-        """The objective at the latest eta (:func:`_softplus` into buffers), and its rounding.
+    def _objective(self, weights, pair) -> tuple[float, float]:
+        """The objective at the pair's eta (:func:`_softplus` into buffers), and its rounding.
 
         The rounding is a bound on the objective's rounding error: each of the
         two sums it subtracts adds n rows, so n eps times their sizes.
         """
-        softplus = np.maximum(self._eta, 0.0, out=self._tmp)
-        softplus += np.log1p(self._t, out=self._prob)
-        fit, spread = _dot(self._ws, self._eta), _dot(weights, softplus)
-        rounding = self._t.size * np.finfo(float).eps * (abs(fit) + spread) / self.norm
+        eta, t = pair
+        softplus = np.maximum(eta, 0.0, out=self._scratch[0])
+        softplus += np.log1p(t, out=self._scratch[1])
+        fit, spread = _dot(self._ws, eta), _dot(weights, softplus)
+        rounding = t.size * np.finfo(float).eps * (abs(fit) + spread) / self.norm
         return (fit - spread) / self.norm, rounding
 
-    def _set_prob(self) -> None:
-        """Probabilities at the latest eta: :func:`_logistic` into buffers."""
-        numer = self._tmp
-        np.copyto(numer, self._t)
-        np.copyto(numer, 1.0, where=np.greater_equal(self._eta, 0.0, out=self._is_pos))
-        np.divide(numer, np.add(1.0, self._t, out=self._prob), out=self._prob)
+    def _set_prob(self, pair, out) -> np.ndarray:
+        """Probabilities at the pair's eta: :func:`_logistic` into ``out``."""
+        eta, t = pair
+        # where(eta >= 0, 1, t) as max(t, eta >= 0), since 0 <= t <= 1: the same
+        # values, without a masked copy, which is several times slower
+        is_pos = np.greater_equal(eta, 0.0, out=self._is_pos)
+        numer = np.maximum(t, is_pos, out=self._scratch[0])
+        return np.divide(numer, np.add(1.0, t, out=out), out=out)
 
-    def _hessian(self):
+    @staticmethod
+    def _pq(prob, out) -> np.ndarray:
+        """p (1 - p) into ``out``."""
+        pq = np.subtract(1.0, prob, out=out)
+        pq *= prob
+        return pq
+
+    def _hessian(self, pq):
         # unnormalized: X^T diag(w p (1 - p)) X
-        pq = np.subtract(1.0, self._prob, out=self._tmp)
-        pq *= self._prob
-        return np.multiply(self._xw, pq, out=self._scratch) @ self.xt.T
+        return np.multiply(self._xw, pq, out=self._scratch[: len(self._xw)]) @ self.xt.T
+
+    def _start_terms(self, start):
+        """((eta, exp(-|eta|)), p, p (1 - p)) at ``start``, kept for the next equal start."""
+        if self._kept_terms is None:
+            n = self.xt.shape[1]
+            self._kept_terms = ((np.empty(n), np.empty(n)), np.empty(n), np.empty(n))
+        pair, prob, pq = self._kept_terms
+        if self._kept_start is None or not np.array_equal(self._kept_start, start):
+            self._kept_start = None  # until the terms below are complete
+            self._set_eta(start, pair)
+            self._pq(self._set_prob(pair, prob), pq)
+            self._kept_start = start.copy()
+        return self._kept_terms
 
     def fit(self, weights, start=None):
         """Maximize the weighted objective from ``start`` (default 0).
@@ -220,15 +266,22 @@ class _NewtonWorkspace:
         score0 = xt @ ws
         wsum = float(np.sum(weights))
         xmean = np.sum(xw[1:], axis=1) / wsum
-        centred = np.subtract(xt[1:], xmean[:, None], out=self._scratch[1:])
+        centred = np.subtract(xt[1:], xmean[:, None], out=self._scratch[1:q])
         # einsum, not `@`: with one covariate that product is a ddot (see _dot)
         xsd = np.sqrt(np.einsum("ij,ij,j->i", centred, centred, weights) / wsum)
 
-        coef = np.zeros(q) if start is None else np.array(start, dtype=float)
-        self._set_eta(coef)
-        obj, rounding = self._objective(weights)
-        self._set_prob()
-        hess = self._hessian()  # at coef = 0, the weighted Gram matrix / 4
+        if start is None:
+            coef = np.zeros(q)
+            cur = self._pairs[0]
+            cur[0].fill(0.0)
+            cur[1].fill(1.0)
+            prob = self._prob
+            prob.fill(0.5)
+            hess = self._hessian(0.25)  # the weighted Gram matrix / 4
+        else:
+            coef = np.array(start, dtype=float)
+            cur, prob, pq = self._start_terms(coef)
+            hess = self._hessian(pq)
         # rank of D^-1 H D^-1, D = sqrt(diag(H)), so that no column's units hide
         # another's; H sums n rows, so its entries carry up to n eps relative rounding
         d = np.sqrt(np.diag(hess))
@@ -238,13 +291,17 @@ class _NewtonWorkspace:
         if np.count_nonzero(sv > n * np.finfo(float).eps * sv[0]) < q:
             raise RankDeficient("weighted design matrix is rank deficient")
 
+        grad = (score0 - xw @ prob) / norm
+        obj = rounding = None  # the objective at coef, once a step has needed it
+        spare = 1  # the work pair that takes the next candidate
         iters = 0
         while True:
-            grad = (score0 - xw @ self._prob) / norm
             # d/da = d/dc_0; d/db_j = (d/dc_j - m_j d/dc_0) / s_j
             std_grad = np.append(grad[0], (grad[1:] - xmean * grad[0]) / xsd)
             gnorm = float(np.max(np.abs(std_grad)))
             if gnorm < GRAD_TOL:
+                if obj is None:
+                    obj = self._objective(weights, cur)[0]
                 return coef, obj, gnorm, iters
             if iters == MAX_ITER:
                 raise NonConvergence(
@@ -252,30 +309,44 @@ class _NewtonWorkspace:
                     gnorm,
                 )
             if iters:
-                hess = self._hessian()
+                # p (1 - p) into the spare pair's eta, which the next candidate overwrites
+                hess = self._hessian(self._pq(self._prob, self._pairs[spare][0]))
             iters += 1
             try:
                 delta = np.linalg.solve(hess / norm, grad)
             except np.linalg.LinAlgError as exc:
                 raise RankDeficient("singular Hessian in participation fit") from exc
 
-            # a step that gains less than the objective's rounding, by its quadratic
-            # model grad . delta / 2, cannot be judged by the objective: so close
-            # to the optimum the full Newton step is taken without a line search
-            unjudged = _dot(grad, delta) / 2 <= rounding
             step = 1.0
-            while True:
-                cand = coef + step * delta
-                self._set_eta(cand)
-                cand_obj, cand_rounding = self._objective(weights)
-                if unjudged or cand_obj >= obj:
-                    break
-                step *= 0.5
-                if step < 2.0**-30:
-                    raise NonConvergence(
-                        f"step halving stalled (gradient max-norm {gnorm:.3e})", gnorm
-                    )
-            coef, obj, rounding = cand, cand_obj, cand_rounding
+            cand = coef + step * delta
+            pair = self._pairs[spare]
+            self._set_eta(cand, pair)
+            cand_grad = (score0 - xw @ self._set_prob(pair, self._prob)) / norm
+            # the objective is concave: if it still rises along delta at the full
+            # step, the step has raised it (a NaN fails the test and is judged)
+            if _dot(cand_grad, delta) >= 0:
+                obj = rounding = None
+            else:
+                if obj is None:
+                    obj, rounding = self._objective(weights, cur)
+                # a step that gains less than the objective's rounding, by its quadratic
+                # model grad . delta / 2, cannot be judged by the objective: so close
+                # to the optimum the full Newton step is taken without a line search
+                unjudged = _dot(grad, delta) / 2 <= rounding
+                cand_obj, cand_rounding = self._objective(weights, pair)
+                while not (unjudged or cand_obj >= obj):
+                    step *= 0.5
+                    if step < 2.0**-30:
+                        raise NonConvergence(
+                            f"step halving stalled (gradient max-norm {gnorm:.3e})", gnorm
+                        )
+                    cand = coef + step * delta
+                    self._set_eta(cand, pair)
+                    cand_obj, cand_rounding = self._objective(weights, pair)
+                if step < 1.0:
+                    cand_grad = (score0 - xw @ self._set_prob(pair, self._prob)) / norm
+                obj, rounding = cand_obj, cand_rounding
+            coef, grad, cur, spare = cand, cand_grad, pair, 1 - spare
             # a = c_0 + sum_j c_j m_j; b_j = c_j s_j
             standardized = np.append(coef[0] + coef[1:] @ xmean, coef[1:] * xsd)
             if np.max(np.abs(standardized)) > SEPARATION_BOUND:
@@ -283,7 +354,6 @@ class _NewtonWorkspace:
                     "standardized participation coefficients diverged beyond "
                     f"{SEPARATION_BOUND:g}; data are likely separated"
                 )
-            self._set_prob()
 
 
 def _newton_fit(xmat, labels, weights, norm, start=None):

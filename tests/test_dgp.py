@@ -75,6 +75,45 @@ class TestSimulate:
         with pytest.raises(tp.DataError):
             tp.simulate_actual_population(dgp1, 0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: tp.Normal(mean=True, sd=1.0),
+            lambda: tp.Normal(mean=0.0, sd=True),
+            lambda: tp.Bernoulli(p=True),
+            lambda: tp.Uniform(lo=False, hi=1.0),
+            lambda: tp.Uniform(lo=0.0, hi=True),
+        ],
+        ids=["normal_mean", "normal_sd", "bernoulli_p", "uniform_lo", "uniform_hi"],
+    )
+    def test_covariate_laws_refuse_booleans(self, make):
+        with pytest.raises(tp.DataError, match="must be a number, got"):
+            make()
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("noise_sd", True, "a number"),
+            ("treatment_prob", True, "a number"),
+            ("seed", True, "an integer"),
+            ("aux_split", True, "an integer"),
+        ],
+    )
+    def test_dgp_refuses_booleans(self, field, value, kind):
+        # each would pass its range check as 1 and be written to JSON as true
+        fields = dict(
+            covariates=(tp.Normal(0.0, 1.0),),
+            participation_logit=(-1.0, 0.5),
+            treatment_prob=0.5,
+            outcome_mean_a0=(1.0, 1.0),
+            outcome_mean_a1=(2.0, 1.3),
+            noise_sd=1.0,
+            seed=1,
+        )
+        tp.DgpSpec(**fields)
+        with pytest.raises(tp.DataError, match=f"{field} must be {kind}, got True"):
+            tp.DgpSpec(**{**fields, field: value})
+
     def test_rejects_nonfinite_parameters(self):
         with pytest.raises(tp.DataError):
             tp.DgpSpec(

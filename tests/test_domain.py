@@ -69,6 +69,24 @@ class TestDesigns:
         with pytest.raises(tp.DataError, match=message):
             tp.StepRule(**fields)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: tp.SubsampledNested(c=True),
+            lambda: tp.SubsampledNested(c=np.True_),
+            lambda: tp.StepRule(low=True),
+            lambda: tp.StepRule(high=True),
+            lambda: tp.StepRule(cutoff=True),
+            lambda: tp.StepRule(cutoff=False),
+            lambda: tp.NonNested(u_hidden=True),
+        ],
+        ids=["c", "c_numpy", "low", "high", "cutoff", "cutoff_false", "u_hidden"],
+    )
+    def test_boolean_fields_are_refused(self, make):
+        # True passes the range checks as 1, but would be written to JSON as true
+        with pytest.raises(tp.DataError, match="must be a number, got"):
+            make()
+
     def test_step_rule_accepts_numpy_integer_coord(self):
         rule = tp.StepRule(coord=np.int64(1), cutoff=0.0, low=0.2, high=0.8)
         assert rule(np.array([[5.0, -1.0], [-5.0, 1.0]])).tolist() == [0.2, 0.8]

@@ -727,6 +727,13 @@ class TestDesignComparison:
 
 
 class TestMallocThresholds:
+    @pytest.fixture(autouse=True)
+    def uncached_lookup(self):
+        # the lookup is cached for the process: each test starts and leaves without one
+        experiment._libc_mallopt.cache_clear()
+        yield
+        experiment._libc_mallopt.cache_clear()
+
     def test_mallopt_is_declared_with_its_c_signature(self):
         mallopt = experiment._libc_mallopt()
         if mallopt is None:
@@ -743,6 +750,18 @@ class TestMallocThresholds:
         monkeypatch.setattr(experiment.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
         experiment._pin_malloc_thresholds()
         assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_the_c_library_is_looked_up_once_per_process(self, monkeypatch):
+        built = []
+
+        def cdll(name):
+            built.append(name)
+            return SimpleNamespace(mallopt=lambda param, value: 1)
+
+        monkeypatch.setattr(experiment.ctypes, "CDLL", cdll)
+        for _ in range(3):
+            experiment._pin_malloc_thresholds()
+        assert built == [None]
 
     def test_a_c_library_without_mallopt_is_left_alone(self, monkeypatch):
         monkeypatch.setattr(experiment.ctypes, "CDLL", lambda name: object())

@@ -138,8 +138,11 @@ class TestFit:
             tp.fit_participation(trial_only)
 
 
-def reference_newton_fit(xmat, labels, weights, norm):
-    """Newton fit with the objective from np.logaddexp and probabilities from expit."""
+def reference_newton_fit(xmat, labels, weights, norm, start=None):
+    """Newton fit with the objective from np.logaddexp and probabilities from expit.
+
+    Every step is judged by the objective, and halved until it does not lower it.
+    """
 
     def objective(coef):
         eta = xmat @ coef
@@ -148,7 +151,7 @@ def reference_newton_fit(xmat, labels, weights, norm):
     def gradient(coef):
         return xmat.T @ (weights * (labels - expit(xmat @ coef))) / norm
 
-    coef = np.zeros(xmat.shape[1])
+    coef = np.zeros(xmat.shape[1]) if start is None else np.array(start, dtype=float)
     obj = objective(coef)
     for it in range(MAX_ITER):
         grad = gradient(coef)
@@ -189,6 +192,59 @@ class TestKernel:
         np.testing.assert_allclose(coef, ref_coef, rtol=1e-12, atol=0)
         assert obj == pytest.approx(ref_obj, rel=1e-12)
         assert gnorm < GRAD_TOL
+
+    @every_design
+    def test_closed_form_zero_start_equals_the_generic_start(self, dgp1, design):
+        pop = tp.simulate_actual_population(dgp1, 40_000)
+        xmat, labels, weights, norm = participation_design(tp.apply_design(pop, design, seed=32))
+        work = _NewtonWorkspace(xmat, labels, norm)
+        cold = work.fit(weights)
+        generic = work.fit(weights, np.zeros(xmat.shape[1]))
+        np.testing.assert_array_equal(cold[0], generic[0])
+        assert cold[1:] == generic[1:]
+        assert cold[3] > 1
+
+    @every_design
+    def test_kept_start_terms_give_a_fresh_workspace_s_fits(self, dgp1, design):
+        pop = tp.simulate_actual_population(dgp1, 20_000)
+        xmat, labels, weights, norm = participation_design(tp.apply_design(pop, design, seed=33))
+        work = _NewtonWorkspace(xmat, labels, norm)
+        optimum = work.fit(weights)[0]
+        rng = np.random.Generator(np.random.Philox(7))
+        # each start twice in a row, then the other: kept terms are reused and replaced
+        for start in (optimum, optimum, optimum + 0.1, optimum + 0.1, optimum):
+            counted = weights * rng.poisson(1.0, size=weights.size)
+            # a copy: the start is compared by value, not by identity
+            kept = work.fit(counted, start.copy())
+            fresh = _NewtonWorkspace(xmat, labels, norm).fit(counted, start)
+            np.testing.assert_array_equal(kept[0], fresh[0])
+            assert kept[1:] == fresh[1:]
+            assert kept[3] >= 1
+
+    @every_design
+    def test_far_start_judged_by_the_objective_matches_reference(self, dgp1, design, monkeypatch):
+        # so far from the optimum that full Newton steps lower the objective and are halved
+        passes = {"_set_eta": 0, "_objective": 0}
+        for name in passes:
+            kernel = getattr(_NewtonWorkspace, name)
+
+            def counted(self, *args, _kernel=kernel, _name=name):
+                passes[_name] += 1
+                return _kernel(self, *args)
+
+            monkeypatch.setattr(_NewtonWorkspace, name, counted)
+        pop = tp.simulate_actual_population(dgp1, 40_000)
+        xmat, labels, weights, norm = participation_design(tp.apply_design(pop, design, seed=31))
+        start = np.array([4.0, -2.0])
+        coef, obj, gnorm, iters = _NewtonWorkspace(xmat, labels, norm).fit(weights, start)
+        # one eta pass at the start and one per full step: more means some step was halved
+        assert passes["_set_eta"] > iters + 1 and passes["_objective"] > 0
+        ref_coef, ref_obj, ref_iters = reference_newton_fit(xmat, labels, weights, norm, start)
+        assert iters == ref_iters
+        np.testing.assert_allclose(coef, ref_coef, rtol=1e-12, atol=0)
+        assert gnorm < GRAD_TOL
+        expected = log_pseudo_likelihood(coef, xmat, labels, weights, norm)
+        assert obj == pytest.approx(expected, rel=1e-12)
 
     def test_objective_and_gradient_stay_finite_at_extreme_eta(self):
         # eta = 200 * x spans [-800, 800]; labels disagree with the sign of eta on

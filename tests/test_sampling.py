@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import trialport as tp
+from trialport import sampling
 from trialport.domain import known_sampling_fractions
 from trialport.sampling import _THIN, _stream
 
@@ -28,6 +29,39 @@ class TestApplyDesign:
         data = tp.apply_design(pop, tp.CensusNested(), seed=1)
         assert data.n_rows == len(pop)
         assert data.n_unsampled_nonrandomized == 0
+
+    @pytest.mark.parametrize(
+        "design",
+        [
+            tp.CensusNested(),
+            tp.SubsampledNested(c=1.0),
+            tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=1.0, high=1.0)),
+            tp.NonNested(u_hidden=1.0),
+        ],
+        ids=["census", "c=1", "step_rule_of_ones", "non_nested_u=1"],
+    )
+    def test_fractions_of_one_draw_nothing_and_keep_every_row(self, design, monkeypatch):
+        def no_draw(*key):
+            raise AssertionError("a census has nothing to draw")
+
+        monkeypatch.setattr(sampling, "_stream", no_draw)
+        pop = handmade_population()
+        data = tp.apply_design(pop, design, seed=1)
+        rows = np.arange(len(pop))
+        a = pop.a.take(rows).astype(float)
+        a[a < 0] = np.nan
+        np.testing.assert_array_equal(data.x, pop.x.take(rows, axis=0))
+        np.testing.assert_array_equal(data.s, pop.s.take(rows))
+        np.testing.assert_array_equal(data.a, a)
+        np.testing.assert_array_equal(data.y, pop.y.take(rows))
+        assert data.n_unsampled_nonrandomized == (None if isinstance(design, tp.NonNested) else 0)
+        assert all(arr.flags.writeable for arr in (pop.x, pop.s, pop.a, pop.y))
+
+    def test_fractions_of_one_still_check_the_rule(self):
+        # the rule needs auxiliary coordinate 1, and the population has one coordinate
+        design = tp.SubsampledNestedCovariate(c_rule=tp.StepRule(coord=1, low=1.0, high=1.0))
+        with pytest.raises(tp.DataError, match="auxiliary coordinate 1"):
+            tp.apply_design(handmade_population(), design, seed=1)
 
     def test_subsampled_keeps_binomial_fraction(self):
         pop = handmade_population(200, 1200)
