@@ -7,8 +7,11 @@ harness and the command line both go through it.
 One replication is simulate -> thin by design -> fit -> estimate. Replications
 are fully independent: replication ``r`` derives every stream it needs from
 ``mix_seed(master_seed, tag, r)`` (splitmix64), so summaries are byte-identical
-for a fixed master seed at any worker count. Failures inside a replication
-(separation, rank deficiency, degenerate samples) are tallied, never fatal.
+for a fixed master seed at any worker count. The cells of a sweep that share
+(DGP, n, master seed) therefore draw the same population in replication ``r``;
+it is simulated once, and each of those cells thins, fits and estimates it in
+turn. Failures inside a replication (separation, rank deficiency, degenerate
+samples) are tallied, never fatal.
 
 The stratified bootstrap hands each resample to its statistic as per-row
 counts; :class:`CountRefit`, the statistic of ``diagnose`` and of
@@ -21,7 +24,6 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .dgp import (
 from .domain import (
     CensusNested,
     Design,
+    NonNested,
     ObservedDataset,
     SubsampledNested,
     SubsampledNestedCovariate,
@@ -223,6 +226,12 @@ class ExperimentConfig:
             )
         if self.oracle_m < 100_000:
             raise ValueError(f"oracle sample size must be >= 1e5, got {self.oracle_m}")
+        if isinstance(self.design, NonNested) and self.design.u_hidden is None:
+            # else every replication's thinning would fail and the summary would read NaN
+            raise ValueError(
+                "simulating a non-nested design requires u_hidden, which resolved "
+                "configs omit: add it back to the design"
+            )
         if isinstance(self.design, SubsampledNestedCovariate):
             # a misspecified fit's basis keeps min(aux_split, p - 1) auxiliary covariates
             drops_covariate = self.misspecify.participation or self.misspecify.outcome
@@ -343,14 +352,9 @@ def _pin_malloc_thresholds() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def _run_replication(cfg: ExperimentConfig, r: int):
-    """Return per-estimator (status, value, boot_se) triples for replication r."""
-    # here, so that it holds in every pool process however it was started
-    _pin_malloc_thresholds()
+def _run_cell(cfg: ExperimentConfig, pop, r: int):
+    """Per-estimator (status, value, boot_se) triples of one cell on replication r's population."""
     try:
-        pop = simulate_actual_population(
-            cfg.dgp, cfg.n, seed=mix_seed(cfg.master_seed, _SIM_TAG, r)
-        )
         data = apply_design(pop, cfg.design, seed=mix_seed(cfg.master_seed, _SAMPLE_TAG, r))
     except TrialportError:
         return [(FAILED, math.nan, math.nan)] * len(cfg.estimators)
@@ -392,6 +396,33 @@ def _run_replication(cfg: ExperimentConfig, r: int):
             )
         results.append((OK, value, boot))
     return results
+
+
+def _run_population(cfgs, r: int) -> list:
+    """Replication r of every cell in ``cfgs``, which share (DGP, n, master seed).
+
+    The population is simulated once; each cell then thins, fits and
+    estimates it with its own seeds, in order, so each cell's results are
+    what it would get alone. Returns one list of per-estimator (status,
+    value, boot_se) triples per cell. A failed simulation fails every cell;
+    a failed thinning fails only its own.
+    """
+    # here, so that it holds in every pool process however it was started
+    _pin_malloc_thresholds()
+    first = cfgs[0]
+    try:
+        pop = simulate_actual_population(
+            first.dgp, first.n, seed=mix_seed(first.master_seed, _SIM_TAG, r)
+        )
+    except TrialportError:
+        return [[(FAILED, math.nan, math.nan)] * len(cfg.estimators) for cfg in cfgs]
+    # each cell's dataset is freed before the next cell thins
+    return [_run_cell(cfg, pop, r) for cfg in cfgs]
+
+
+def _run_replication(cfg: ExperimentConfig, r: int):
+    """Return per-estimator (status, value, boot_se) triples for replication r."""
+    return _run_population((cfg,), r)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +470,29 @@ def _cell_truths(configs, workers: int) -> list[OracleTruth]:
 
 
 def _run_cells(configs, workers: int, truths) -> tuple[SummaryRow, ...]:
-    """Every cell's summary rows, in order, from one task list of all replications.
+    """Every cell's summary rows, in order, from one task list of all populations.
 
-    ``truths`` holds each cell's :class:`OracleTruth`.
+    Cells that share (DGP, n, master seed) share replication r's population,
+    so there is one task per such key and replication: it runs every cell of
+    the key that has replication r. ``truths`` holds each cell's
+    :class:`OracleTruth`.
     """
-    tasks = [(cfg, r) for cfg in configs for r in range(cfg.replications)]
-    per_rep = iter(_map_in_workers(_run_replication, tasks, workers))
+    groups = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault((cfg.dgp, cfg.n, cfg.master_seed), []).append(i)
+    tasks, members = [], []
+    for group in groups.values():
+        for r in range(max(configs[i].replications for i in group)):
+            live = [i for i in group if configs[i].replications > r]
+            members.append(live)
+            tasks.append((tuple(configs[i] for i in live), r))
+    # each cell's replications, in index order
+    per_cell = [[] for _ in configs]
+    for live, results in zip(members, _map_in_workers(_run_population, tasks, workers)):
+        for i, result in zip(live, results):
+            per_cell[i].append(result)
     rows = []
-    for cfg, oracle in zip(configs, truths):
-        reps = list(islice(per_rep, cfg.replications))
+    for cfg, oracle, reps in zip(configs, truths, per_cell):
         for j, spec in enumerate(cfg.estimators):
             cells = [rep[j] for rep in reps]
             values = np.array([v for status, v, _ in cells if status == OK])
@@ -508,9 +553,13 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
     The truth is a property of the superpopulation, not of the design, so it
     is computed once per distinct DGP in the grid when that DGP has an exact
     truth, and otherwise once per distinct (DGP, oracle m, oracle seed) by the
-    Monte Carlo oracle; every cell that has it shares it. ``workers``
+    Monte Carlo oracle; every cell that has it shares it. Likewise the cells
+    that share (DGP, n, master seed) share each replication's population: one
+    task simulates replication r once and runs every such cell on it, so a
+    grid of k such cells simulates R populations, not k·R, and each cell's
+    rows are the ones :func:`run_experiment` gives it alone. ``workers``
     processes run each Monte Carlo oracle's chunks, then one pool of them runs
-    the replications of every cell, as :func:`run_experiment` does.
+    the tasks of every population, as :func:`run_experiment` does.
     """
     configs = tuple(configs)
     if not configs:

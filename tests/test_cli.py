@@ -455,6 +455,32 @@ class TestExperiment:
         assert err.startswith("error: ") and "step rule coordinate 1" in err
         assert not out.exists()
 
+    def test_resolved_non_nested_config_needs_u_hidden_back(self, tmp_path, capsys, monkeypatch):
+        doc = self.experiment_doc(replications=3, design={"variant": "non_nested", "u_hidden": 0.3})
+        first = tmp_path / "first.csv"
+        assert main(["experiment", str(write_config(tmp_path, doc)), str(first)]) == 0
+        resolved = json.loads((tmp_path / "first.csv.config.json").read_text())
+        assert resolved["design"] == {"variant": "non_nested"}  # sidecars never carry u
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a refused config must not reach a truth or a simulation")
+
+        monkeypatch.setattr(experiment, "exact_truth", no_run)
+        monkeypatch.setattr(experiment, "simulate_actual_population", no_run)
+        rerun = tmp_path / "rerun.csv"
+        code, captured = run_json(
+            capsys, ["experiment", str(tmp_path / "first.csv.config.json"), str(rerun)]
+        )
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "u_hidden" in captured.err
+        assert not rerun.exists()
+
+        monkeypatch.undo()
+        resolved["design"]["u_hidden"] = 0.3
+        cfg = write_config(tmp_path, resolved, "restored.json")
+        assert main(["experiment", str(cfg), str(rerun)]) == 0
+        assert rerun.read_bytes() == first.read_bytes()
+
     def test_outcome_mean_flat_in_x_runs(self, tmp_path):
         # the oracle's self-check used to fail on summation rounding alone here
         doc = self.experiment_doc(replications=2, dgp=dgp1_doc(noise_sd=0, outcome_mean_a0=[0.1, 0.0]))
@@ -499,6 +525,15 @@ class TestSweep:
         doc["grid"] = [doc.pop("design")]
         assert main(["sweep", str(write_config(tmp_path, doc)), str(sweep_out)]) == 0
         assert sweep_out.read_bytes() == experiment_out.read_bytes()
+
+    def test_a_non_nested_cell_without_u_hidden_exits_2(self, tmp_path, capsys):
+        doc = TestExperiment().experiment_doc(replications=2)
+        doc["grid"] = [doc.pop("design"), {"variant": "non_nested"}]
+        out = tmp_path / "sweep.csv"
+        code, captured = run_json(capsys, ["sweep", str(write_config(tmp_path, doc)), str(out)])
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "u_hidden" in captured.err
+        assert not out.exists()
 
     def test_missing_grid_exits_2(self, tmp_path, capsys):
         doc = {"dgp": dgp1_doc(), "n": 100, "replications": 2, "master_seed": 1}

@@ -360,6 +360,12 @@ class TestExperimentConfig:
         assert all(row.n_failed == 0 for row in tp.run_experiment(cfg).rows)
 
 
+    def test_rejects_a_non_nested_design_it_cannot_simulate(self, dgp1):
+        # every replication's thinning would fail, leaving a summary of NaNs
+        with pytest.raises(ValueError, match="u_hidden"):
+            small_config(dgp1, tp.NonNested())
+        assert small_config(dgp1, tp.NonNested(u_hidden=0.3)).design.u_hidden == 0.3
+
     def test_rejects_step_rule_on_a_covariate_the_fits_drop(self, dgp1):
         dgp2 = dataclasses.replace(
             dgp1,
@@ -709,9 +715,80 @@ class TestDesignComparison:
         alone = [row for cfg in grid for row in tp.run_experiment(cfg, workers=1).rows]
         assert pool_sizes == []
         rows = tp.design_comparison(grid, workers=2)
-        # a pool for a multi-chunk Monte Carlo oracle, then one for all 12 replications
+        # a pool for a multi-chunk Monte Carlo oracle, then one for the 4 population tasks
         assert pool_sizes == pools
         assert summary_rows_to_csv(rows) == summary_rows_to_csv(alone)
+
+    def test_a_mixed_grid_gives_each_cell_its_own_run(self, dgp1):
+        # three populations: (n, master seed) = (1500, 901), (1000, 901) and (1500, 902),
+        # interleaved in the grid, with unequal R and one misspecified cell
+        est = (spec("gformula", "target"), spec("ipw_hajek", "target"),
+               spec("ipw_hajek", "nonrandomized"), spec("trial_only", "randomized"))
+        cell = functools.partial(small_config, dgp1, n=1_500, estimators=est)
+        grid = [
+            cell(tp.CensusNested(), replications=5),
+            cell(tp.NonNested(u_hidden=0.3), n=1_000, replications=3),
+            cell(tp.SubsampledNested(c=0.5), replications=3),
+            cell(tp.CensusNested(), master_seed=902, replications=4),
+            cell(tp.SubsampledNested(c=0.5), replications=4,
+                 misspecify=tp.MisspecifySpec(participation=True)),
+            cell(tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
+                 n=1_000, replications=2),
+        ]
+        alone = summary_rows_to_csv(row for cfg in grid for row in tp.run_experiment(cfg).rows)
+        for workers in (1, 2, 4):
+            assert summary_rows_to_csv(tp.design_comparison(grid, workers=workers)) == alone
+
+    def test_simulates_one_population_per_key_and_replication(self, dgp1, monkeypatch):
+        seeds = []
+        simulate = experiment.simulate_actual_population
+
+        def counting(dgp, n, seed):
+            seeds.append(seed)
+            return simulate(dgp, n, seed=seed)
+
+        monkeypatch.setattr(experiment, "simulate_actual_population", counting)
+        est = (spec("gformula", "target"), spec("trial_only", "randomized"))
+        designs = (tp.CensusNested(), tp.SubsampledNested(c=0.5), tp.NonNested(u_hidden=0.3),
+                   tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)))
+        grid = [small_config(dgp1, d, replications=3, estimators=est) for d in designs]
+        tp.design_comparison(grid)
+        assert seeds == [tp.mix_seed(901, experiment._SIM_TAG, r) for r in range(3)]
+
+    def test_a_failed_simulation_fails_every_cell_and_a_failed_thinning_one(
+        self, dgp1, monkeypatch
+    ):
+        est = (spec("gformula", "target"), spec("trial_only", "randomized"))
+        grid = tuple(
+            small_config(dgp1, d, replications=2, estimators=est)
+            for d in (tp.CensusNested(), tp.SubsampledNested(c=0.5), tp.NonNested(u_hidden=0.3))
+        )
+        alone = [experiment._run_replication(cfg, 1) for cfg in grid]
+        assert experiment._run_population(grid, 1) == alone
+        failed = [(experiment.FAILED, math.nan, math.nan)] * len(est)
+
+        apply_design = experiment.apply_design
+
+        def refuse_half(pop, design, seed):
+            if isinstance(design, tp.SubsampledNested):
+                raise tp.DataError("refused")
+            return apply_design(pop, design, seed)
+
+        monkeypatch.setattr(experiment, "apply_design", refuse_half)
+        assert repr(experiment._run_population(grid, 1)) == repr([alone[0], failed, alone[2]])
+
+        simulate = experiment.simulate_actual_population
+
+        def refuse_replication_1(dgp, n, seed):
+            if seed == tp.mix_seed(901, experiment._SIM_TAG, 1):
+                raise tp.DataError("refused")
+            return simulate(dgp, n, seed=seed)
+
+        monkeypatch.setattr(experiment, "simulate_actual_population", refuse_replication_1)
+        assert repr(experiment._run_population(grid, 1)) == repr([failed] * len(grid))
+        rows = tp.design_comparison(grid)
+        # replication 0 fails only the refused thinning; replication 1 fails everywhere
+        assert [row.n_failed for row in rows] == [1, 1, 2, 2, 1, 1]
 
     def test_sd_does_not_degrade_with_fuller_sampling(self, dgp1):
         est = (spec("gformula", "target"),)

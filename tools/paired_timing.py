@@ -1,26 +1,34 @@
-"""Paired in-process replication timing of two trialport checkouts.
+"""Paired in-process timing of two trialport checkouts.
 
-Usage: python tools/paired_timing.py PARENT CHANGE [--seconds S] [--seed N]
+Usage: python tools/paired_timing.py PARENT CHANGE [--sweep] [--seconds S] [--seed N]
 
 Copies ``src/trialport`` of each checkout into a temporary directory under two
 package names (the package imports itself relatively, so both load side by
-side in one process) and builds perfbench mc_study's three configs in each:
-DGP-1, n = 1e5, census, c = 0.3 and non-nested with u = 0.2, and the default
-estimator cells plus the two Horvitz-Thompson target cells (12 cells). With
-glibc's malloc thresholds pinned, it then calls ``_run_replication`` of the
-two alternately, replication by replication and design by design, and stops
-with an error where a pair's results differ. The side that runs first
-alternates from pair to pair. After one untimed round it stops at the first
-round that ends past ``--seconds``, and prints per-design median times and the
-geometric mean of the per-pair time ratios CHANGE / PARENT.
+side in one process) and builds perfbench's configs in each from that
+package's own classes, on DGP-1 (one standard-normal covariate, participation
+logit (-1, 0.5)). With glibc's malloc thresholds pinned, it then runs the two
+alternately, and stops with an error where a pair's results differ. The side
+that runs first alternates from pair to pair. After one untimed round it stops
+at the first round that ends past ``--seconds``, and prints median times and
+the geometric mean of the per-pair time ratios CHANGE / PARENT.
 
-One process and no pool: the two halves of a pair run milliseconds apart, so
+* Default, mc_study: n = 1e5, census, c = 0.3 and non-nested with u = 0.2,
+  with the default estimator cells plus the two Horvitz-Thompson target cells
+  (12 cells). A pair is one ``_run_replication`` call per side, replication by
+  replication and design by design; medians are per design.
+* ``--sweep``, design_sweep: census, c = 0.3, the step rule (0.2 below 0,
+  0.8 above) and non-nested with u = 0.2, n = 2e4, R = 20 each, default
+  estimator cells. A pair is one ``design_comparison(configs, workers=1)``
+  call per side, compared by its summary CSV bytes. It uses only public API,
+  so it runs against any checkout that has ``design_comparison``.
+
+One process and no pool: the two halves of a pair run close together, so
 drift of a shared host, which moves whole benchmark runs by seconds, cancels
 in the ratio. PARENT and CHANGE may be the same checkout, which measures the
 method's own spread.
 """
-
 import argparse
+import functools
 import importlib
 import math
 import shutil
@@ -32,6 +40,8 @@ from pathlib import Path
 
 N = 100_000
 REPLICATIONS = 100
+SWEEP_N = 20_000
+SWEEP_REPLICATIONS = 20
 
 
 def load(checkout: Path, name: str, tmp: Path):
@@ -42,19 +52,22 @@ def load(checkout: Path, name: str, tmp: Path):
     return importlib.import_module(name)
 
 
-def mc_study_configs(tp, master_seed: int):
-    """perfbench mc_study's configs, built from ``tp``'s own classes."""
-    estimators = importlib.import_module(f"{tp.__name__}.estimators")
-    dgp = tp.DgpSpec(
+def dgp1(tp, seed: int):
+    return tp.DgpSpec(
         covariates=(tp.Normal(0.0, 1.0),),
         participation_logit=(-1.0, 0.5),
         treatment_prob=0.5,
         outcome_mean_a0=(1.0, 1.0),
         outcome_mean_a1=(2.0, 1.3),
         noise_sd=1.0,
-        seed=master_seed + 1,
+        seed=seed,
         aux_split=1,
     )
+
+
+def mc_study_configs(tp, master_seed: int):
+    """perfbench mc_study's configs, built from ``tp``'s own classes."""
+    estimators = importlib.import_module(f"{tp.__name__}.estimators")
     cells = tp.default_estimators() + tuple(
         tp.EstimatorSpec(estimators.Method.IPW_HT, estimators.StudyPopulation.TARGET, arm)
         for arm in (0, 1)
@@ -62,8 +75,25 @@ def mc_study_configs(tp, master_seed: int):
     designs = (tp.CensusNested(), tp.SubsampledNested(c=0.3), tp.NonNested(u_hidden=0.2))
     return [
         tp.ExperimentConfig(
-            dgp=dgp, design=design, n=N, replications=REPLICATIONS,
+            dgp=dgp1(tp, master_seed + 1), design=design, n=N, replications=REPLICATIONS,
             master_seed=master_seed, estimators=cells, oracle_m=1_000_000,
+        )
+        for design in designs
+    ]
+
+
+def sweep_configs(tp, master_seed: int):
+    """perfbench design_sweep's four cells, built from ``tp``'s own classes."""
+    designs = (
+        tp.CensusNested(),
+        tp.SubsampledNested(c=0.3),
+        tp.SubsampledNestedCovariate(c_rule=tp.StepRule(coord=0, cutoff=0.0, low=0.2, high=0.8)),
+        tp.NonNested(u_hidden=0.2),
+    )
+    return [
+        tp.ExperimentConfig(
+            dgp=dgp1(tp, master_seed + 1), design=design, n=SWEEP_N,
+            replications=SWEEP_REPLICATIONS, master_seed=master_seed, oracle_m=10_000_000,
         )
         for design in designs
     ]
@@ -74,10 +104,36 @@ def same(a, b) -> bool:
     return repr(a) == repr(b)
 
 
+def timed_pairs(calls, seconds: float) -> dict:
+    """Per-name (parent times, change times) of ``calls`` run in alternating pairs.
+
+    ``calls(side, round)`` gives that round's (name, thunk) pairs of side 0
+    (PARENT) or 1 (CHANGE), in the same order for both; round 0 is an
+    untimed warm-up. Stops with an error where a pair's results differ.
+    """
+    times = {}
+    started, rnd, k = time.perf_counter(), 0, 0
+    while rnd == 0 or time.perf_counter() - started < seconds:
+        rounds = [calls(side, rnd) for side in (0, 1)]
+        for pair in zip(*rounds):
+            (name, _), results = pair[0], [None, None]
+            for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                t0 = time.perf_counter()
+                results[side] = pair[side][1]()
+                if rnd:
+                    times.setdefault(name, ([], []))[side].append(time.perf_counter() - t0)
+            if not same(*results):
+                raise RuntimeError(f"{name} round {rnd}: {results[0]} != {results[1]}")
+            k += 1
+        rnd += 1
+    return times
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
+    parser.add_argument("--sweep", action="store_true", help="time design_sweep's grid")
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--seed", type=int, default=4401)
     args = parser.parse_args(argv)
@@ -86,31 +142,28 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         sides = [load(path.resolve(), name, Path(tmp)) for path, name in
                  ((args.parent, "trialport_parent"), (args.change, "trialport_change"))]
-        runs = []
         for tp in sides:
-            experiment = importlib.import_module(f"{tp.__name__}.experiment")
-            experiment._pin_malloc_thresholds()
-            runs.append((experiment._run_replication, mc_study_configs(tp, args.seed)))
+            importlib.import_module(f"{tp.__name__}.experiment")._pin_malloc_thresholds()
+        if args.sweep:
+            grids = [sweep_configs(tp, args.seed) for tp in sides]
 
-        names = [type(cfg.design).__name__ for cfg in runs[0][1]]
-        times = {name: ([], []) for name in names}
-        started, r, k = time.perf_counter(), 0, 0
-        while r == 0 or time.perf_counter() - started < args.seconds:
-            for d, name in enumerate(names):
-                results = [None, None]
-                for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-                    run, configs = runs[side]
-                    t0 = time.perf_counter()
-                    results[side] = run(configs[d], r)
-                    if r:  # round 0 is a warm-up
-                        times[name][side].append(time.perf_counter() - t0)
-                if not same(*results):
-                    raise RuntimeError(f"{name} replication {r}: {results[0]} != {results[1]}")
-                k += 1
-            r += 1
+            def calls(side, rnd):
+                tp, configs = sides[side], grids[side]
+                to_csv = importlib.import_module(f"{tp.__name__}.experiment").summary_rows_to_csv
+                return [("design_comparison", lambda: to_csv(tp.design_comparison(configs)))]
+        else:
+            grids = [mc_study_configs(tp, args.seed) for tp in sides]
+
+            def calls(side, rnd):
+                run = importlib.import_module(f"{sides[side].__name__}.experiment")._run_replication
+                return [(type(cfg.design).__name__, functools.partial(run, cfg, rnd))
+                        for cfg in grids[side]]
+
+        times = timed_pairs(calls, args.seconds)
 
     ratios = []
-    print(f"{'design':<18}{'pairs':>6}{'parent ms':>11}{'change ms':>11}{'ratio':>8}")
+    label = "call" if args.sweep else "design"
+    print(f"{label:<18}{'pairs':>6}{'parent ms':>11}{'change ms':>11}{'ratio':>8}")
     for name, (parent, change) in times.items():
         ratios += [c / p for p, c in zip(parent, change)]
         p_ms, c_ms = 1e3 * statistics.median(parent), 1e3 * statistics.median(change)
