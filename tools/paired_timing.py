@@ -27,6 +27,7 @@ drift of a shared host, which moves whole benchmark runs by seconds, cancels
 in the ratio. PARENT and CHANGE may be the same checkout, which measures the
 method's own spread.
 """
+
 import argparse
 import functools
 import importlib
