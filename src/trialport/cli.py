@@ -17,14 +17,13 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
-from .dgp import simulate_actual_population
+from .dgp import _usable_cpus, simulate_actual_population
 from .errors import ConfigError, DataError, NotIdentifiable, TrialportError
 from .estimators import Method, StudyPopulation
 from .experiment import (
@@ -142,14 +141,6 @@ def _cmd_estimate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # diagnose
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
 
 
 def _cmd_diagnose(args) -> int:

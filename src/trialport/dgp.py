@@ -35,6 +35,7 @@ processes.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Union
@@ -162,10 +163,15 @@ class DgpSpec:
 
     def participation_prob(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.participation_logit)
-        eta = g[0] + np.einsum("ij,j->i", x, g[1:])  # not `@`, see outcome_mean
+        # one row buffer takes eta -> exp(-eta) -> 1 + . -> 1 / ., the same IEEE
+        # operations as 1 / (1 + exp(-eta)) without a temporary per step
+        prob = np.einsum("ij,j->i", x, g[1:])  # not `@`, see outcome_mean
+        prob += g[0]
         # exp(-eta) overflows to inf where eta < -709, and 1 / (1 + inf) is the right 0
         with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-eta))
+            np.exp(np.negative(prob, out=prob), out=prob)
+        prob += 1.0
+        return np.divide(1.0, prob, out=prob)
 
     def covariate_expectations(self) -> np.ndarray:
         return np.array([d.expectation() for d in self.covariates], dtype=float)
@@ -272,6 +278,21 @@ def _call_installed(*task):
     return fn(*shared, *task)
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _process_count(workers: int, n_tasks: int) -> int:
+    """How many processes :func:`_map_in_workers` runs ``n_tasks`` tasks over."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, n_tasks)
+
+
 def _map_in_workers(fn, tasks, workers: int, shared: tuple = ()) -> list:
     """``[fn(*shared, *task) for task in tasks]``, run over ``min(workers, len(tasks))`` processes.
 
@@ -282,9 +303,7 @@ def _map_in_workers(fn, tasks, workers: int, shared: tuple = ()) -> list:
     are pickled once per process, never once per task. Only ``tasks`` and the
     results travel per task.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    processes = min(workers, len(tasks))
+    processes = _process_count(workers, len(tasks))
     if processes <= 1:
         return [fn(*shared, *task) for task in tasks]
     import numpy.random  # noqa: F401  (loaded once here, forked processes need not each load it)

@@ -10,8 +10,12 @@ are fully independent: replication ``r`` derives every stream it needs from
 for a fixed master seed at any worker count. The cells of a sweep that share
 (DGP, n, master seed) therefore draw the same population in replication ``r``;
 it is simulated once, and each of those cells thins, fits and estimates it in
-turn. Failures inside a replication (separation, rank deficiency, degenerate
-samples) are tallied, never fatal.
+turn. Where the replications run in the calling process and it may use more
+than one CPU, one helper thread simulates the next population while that
+process fits and estimates the current one; ``workers`` still counts
+processes. Failures inside a
+replication (separation, rank deficiency, degenerate samples) are tallied,
+never fatal.
 
 The stratified bootstrap hands each resample to its statistic as per-row
 counts; :class:`CountRefit`, the statistic of ``diagnose`` and of
@@ -31,7 +35,9 @@ from .dgp import (
     DgpSpec,
     OracleTruth,
     _map_in_workers,
+    _process_count,
     _stream,
+    _usable_cpus,
     exact_truth,
     oracle_truth,
     simulate_actual_population,
@@ -352,13 +358,27 @@ def _pin_malloc_thresholds() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def _run_cell(cfg: ExperimentConfig, pop, r: int):
-    """Per-estimator (status, value, boot_se) triples of one cell on replication r's population."""
-    try:
-        data = apply_design(pop, cfg.design, seed=mix_seed(cfg.master_seed, _SAMPLE_TAG, r))
-    except TrialportError:
-        return [(FAILED, math.nan, math.nan)] * len(cfg.estimators)
+def _population(cfgs, r: int):
+    """Replication r's population of the (DGP, n, master seed) that ``cfgs`` share."""
+    cfg = cfgs[0]
+    return simulate_actual_population(cfg.dgp, cfg.n, seed=mix_seed(cfg.master_seed, _SIM_TAG, r))
 
+
+def _thin(cfg: ExperimentConfig, pop, r: int):
+    """One cell's dataset in replication r: ``pop`` thinned by its design, or None where that fails."""
+    try:
+        return apply_design(pop, cfg.design, seed=mix_seed(cfg.master_seed, _SAMPLE_TAG, r))
+    except TrialportError:
+        return None
+
+
+def _analyse(cfg: ExperimentConfig, data, r: int):
+    """Per-estimator (status, value, boot_se) triples of one cell on its replication-r dataset.
+
+    ``data`` is None where the simulation or the thinning failed.
+    """
+    if data is None:
+        return [(FAILED, math.nan, math.nan)] * len(cfg.estimators)
     pdata = _drop_last_covariate(data) if cfg.misspecify.participation else data
     odata = _drop_last_covariate(data) if cfg.misspecify.outcome else data
 
@@ -398,26 +418,54 @@ def _run_cell(cfg: ExperimentConfig, pop, r: int):
     return results
 
 
-def _run_population(cfgs, r: int) -> list:
-    """Replication r of every cell in ``cfgs``, which share (DGP, n, master seed).
+def _run_tasks(tasks, helper=None) -> list:
+    """Each task's list of per-cell results, in task order.
 
-    The population is simulated once; each cell then thins, fits and
-    estimates it with its own seeds, in order, so each cell's results are
-    what it would get alone. Returns one list of per-estimator (status,
-    value, boot_se) triples per cell. A failed simulation fails every cell;
-    a failed thinning fails only its own.
+    A task ``(cfgs, r)`` is replication r of cells that share (DGP, n, master
+    seed). It simulates the population once; each cell then thins, fits and
+    estimates it with its own seeds, in order, so each cell's results are what
+    it would get alone, each a list of per-estimator (status, value, boot_se)
+    triples. A failed simulation fails every cell of the task; a failed
+    thinning fails only its own.
+
+    The task drops its population once its last cell has thinned, and each
+    cell's dataset before the next cell thins. From that point ``helper``, an
+    executor of one thread, simulates the next task's population while this
+    thread fits and estimates the current one, so at most one population more
+    is alive. Simulating is Philox draws and large ufuncs, which release the
+    GIL, so on a second CPU it costs this thread nearly nothing. Without a
+    helper each task simulates its population when it starts. Populations are
+    simulated one at a time, in task order, either way.
     """
-    # here, so that it holds in every pool process however it was started
+    # here, so that it holds in every pool process however it was started, and
+    # before the first simulation
     _pin_malloc_thresholds()
-    first = cfgs[0]
-    try:
-        pop = simulate_actual_population(
-            first.dgp, first.n, seed=mix_seed(first.master_seed, _SIM_TAG, r)
-        )
-    except TrialportError:
-        return [[(FAILED, math.nan, math.nan)] * len(cfg.estimators) for cfg in cfgs]
-    # each cell's dataset is freed before the next cell thins
-    return [_run_cell(cfg, pop, r) for cfg in cfgs]
+    out = []
+    take = functools.partial(_population, *tasks[0])
+    for k, (cfgs, r) in enumerate(tasks):
+        try:
+            pop = take()
+        except TrialportError:
+            pop = None
+        results = []
+        for i, cfg in enumerate(cfgs):
+            data = None if pop is None else _thin(cfg, pop, r)
+            if i == len(cfgs) - 1:
+                # the last cell has thinned: drop the population, and the future holding it
+                pop = take = None
+                if k + 1 < len(tasks):
+                    take = functools.partial(_population, *tasks[k + 1])
+                    if helper is not None:
+                        take = helper.submit(take).result
+            results.append(_analyse(cfg, data, r))
+            del data  # freed before the next cell thins
+        out.append(results)
+    return out
+
+
+def _run_population(cfgs, r: int) -> list:
+    """Replication r of every cell in ``cfgs``: :func:`_run_tasks` of the one task."""
+    return _run_tasks([(cfgs, r)])[0]
 
 
 def _run_replication(cfg: ExperimentConfig, r: int):
@@ -474,8 +522,10 @@ def _run_cells(configs, workers: int, truths) -> tuple[SummaryRow, ...]:
 
     Cells that share (DGP, n, master seed) share replication r's population,
     so there is one task per such key and replication: it runs every cell of
-    the key that has replication r. ``truths`` holds each cell's
-    :class:`OracleTruth`.
+    the key that has replication r. More than one process runs the tasks in
+    a pool; one runs them here, with a helper thread that simulates ahead
+    (:func:`_run_tasks`) where this process may use more than one CPU.
+    ``truths`` holds each cell's :class:`OracleTruth`.
     """
     groups = {}
     for i, cfg in enumerate(configs):
@@ -486,9 +536,19 @@ def _run_cells(configs, workers: int, truths) -> tuple[SummaryRow, ...]:
             live = [i for i in group if configs[i].replications > r]
             members.append(live)
             tasks.append((tuple(configs[i] for i in live), r))
+    if _process_count(workers, len(tasks)) > 1:
+        per_task = _map_in_workers(_run_population, tasks, workers)
+    elif _usable_cpus() < 2:
+        # a helper sharing the one CPU overlaps nothing: it slowed mc_study by 2%
+        per_task = _run_tasks(tasks)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # not at import: only this path needs it
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            per_task = _run_tasks(tasks, helper)
     # each cell's replications, in index order
     per_cell = [[] for _ in configs]
-    for live, results in zip(members, _map_in_workers(_run_population, tasks, workers)):
+    for live, results in zip(members, per_task):
         for i, result in zip(live, results):
             per_cell[i].append(result)
     rows = []
@@ -542,6 +602,14 @@ def run_experiment(
     ``cfg.oracle_seed``. A precomputed ``oracle`` (matching ``cfg.dgp``)
     skips the truth run. The run pins glibc's malloc thresholds for the life
     of every process it uses (:func:`_pin_malloc_thresholds`).
+
+    ``workers`` is a number of processes. With one (or one replication), the
+    replications run in this process. Where it may use more than one CPU, one
+    helper thread then simulates each next population while this thread fits
+    and estimates the current one; it starts once the current population has
+    been thinned and dropped, so the run holds at most one population more
+    than it would without it, and no thread outlives the call (see
+    :func:`_run_tasks`).
     """
     truths = _cell_truths((cfg,), workers) if oracle is None else [oracle]
     return ExperimentSummary(rows=_run_cells((cfg,), workers, truths))
@@ -559,7 +627,10 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
     grid of k such cells simulates R populations, not k·R, and each cell's
     rows are the ones :func:`run_experiment` gives it alone. ``workers``
     processes run each Monte Carlo oracle's chunks, then one pool of them runs
-    the tasks of every population, as :func:`run_experiment` does.
+    the tasks of every population, as :func:`run_experiment` does; with one
+    process, the tasks run in this one, where on more than one CPU each next
+    population is simulated on one helper thread during the current task's
+    fits and estimates.
     """
     configs = tuple(configs)
     if not configs:

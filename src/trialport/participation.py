@@ -167,11 +167,12 @@ class _NewtonWorkspace:
     k times.
 
     A fit runs only the row passes whose results are not known in advance.
-    Each candidate gets its eta, exp(-|eta|), probabilities and gradient,
-    which an accepted step needs anyway. eta and exp(-|eta|) go to the spare
-    one of two buffer pairs, which swap on acceptance, so the current point's
-    pair outlives its candidate and gives the objective there when a step
-    fails the sign test. A start of 0 needs no row pass: eta = 0,
+    Under unit weights (census and non-nested fits), X^T diag(w) and w s are
+    X^T and the labels themselves, and are not formed. Each candidate gets
+    its eta, exp(-|eta|), probabilities and gradient, which an accepted step
+    needs anyway. eta and exp(-|eta|) go to the spare one of two buffer
+    pairs, which swap on acceptance, so the current point's pair outlives its
+    candidate and gives the objective there when a step fails the sign test. A start of 0 needs no row pass: eta = 0,
     exp(-|eta|) = 1 and p = 1/2 exactly, and the first Hessian is the same
     product on X^T diag(w) / 4. At any other start, eta, exp(-|eta|), p and
     p (1 - p), which do not depend on the weights, are computed by the first
@@ -184,11 +185,12 @@ class _NewtonWorkspace:
         self.xt = np.ascontiguousarray(xmat.T)
         self.labels = labels
         self.norm = norm
-        self._xw = np.empty((q, n))  # X^T diag(w)
+        # X^T diag(w) and w * s, allocated by the first fit whose weights are not all
+        # 1: under unit weights they are X^T and the labels themselves, bit for bit
+        self._xw = self._ws = None
         # centred covariates, then Hessian terms; rows 0 and 1 (two even for an
         # intercept-only fit) are also the objective's and the probabilities' scratch
         self._scratch = np.empty((max(q, 2), n))
-        self._ws = np.empty(n)  # w * s
         # (eta, exp(-|eta|)) of the current point and of its candidate
         self._pairs = ((np.empty(n), np.empty(n)), (np.empty(n), np.empty(n)))
         self._prob = np.empty(n)  # fitted probabilities of the latest candidate
@@ -202,16 +204,17 @@ class _NewtonWorkspace:
         np.abs(eta, out=t)
         np.exp(np.negative(t, out=t), out=t)
 
-    def _objective(self, weights, pair) -> tuple[float, float]:
+    def _objective(self, weights, ws, pair) -> tuple[float, float]:
         """The objective at the pair's eta (:func:`_softplus` into buffers), and its rounding.
 
-        The rounding is a bound on the objective's rounding error: each of the
-        two sums it subtracts adds n rows, so n eps times their sizes.
+        ``ws`` is w * s. The rounding is a bound on the objective's rounding
+        error: each of the two sums it subtracts adds n rows, so n eps times
+        their sizes.
         """
         eta, t = pair
         softplus = np.maximum(eta, 0.0, out=self._scratch[0])
         softplus += np.log1p(t, out=self._scratch[1])
-        fit, spread = _dot(self._ws, eta), _dot(weights, softplus)
+        fit, spread = _dot(ws, eta), _dot(weights, softplus)
         rounding = t.size * np.finfo(float).eps * (abs(fit) + spread) / self.norm
         return (fit - spread) / self.norm, rounding
 
@@ -231,9 +234,9 @@ class _NewtonWorkspace:
         pq *= prob
         return pq
 
-    def _hessian(self, pq):
+    def _hessian(self, xw, pq):
         # unnormalized: X^T diag(w p (1 - p)) X
-        return np.multiply(self._xw, pq, out=self._scratch[: len(self._xw)]) @ self.xt.T
+        return np.multiply(xw, pq, out=self._scratch[: len(xw)]) @ self.xt.T
 
     def _start_terms(self, start):
         """((eta, exp(-|eta|)), p, p (1 - p)) at ``start``, kept for the next equal start."""
@@ -261,8 +264,13 @@ class _NewtonWorkspace:
         """
         xt, norm = self.xt, self.norm
         q, n = xt.shape
-        xw = np.multiply(xt, weights, out=self._xw)
-        ws = np.multiply(weights, self.labels, out=self._ws)
+        if np.all(weights == 1.0):
+            xw, ws = xt, self.labels
+        else:
+            if self._xw is None:
+                self._xw, self._ws = np.empty((q, n)), np.empty(n)
+            xw = np.multiply(xt, weights, out=self._xw)
+            ws = np.multiply(weights, self.labels, out=self._ws)
         score0 = xt @ ws
         wsum = float(np.sum(weights))
         xmean = np.sum(xw[1:], axis=1) / wsum
@@ -277,11 +285,11 @@ class _NewtonWorkspace:
             cur[1].fill(1.0)
             prob = self._prob
             prob.fill(0.5)
-            hess = self._hessian(0.25)  # the weighted Gram matrix / 4
+            hess = self._hessian(xw, 0.25)  # the weighted Gram matrix / 4
         else:
             coef = np.array(start, dtype=float)
             cur, prob, pq = self._start_terms(coef)
-            hess = self._hessian(pq)
+            hess = self._hessian(xw, pq)
         # rank of D^-1 H D^-1, D = sqrt(diag(H)), so that no column's units hide
         # another's; H sums n rows, so its entries carry up to n eps relative rounding
         d = np.sqrt(np.diag(hess))
@@ -301,7 +309,7 @@ class _NewtonWorkspace:
             gnorm = float(np.max(np.abs(std_grad)))
             if gnorm < GRAD_TOL:
                 if obj is None:
-                    obj = self._objective(weights, cur)[0]
+                    obj = self._objective(weights, ws, cur)[0]
                 return coef, obj, gnorm, iters
             if iters == MAX_ITER:
                 raise NonConvergence(
@@ -310,7 +318,7 @@ class _NewtonWorkspace:
                 )
             if iters:
                 # p (1 - p) into the spare pair's eta, which the next candidate overwrites
-                hess = self._hessian(self._pq(self._prob, self._pairs[spare][0]))
+                hess = self._hessian(xw, self._pq(self._prob, self._pairs[spare][0]))
             iters += 1
             try:
                 delta = np.linalg.solve(hess / norm, grad)
@@ -328,12 +336,12 @@ class _NewtonWorkspace:
                 obj = rounding = None
             else:
                 if obj is None:
-                    obj, rounding = self._objective(weights, cur)
+                    obj, rounding = self._objective(weights, ws, cur)
                 # a step that gains less than the objective's rounding, by its quadratic
                 # model grad . delta / 2, cannot be judged by the objective: so close
                 # to the optimum the full Newton step is taken without a line search
                 unjudged = _dot(grad, delta) / 2 <= rounding
-                cand_obj, cand_rounding = self._objective(weights, pair)
+                cand_obj, cand_rounding = self._objective(weights, ws, pair)
                 while not (unjudged or cand_obj >= obj):
                     step *= 0.5
                     if step < 2.0**-30:
@@ -342,7 +350,7 @@ class _NewtonWorkspace:
                         )
                     cand = coef + step * delta
                     self._set_eta(cand, pair)
-                    cand_obj, cand_rounding = self._objective(weights, pair)
+                    cand_obj, cand_rounding = self._objective(weights, ws, pair)
                 if step < 1.0:
                     cand_grad = (score0 - xw @ self._set_prob(pair, self._prob)) / norm
                 obj, rounding = cand_obj, cand_rounding

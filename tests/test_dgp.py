@@ -71,6 +71,19 @@ class TestSimulate:
         assert np.array_equal(pop.a[trial], treated.astype(np.int8))
         assert np.array_equal(pop.y[trial], mean + dgp1.noise_sd * z)
 
+    def test_participation_prob_is_the_logistic_bit_for_bit(self, over_budget_dgp):
+        # eta from about -1000 to 1000: exp(-eta) overflows to inf at the low end
+        rest = np.random.default_rng(3).random((5_001, 3))
+        x = np.column_stack([np.linspace(-2_000.0, 2_000.0, 5_001), rest])
+        g = np.asarray(over_budget_dgp.participation_logit)
+        with np.errstate(over="ignore"):
+            expected = 1.0 / (1.0 + np.exp(-(g[0] + np.einsum("ij,j->i", x, g[1:]))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = over_budget_dgp.participation_prob(x)
+        assert got[0] == 0.0 and got[-1] == 1.0
+        np.testing.assert_array_equal(got, expected)
+
     def test_rejects_empty_population(self, dgp1):
         with pytest.raises(tp.DataError):
             tp.simulate_actual_population(dgp1, 0)

@@ -7,6 +7,7 @@ import gc
 import math
 import multiprocessing
 import sys
+import threading
 import weakref
 from types import SimpleNamespace
 
@@ -801,6 +802,118 @@ class TestDesignComparison:
             rows[c] = tp.run_experiment(cfg).rows[0]
         noise = rows[1.0].sd / math.sqrt(2 * 400)
         assert rows[1.0].sd <= rows[0.1].sd + 2 * noise
+
+
+class TestSimulationAhead:
+    """In one process, a helper thread simulates each next population during the analysis."""
+
+    EST = (spec("gformula", "target"), spec("ipw_hajek", "target"), spec("trial_only", "randomized"))
+
+    @pytest.fixture
+    def simulations(self, monkeypatch):
+        """Records (seed, on the main thread, earlier populations alive) per simulation.
+
+        ``refuse[seed]`` is an exception class to raise for that seed instead.
+        The process may use two CPUs, whatever the host has.
+        """
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        calls, alive, refuse = [], [], {}
+        simulate = experiment.simulate_actual_population
+
+        def recording(dgp, n, seed):
+            on_main = threading.current_thread() is threading.main_thread()
+            calls.append((seed, on_main, sum(ref() is not None for ref in alive)))
+            if seed in refuse:
+                raise refuse[seed]("refused")
+            pop = simulate(dgp, n, seed=seed)
+            alive.append(weakref.ref(pop))
+            return pop
+
+        monkeypatch.setattr(experiment, "simulate_actual_population", recording)
+        return SimpleNamespace(calls=calls, refuse=refuse)
+
+    @staticmethod
+    def sim_seed(r):
+        return tp.mix_seed(901, experiment._SIM_TAG, r)
+
+    def test_later_populations_are_simulated_ahead_one_at_a_time(
+        self, dgp1, simulations, pool_sizes
+    ):
+        grid = [small_config(dgp1, d, replications=4, estimators=self.EST)
+                for d in (tp.SubsampledNested(c=0.5), tp.NonNested(u_hidden=0.3))]
+        serial = summary_rows_to_csv(tp.design_comparison(grid, workers=1))
+        # the first population on this thread, each later one on the helper, in order,
+        # and each only once the one before it is freed
+        assert simulations.calls == [(self.sim_seed(r), r == 0, 0) for r in range(4)]
+        del simulations.calls[:]
+        # the pool path (here mapped in this process) simulates each when its task starts
+        assert summary_rows_to_csv(tp.design_comparison(grid, workers=2)) == serial
+        assert pool_sizes == [2]
+        assert simulations.calls == [(self.sim_seed(r), True, 0) for r in range(4)]
+
+    def test_one_usable_cpu_starts_no_helper_and_gives_the_same_bytes(
+        self, dgp1, simulations, monkeypatch
+    ):
+        grid = [small_config(dgp1, d, replications=4, estimators=self.EST)
+                for d in (tp.CensusNested(), tp.NonNested(u_hidden=0.3))]
+        runs = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            del simulations.calls[:]
+            runs[cpus] = summary_rows_to_csv(tp.design_comparison(grid, workers=1))
+            assert simulations.calls == [(self.sim_seed(r), cpus == 1 or r == 0, 0) for r in range(4)]
+        assert runs[1] == runs[2]
+
+    def test_a_failed_simulation_ahead_fails_only_its_replication(self, dgp1, simulations):
+        grid = tuple(small_config(dgp1, d, replications=4, estimators=self.EST)
+                     for d in (tp.CensusNested(), tp.SubsampledNested(c=0.5)))
+        tasks = [(grid, r) for r in range(4)]
+        expected = [experiment._run_population(grid, r) for r in range(4)]
+        expected[2] = [[(experiment.FAILED, math.nan, math.nan)] * len(self.EST)] * len(grid)
+        simulations.refuse[self.sim_seed(2)] = tp.DataError
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
+            assert repr(experiment._run_tasks(tasks, helper)) == repr(expected)
+        rows = tp.design_comparison(grid)
+        assert [row.n_failed for row in rows] == [1] * len(rows)
+        # the refused simulation ran on the helper thread
+        assert (self.sim_seed(2), False, 0) in simulations.calls
+
+    @pytest.mark.parametrize("where", ["simulation", "analysis"])
+    def test_an_unexpected_error_propagates_and_leaves_no_thread(
+        self, dgp1, simulations, monkeypatch, where
+    ):
+        if where == "simulation":
+            # on the helper thread, while this one analyses replication 1
+            simulations.refuse[self.sim_seed(2)] = AssertionError
+        else:
+            fit_outcome = experiment.fit_outcome
+            fits = []
+
+            def failing_fit(data):
+                fits.append(data)
+                if len(fits) == 3:  # replication 2, while the helper simulates replication 3
+                    raise AssertionError("refused")
+                return fit_outcome(data)
+
+            monkeypatch.setattr(experiment, "fit_outcome", failing_fit)
+        before = set(threading.enumerate())
+        cfg = small_config(dgp1, tp.SubsampledNested(c=0.5), replications=5, estimators=self.EST)
+        with pytest.raises(AssertionError, match="refused"):
+            tp.run_experiment(cfg, workers=1)
+        assert set(threading.enumerate()) == before
+        simulated = 3 if where == "simulation" else 4
+        assert [seed for seed, _, _ in simulations.calls] == [
+            self.sim_seed(r) for r in range(simulated)
+        ]
+
+    def test_malloc_thresholds_are_pinned_before_the_first_simulation(
+        self, dgp1, simulations, monkeypatch
+    ):
+        pin = lambda: simulations.calls.append("pin")  # noqa: E731
+        monkeypatch.setattr(experiment, "_pin_malloc_thresholds", pin)
+        cfg = small_config(dgp1, tp.CensusNested(), replications=3, estimators=self.EST)
+        tp.run_experiment(cfg, workers=1)
+        assert simulations.calls == ["pin"] + [(self.sim_seed(r), r == 0, 0) for r in range(3)]
 
 
 class TestMallocThresholds:

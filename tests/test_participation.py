@@ -222,6 +222,30 @@ class TestKernel:
             assert kept[3] >= 1
 
     @every_design
+    def test_unit_weights_skip_the_weighted_copy_and_fit_as_the_weighted_path(self, dgp1, design):
+        pop = tp.simulate_actual_population(dgp1, 20_000)
+        xmat, labels, weights, norm = participation_design(tp.apply_design(pop, design, seed=34))
+        own = _NewtonWorkspace(xmat, labels, norm)
+        own.fit(weights)
+        # census and non-nested fits have unit weights, sub-sampled ones do not
+        assert (own._xw is None) == isinstance(design, (tp.CensusNested, tp.NonNested))
+
+        class UnequalToOne(np.ndarray):
+            """Unit weights that do not compare equal to 1: the fit forms X^T diag(w)."""
+
+            def __eq__(self, other):
+                return np.zeros(self.shape, dtype=bool)
+
+        ones = np.ones(labels.size)
+        for start in (None, np.array([-0.8, 0.6])):
+            work = _NewtonWorkspace(xmat, labels, norm)
+            unit = work.fit(ones, start)
+            assert work._xw is None
+            weighted = _NewtonWorkspace(xmat, labels, norm).fit(ones.view(UnequalToOne), start)
+            np.testing.assert_array_equal(unit[0], weighted[0])
+            assert unit[1:] == weighted[1:]
+
+    @every_design
     def test_far_start_judged_by_the_objective_matches_reference(self, dgp1, design, monkeypatch):
         # so far from the optimum that full Newton steps lower the objective and are halved
         passes = {"_set_eta": 0, "_objective": 0}

@@ -6,21 +6,25 @@ Copies ``src/trialport`` of each checkout into a temporary directory under two
 package names (the package imports itself relatively, so both load side by
 side in one process) and builds perfbench's configs in each from that
 package's own classes, on DGP-1 (one standard-normal covariate, participation
-logit (-1, 0.5)). With glibc's malloc thresholds pinned, it then runs the two
-alternately, and stops with an error where a pair's results differ. The side
-that runs first alternates from pair to pair. After one untimed round it stops
-at the first round that ends past ``--seconds``, and prints median times and
-the geometric mean of the per-pair time ratios CHANGE / PARENT.
+logit (-1, 0.5)). It then runs the two alternately, and stops with an error
+where a pair's summary CSV bytes differ. The side that runs first alternates
+from pair to pair. After one untimed round it stops at the first round that
+ends past ``--seconds``, and prints median times and the geometric mean of the
+per-pair time ratios CHANGE / PARENT.
 
-* Default, mc_study: n = 1e5, census, c = 0.3 and non-nested with u = 0.2,
-  with the default estimator cells plus the two Horvitz-Thompson target cells
-  (12 cells). A pair is one ``_run_replication`` call per side, replication by
-  replication and design by design; medians are per design.
+* Default, mc_study: n = 1e5, R = 100, census, c = 0.3 and non-nested with
+  u = 0.2, with the default estimator cells plus the two Horvitz-Thompson
+  target cells (12 cells). A pair is one ``run_experiment(cfg, workers=1)``
+  call per side, design by design; medians are per design.
 * ``--sweep``, design_sweep: census, c = 0.3, the step rule (0.2 below 0,
   0.8 above) and non-nested with u = 0.2, n = 2e4, R = 20 each, default
   estimator cells. A pair is one ``design_comparison(configs, workers=1)``
-  call per side, compared by its summary CSV bytes. It uses only public API,
-  so it runs against any checkout that has ``design_comparison``.
+  call per side.
+
+Both modes use only public API, so they run against any checkout that has
+``run_experiment`` and ``design_comparison``; each run pins glibc's malloc
+thresholds itself. A pair times whole runs, so it sees whatever a run
+overlaps across its replications.
 
 One process and no pool: the two halves of a pair run close together, so
 drift of a shared host, which moves whole benchmark runs by seconds, cancels
@@ -29,7 +33,6 @@ method's own spread.
 """
 
 import argparse
-import functools
 import importlib
 import math
 import shutil
@@ -108,14 +111,13 @@ def same(a, b) -> bool:
 def timed_pairs(calls, seconds: float) -> dict:
     """Per-name (parent times, change times) of ``calls`` run in alternating pairs.
 
-    ``calls(side, round)`` gives that round's (name, thunk) pairs of side 0
-    (PARENT) or 1 (CHANGE), in the same order for both; round 0 is an
-    untimed warm-up. Stops with an error where a pair's results differ.
+    ``calls(side)`` gives a round's (name, thunk) pairs of side 0 (PARENT)
+    or 1 (CHANGE), in the same order for both; round 0 is an untimed warm-up. Stops with an error where a pair's results differ.
     """
     times = {}
     started, rnd, k = time.perf_counter(), 0, 0
     while rnd == 0 or time.perf_counter() - started < seconds:
-        rounds = [calls(side, rnd) for side in (0, 1)]
+        rounds = [calls(side) for side in (0, 1)]
         for pair in zip(*rounds):
             (name, _), results = pair[0], [None, None]
             for side in ((0, 1) if k % 2 == 0 else (1, 0)):
@@ -143,22 +145,15 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         sides = [load(path.resolve(), name, Path(tmp)) for path, name in
                  ((args.parent, "trialport_parent"), (args.change, "trialport_change"))]
-        for tp in sides:
-            importlib.import_module(f"{tp.__name__}.experiment")._pin_malloc_thresholds()
-        if args.sweep:
-            grids = [sweep_configs(tp, args.seed) for tp in sides]
+        grids = [(sweep_configs if args.sweep else mc_study_configs)(tp, args.seed) for tp in sides]
 
-            def calls(side, rnd):
-                tp, configs = sides[side], grids[side]
-                to_csv = importlib.import_module(f"{tp.__name__}.experiment").summary_rows_to_csv
+        def calls(side):
+            tp, configs = sides[side], grids[side]
+            to_csv = importlib.import_module(f"{tp.__name__}.experiment").summary_rows_to_csv
+            if args.sweep:
                 return [("design_comparison", lambda: to_csv(tp.design_comparison(configs)))]
-        else:
-            grids = [mc_study_configs(tp, args.seed) for tp in sides]
-
-            def calls(side, rnd):
-                run = importlib.import_module(f"{sides[side].__name__}.experiment")._run_replication
-                return [(type(cfg.design).__name__, functools.partial(run, cfg, rnd))
-                        for cfg in grids[side]]
+            return [(type(cfg.design).__name__, lambda cfg=cfg: to_csv(tp.run_experiment(cfg).rows))
+                    for cfg in configs]
 
         times = timed_pairs(calls, args.seconds)
 
