@@ -17,13 +17,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
-from .dgp import _usable_cpus, simulate_actual_population
+from .dgp import simulate_actual_population
 from .errors import ConfigError, DataError, NotIdentifiable, TrialportError
 from .estimators import Method, StudyPopulation
 from .experiment import (
@@ -141,6 +142,14 @@ def _cmd_estimate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # diagnose
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _cmd_diagnose(args) -> int:

@@ -35,7 +35,6 @@ processes.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Union
@@ -276,14 +275,6 @@ def _install(fn, shared) -> None:
 def _call_installed(*task):
     fn, shared = _installed
     return fn(*shared, *task)
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
 
 
 def _process_count(workers: int, n_tasks: int) -> int:

@@ -10,12 +10,11 @@ are fully independent: replication ``r`` derives every stream it needs from
 for a fixed master seed at any worker count. The cells of a sweep that share
 (DGP, n, master seed) therefore draw the same population in replication ``r``;
 it is simulated once, and each of those cells thins, fits and estimates it in
-turn. Where the replications run in the calling process and it may use more
-than one CPU, one helper thread simulates the next population while that
-process fits and estimates the current one; ``workers`` still counts
-processes. Failures inside a
-replication (separation, rank deficiency, degenerate samples) are tallied,
-never fatal.
+turn. Where the replications run in the calling process, one helper thread
+simulates the next population while that process fits and estimates the
+current one; ``workers`` still counts processes, so one worker may keep a
+second CPU busy. Failures inside a replication (separation, rank deficiency,
+degenerate samples) are tallied, never fatal.
 
 The stratified bootstrap hands each resample to its statistic as per-row
 counts; :class:`CountRefit`, the statistic of ``diagnose`` and of
@@ -37,7 +36,6 @@ from .dgp import (
     _map_in_workers,
     _process_count,
     _stream,
-    _usable_cpus,
     exact_truth,
     oracle_truth,
     simulate_actual_population,
@@ -524,7 +522,7 @@ def _run_cells(configs, workers: int, truths) -> tuple[SummaryRow, ...]:
     so there is one task per such key and replication: it runs every cell of
     the key that has replication r. More than one process runs the tasks in
     a pool; one runs them here, with a helper thread that simulates ahead
-    (:func:`_run_tasks`) where this process may use more than one CPU.
+    (:func:`_run_tasks`).
     ``truths`` holds each cell's :class:`OracleTruth`.
     """
     groups = {}
@@ -538,9 +536,6 @@ def _run_cells(configs, workers: int, truths) -> tuple[SummaryRow, ...]:
             tasks.append((tuple(configs[i] for i in live), r))
     if _process_count(workers, len(tasks)) > 1:
         per_task = _map_in_workers(_run_population, tasks, workers)
-    elif _usable_cpus() < 2:
-        # a helper sharing the one CPU overlaps nothing: it slowed mc_study by 2%
-        per_task = _run_tasks(tasks)
     else:
         from concurrent.futures import ThreadPoolExecutor  # not at import: only this path needs it
 
@@ -603,13 +598,13 @@ def run_experiment(
     skips the truth run. The run pins glibc's malloc thresholds for the life
     of every process it uses (:func:`_pin_malloc_thresholds`).
 
-    ``workers`` is a number of processes. With one (or one replication), the
-    replications run in this process. Where it may use more than one CPU, one
-    helper thread then simulates each next population while this thread fits
-    and estimates the current one; it starts once the current population has
-    been thinned and dropped, so the run holds at most one population more
-    than it would without it, and no thread outlives the call (see
-    :func:`_run_tasks`).
+    ``workers`` is a number of processes, not of CPUs. With one (or one
+    replication), the replications run in this process, and one helper
+    thread simulates each next population while this thread fits and
+    estimates the current one: ``workers=1`` may keep two CPUs busy. The
+    helper starts once the current population has been thinned and dropped,
+    so the run holds at most one population more than it would without it,
+    and no thread outlives the call (see :func:`_run_tasks`).
     """
     truths = _cell_truths((cfg,), workers) if oracle is None else [oracle]
     return ExperimentSummary(rows=_run_cells((cfg,), workers, truths))
@@ -628,9 +623,9 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
     rows are the ones :func:`run_experiment` gives it alone. ``workers``
     processes run each Monte Carlo oracle's chunks, then one pool of them runs
     the tasks of every population, as :func:`run_experiment` does; with one
-    process, the tasks run in this one, where on more than one CPU each next
-    population is simulated on one helper thread during the current task's
-    fits and estimates.
+    process, the tasks run in this one, and each next population is
+    simulated on one helper thread during the current task's fits and
+    estimates, so ``workers=1`` may keep two CPUs busy.
     """
     configs = tuple(configs)
     if not configs:

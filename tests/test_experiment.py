@@ -814,9 +814,7 @@ class TestSimulationAhead:
         """Records (seed, on the main thread, earlier populations alive) per simulation.
 
         ``refuse[seed]`` is an exception class to raise for that seed instead.
-        The process may use two CPUs, whatever the host has.
         """
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
         calls, alive, refuse = [], [], {}
         simulate = experiment.simulate_actual_population
 
@@ -850,19 +848,6 @@ class TestSimulationAhead:
         assert summary_rows_to_csv(tp.design_comparison(grid, workers=2)) == serial
         assert pool_sizes == [2]
         assert simulations.calls == [(self.sim_seed(r), True, 0) for r in range(4)]
-
-    def test_one_usable_cpu_starts_no_helper_and_gives_the_same_bytes(
-        self, dgp1, simulations, monkeypatch
-    ):
-        grid = [small_config(dgp1, d, replications=4, estimators=self.EST)
-                for d in (tp.CensusNested(), tp.NonNested(u_hidden=0.3))]
-        runs = {}
-        for cpus in (2, 1):
-            monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
-            del simulations.calls[:]
-            runs[cpus] = summary_rows_to_csv(tp.design_comparison(grid, workers=1))
-            assert simulations.calls == [(self.sim_seed(r), cpus == 1 or r == 0, 0) for r in range(4)]
-        assert runs[1] == runs[2]
 
     def test_a_failed_simulation_ahead_fails_only_its_replication(self, dgp1, simulations):
         grid = tuple(small_config(dgp1, d, replications=4, estimators=self.EST)
