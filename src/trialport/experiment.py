@@ -522,8 +522,7 @@ def _run_cells(configs, workers: int, truths) -> tuple[SummaryRow, ...]:
     so there is one task per such key and replication: it runs every cell of
     the key that has replication r. More than one process runs the tasks in
     a pool; one runs them here, with a helper thread that simulates ahead
-    (:func:`_run_tasks`).
-    ``truths`` holds each cell's :class:`OracleTruth`.
+    (:func:`_run_tasks`). ``truths`` holds each cell's :class:`OracleTruth`.
     """
     groups = {}
     for i, cfg in enumerate(configs):

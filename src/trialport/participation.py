@@ -264,7 +264,9 @@ class _NewtonWorkspace:
         """
         xt, norm = self.xt, self.norm
         q, n = xt.shape
-        if np.all(weights == 1.0):
+        # a bootstrap refit's count weights almost never open with eight 1s, so they
+        # are told from unit weights without a pass over every row
+        if np.all(weights[:8] == 1.0) and np.all(weights == 1.0):
             xw, ws = xt, self.labels
         else:
             if self._xw is None:

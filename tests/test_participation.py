@@ -244,6 +244,11 @@ class TestKernel:
             weighted = _NewtonWorkspace(xmat, labels, norm).fit(ones.view(UnequalToOne), start)
             np.testing.assert_array_equal(unit[0], weighted[0])
             assert unit[1:] == weighted[1:]
+        # weights that open with a run of 1s but are not all 1 take the weighted path
+        ones[-1] = 2.0
+        work = _NewtonWorkspace(xmat, labels, norm)
+        work.fit(ones)
+        assert work._xw is not None
 
     @every_design
     def test_far_start_judged_by_the_objective_matches_reference(self, dgp1, design, monkeypatch):
