@@ -431,9 +431,9 @@ def _run_tasks(tasks, helper=None) -> list:
     executor of one thread, simulates the next task's population while this
     thread fits and estimates the current one, so at most one population more
     is alive. Simulating is Philox draws and large ufuncs, which release the
-    GIL, so on a second CPU it costs this thread nearly nothing. Without a
-    helper each task simulates its population when it starts. Populations are
-    simulated one at a time, in task order, either way.
+    GIL, so on a second CPU it runs beside this thread's work, not before it.
+    Without a helper each task simulates its population when it starts.
+    Populations are simulated one at a time, in task order, either way.
     """
     # here, so that it holds in every pool process however it was started, and
     # before the first simulation
