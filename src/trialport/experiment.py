@@ -10,11 +10,11 @@ are fully independent: replication ``r`` derives every stream it needs from
 for a fixed master seed at any worker count. The cells of a sweep that share
 (DGP, n, master seed) therefore draw the same population in replication ``r``;
 it is simulated once, and each of those cells thins, fits and estimates it in
-turn. Where the replications run in the calling process, one helper thread
-simulates the next population while that process fits and estimates the
-current one; ``workers`` still counts processes, so one worker may keep a
-second CPU busy. Failures inside a replication (separation, rank deficiency,
-degenerate samples) are tallied, never fatal.
+turn. Where the replications run in the calling process, two threads of it,
+the calling one and one helper, each take whole replication tasks; ``workers``
+still counts processes, so one worker may keep a second CPU busy. Failures
+inside a replication (separation, rank deficiency, degenerate samples) are
+tallied, never fatal.
 
 The stratified bootstrap hands each resample to its statistic as per-row
 counts; :class:`CountRefit`, the statistic of ``diagnose`` and of
@@ -416,54 +416,73 @@ def _analyse(cfg: ExperimentConfig, data, r: int):
     return results
 
 
-def _run_tasks(tasks, helper=None) -> list:
-    """Each task's list of per-cell results, in task order.
+def _run_population(cfgs, r: int) -> list:
+    """Replication r of every cell in ``cfgs``, which share (DGP, n, master seed): one task.
 
-    A task ``(cfgs, r)`` is replication r of cells that share (DGP, n, master
-    seed). It simulates the population once; each cell then thins, fits and
+    The task simulates the population once; each cell then thins, fits and
     estimates it with its own seeds, in order, so each cell's results are what
     it would get alone, each a list of per-estimator (status, value, boot_se)
     triples. A failed simulation fails every cell of the task; a failed
-    thinning fails only its own.
-
-    The task drops its population once its last cell has thinned, and each
-    cell's dataset before the next cell thins. From that point ``helper``, an
-    executor of one thread, simulates the next task's population while this
-    thread fits and estimates the current one, so at most one population more
-    is alive. Simulating is Philox draws and large ufuncs, which release the
-    GIL, so on a second CPU it runs beside this thread's work, not before it.
-    Without a helper each task simulates its population when it starts.
-    Populations are simulated one at a time, in task order, either way.
+    thinning fails only its own. The task drops its population once its last
+    cell has thinned, and each cell's dataset before the next cell thins.
     """
     # here, so that it holds in every pool process however it was started, and
     # before the first simulation
     _pin_malloc_thresholds()
-    out = []
-    take = functools.partial(_population, *tasks[0])
-    for k, (cfgs, r) in enumerate(tasks):
+    try:
+        pop = _population(cfgs, r)
+    except TrialportError:
+        pop = None
+    results = []
+    for i, cfg in enumerate(cfgs):
+        data = None if pop is None else _thin(cfg, pop, r)
+        if i == len(cfgs) - 1:
+            pop = None  # the last cell has thinned
+        results.append(_analyse(cfg, data, r))
+        del data  # freed before the next cell thins
+    return results
+
+
+def _run_on_two_threads(tasks) -> list:
+    """``[_run_population(*task) for task in tasks]``, run by this thread and one helper thread.
+
+    Each thread takes the next task that neither has taken and stores its
+    results at the task's index, so the list does not depend on which thread
+    ran what. Simulation, thinning, fits and estimators spend most of their
+    time in numpy kernels, which release the GIL, so on a second CPU the two
+    tasks in flight run side by side; a run holds at most two tasks' working
+    sets. Once either thread has raised, neither takes another task. The
+    helper is joined before the first exception propagates, so no thread
+    outlives the call.
+    """
+    import threading  # not at import: only this path needs it
+
+    _pin_malloc_thresholds()  # before a second thread allocates
+    out = [None] * len(tasks)
+    lock = threading.Lock()  # over untaken and raised
+    untaken, raised = iter(range(len(tasks))), []
+
+    def take():
+        with lock:
+            return None if raised else next(untaken, None)
+
+    def work():
         try:
-            pop = take()
-        except TrialportError:
-            pop = None
-        results = []
-        for i, cfg in enumerate(cfgs):
-            data = None if pop is None else _thin(cfg, pop, r)
-            if i == len(cfgs) - 1:
-                # the last cell has thinned: drop the population, and the future holding it
-                pop = take = None
-                if k + 1 < len(tasks):
-                    take = functools.partial(_population, *tasks[k + 1])
-                    if helper is not None:
-                        take = helper.submit(take).result
-            results.append(_analyse(cfg, data, r))
-            del data  # freed before the next cell thins
-        out.append(results)
+            while (k := take()) is not None:
+                out[k] = _run_population(*tasks[k])
+        except BaseException as exc:  # re-raised on the calling thread below
+            with lock:
+                raised.append(exc)
+
+    helper = threading.Thread(target=work, name="trialport-replications")
+    helper.start()
+    try:
+        work()
+    finally:
+        helper.join()
+    if raised:
+        raise raised[0]
     return out
-
-
-def _run_population(cfgs, r: int) -> list:
-    """Replication r of every cell in ``cfgs``: :func:`_run_tasks` of the one task."""
-    return _run_tasks([(cfgs, r)])[0]
 
 
 def _run_replication(cfg: ExperimentConfig, r: int):
@@ -521,8 +540,9 @@ def _run_cells(configs, workers: int, truths) -> tuple[SummaryRow, ...]:
     Cells that share (DGP, n, master seed) share replication r's population,
     so there is one task per such key and replication: it runs every cell of
     the key that has replication r. More than one process runs the tasks in
-    a pool; one runs them here, with a helper thread that simulates ahead
-    (:func:`_run_tasks`). ``truths`` holds each cell's :class:`OracleTruth`.
+    a pool; one runs them here, on this thread and one helper thread, each
+    taking whole tasks (:func:`_run_on_two_threads`). ``truths`` holds each
+    cell's :class:`OracleTruth`.
     """
     groups = {}
     for i, cfg in enumerate(configs):
@@ -536,10 +556,7 @@ def _run_cells(configs, workers: int, truths) -> tuple[SummaryRow, ...]:
     if _process_count(workers, len(tasks)) > 1:
         per_task = _map_in_workers(_run_population, tasks, workers)
     else:
-        from concurrent.futures import ThreadPoolExecutor  # not at import: only this path needs it
-
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            per_task = _run_tasks(tasks, helper)
+        per_task = _run_on_two_threads(tasks)
     # each cell's replications, in index order
     per_cell = [[] for _ in configs]
     for live, results in zip(members, per_task):
@@ -598,12 +615,10 @@ def run_experiment(
     of every process it uses (:func:`_pin_malloc_thresholds`).
 
     ``workers`` is a number of processes, not of CPUs. With one (or one
-    replication), the replications run in this process, and one helper
-    thread simulates each next population while this thread fits and
-    estimates the current one: ``workers=1`` may keep two CPUs busy. The
-    helper starts once the current population has been thinned and dropped,
-    so the run holds at most one population more than it would without it,
-    and no thread outlives the call (see :func:`_run_tasks`).
+    replication), the replications run in this process, on two threads: this
+    one and one helper, each taking whole replications. So ``workers=1`` may
+    keep two CPUs busy, and the run holds at most two replications' working
+    sets; no thread outlives the call (see :func:`_run_on_two_threads`).
     """
     truths = _cell_truths((cfg,), workers) if oracle is None else [oracle]
     return ExperimentSummary(rows=_run_cells((cfg,), workers, truths))
@@ -622,9 +637,9 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
     rows are the ones :func:`run_experiment` gives it alone. ``workers``
     processes run each Monte Carlo oracle's chunks, then one pool of them runs
     the tasks of every population, as :func:`run_experiment` does; with one
-    process, the tasks run in this one, and each next population is
-    simulated on one helper thread during the current task's fits and
-    estimates, so ``workers=1`` may keep two CPUs busy.
+    process, the tasks run in this one, on this thread and one helper thread,
+    each taking whole tasks, so ``workers=1`` may keep two CPUs busy, and at
+    most two tasks' working sets are alive at once.
     """
     configs = tuple(configs)
     if not configs:

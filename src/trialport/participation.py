@@ -19,19 +19,20 @@ A sample-scale fit of nested rows is the non-nested fit of the same rows.
 
 Fitting is Newton-Raphson from 0 or from a given start point (a bootstrap
 refit starts at the full-sample fit), on the size-normalized objective. Each
-iterate's linear predictor eta is computed once, by the step that reaches it;
-one exp(-|eta|) then gives both the fitted probabilities that the gradient and
+candidate's linear predictor eta is computed by the step that reaches it; one
+exp(-|eta|) then gives both the fitted probabilities that the gradient and
 the Hessian use and, through a stable softplus, the objective. The objective
 is concave, so a full Newton step whose directional derivative at the
 candidate, grad(candidate) . delta, is still >= 0 has raised it, and it is
 accepted without the objective. Only a step that fails this sign test is
 judged by the objective: taken in full if its predicted gain is below the
 objective's rounding, else halved until the objective does not fall. The
-objective at the current point is computed then, from the eta kept for it,
-and at the end, for the fit to return. At coef = 0 every row has eta = 0 and
-p = 1/2 exactly, so a cold fit starts without a pass over the rows; at any
-other start a workspace keeps eta and the probabilities for the next fit from
-an equal start (see :class:`_NewtonWorkspace`). The rank guard runs on the
+objective at the current point is computed then, from its eta computed again
+by the same product (a workspace keeps one eta, the candidate's), and at the
+end, for the fit to return. At coef = 0 every row has eta = 0 and p = 1/2
+exactly, so a cold fit starts without a pass over the rows; at any other
+start a workspace keeps eta and the probabilities for the next fit from an
+equal start (see :class:`_NewtonWorkspace`). The rank guard runs on the
 first Hessian of every fit, X^T diag(w p (1 - p)) X at the start point: at
 coef = 0 that is the weighted Gram matrix / 4, and since p (1 - p) > 0 it has
 the Gram matrix's rank at any start, so a warm-started fit is guarded like a
@@ -170,9 +171,21 @@ class _NewtonWorkspace:
     Under unit weights (census and non-nested fits), X^T diag(w) and w s are
     X^T and the labels themselves, and are not formed. Each candidate gets
     its eta, exp(-|eta|), probabilities and gradient, which an accepted step
-    needs anyway. eta and exp(-|eta|) go to the spare one of two buffer
-    pairs, which swap on acceptance, so the current point's pair outlives its
-    candidate and gives the objective there when a step fails the sign test. A start of 0 needs no row pass: eta = 0,
+    needs anyway. Its buffers:
+
+    * ``_eta``: the latest candidate's eta, until the next step writes
+      p (1 - p) over it for the Hessian;
+    * ``_prob``: the latest candidate's probabilities;
+    * ``_scratch``, (max(q, 2), n): row 0 is the probabilities' and the
+      objective's scratch, and row 1 the latest candidate's exp(-|eta|).
+      Rows 1 to q - 1 hold the centred covariates before the first step, and
+      rows 0 to q - 1 the Hessian's terms at each step.
+
+    So the current point's eta is not kept past its Hessian. Only a step that
+    fails the sign test needs it, for the objective there, and :meth:`_set_eta`
+    recomputes it by the same product, to the same bits. At convergence after
+    a step that passed, the last candidate's eta and exp(-|eta|) are still in
+    place for the objective. A start of 0 needs no row pass: eta = 0,
     exp(-|eta|) = 1 and p = 1/2 exactly, and the first Hessian is the same
     product on X^T diag(w) / 4. At any other start, eta, exp(-|eta|), p and
     p (1 - p), which do not depend on the weights, are computed by the first
@@ -188,13 +201,13 @@ class _NewtonWorkspace:
         # X^T diag(w) and w * s, allocated by the first fit whose weights are not all
         # 1: under unit weights they are X^T and the labels themselves, bit for bit
         self._xw = self._ws = None
-        # centred covariates, then Hessian terms; rows 0 and 1 (two even for an
-        # intercept-only fit) are also the objective's and the probabilities' scratch
+        # two rows even for an intercept-only fit (see the class docstring)
         self._scratch = np.empty((max(q, 2), n))
-        # (eta, exp(-|eta|)) of the current point and of its candidate
-        self._pairs = ((np.empty(n), np.empty(n)), (np.empty(n), np.empty(n)))
-        self._prob = np.empty(n)  # fitted probabilities of the latest candidate
+        self._eta = np.empty(n)
+        self._prob = np.empty(n)
         self._is_pos = np.empty(n, dtype=bool)
+        # (eta, exp(-|eta|)) of the latest candidate
+        self._cand = (self._eta, self._scratch[1])
         # the last start fitted from, and its ((eta, exp(-|eta|)), p, p (1 - p))
         self._kept_start = self._kept_terms = None
 
@@ -204,16 +217,17 @@ class _NewtonWorkspace:
         np.abs(eta, out=t)
         np.exp(np.negative(t, out=t), out=t)
 
-    def _objective(self, weights, ws, pair) -> tuple[float, float]:
+    def _objective(self, weights, ws, pair, log1p_out=None) -> tuple[float, float]:
         """The objective at the pair's eta (:func:`_softplus` into buffers), and its rounding.
 
-        ``ws`` is w * s. The rounding is a bound on the objective's rounding
-        error: each of the two sums it subtracts adds n rows, so n eps times
-        their sizes.
+        ``ws`` is w * s. log(1 + exp(-|eta|)) goes to ``log1p_out``, by
+        default scratch row 1, the candidate's exp(-|eta|), which it spends.
+        The rounding is a bound on the objective's rounding error: each of the
+        two sums it subtracts adds n rows, so n eps times their sizes.
         """
         eta, t = pair
         softplus = np.maximum(eta, 0.0, out=self._scratch[0])
-        softplus += np.log1p(t, out=self._scratch[1])
+        softplus += np.log1p(t, out=self._scratch[1] if log1p_out is None else log1p_out)
         fit, spread = _dot(ws, eta), _dot(weights, softplus)
         rounding = t.size * np.finfo(float).eps * (abs(fit) + spread) / self.norm
         return (fit - spread) / self.norm, rounding
@@ -251,6 +265,14 @@ class _NewtonWorkspace:
             self._kept_start = start.copy()
         return self._kept_terms
 
+    def _start_pair(self, kept):
+        """(eta, exp(-|eta|)) at the start: ``kept`` if warm, else 0 and 1 in the candidate's."""
+        if kept is not None:
+            return kept
+        self._eta.fill(0.0)
+        self._scratch[1].fill(1.0)
+        return self._cand
+
     def fit(self, weights, start=None):
         """Maximize the weighted objective from ``start`` (default 0).
 
@@ -282,15 +304,13 @@ class _NewtonWorkspace:
 
         if start is None:
             coef = np.zeros(q)
-            cur = self._pairs[0]
-            cur[0].fill(0.0)
-            cur[1].fill(1.0)
+            kept = None
             prob = self._prob
             prob.fill(0.5)
             hess = self._hessian(xw, 0.25)  # the weighted Gram matrix / 4
         else:
             coef = np.array(start, dtype=float)
-            cur, prob, pq = self._start_terms(coef)
+            kept, prob, pq = self._start_terms(coef)
             hess = self._hessian(xw, pq)
         # rank of D^-1 H D^-1, D = sqrt(diag(H)), so that no column's units hide
         # another's; H sums n rows, so its entries carry up to n eps relative rounding
@@ -303,7 +323,7 @@ class _NewtonWorkspace:
 
         grad = (score0 - xw @ prob) / norm
         obj = rounding = None  # the objective at coef, once a step has needed it
-        spare = 1  # the work pair that takes the next candidate
+        cand_pair = self._cand
         iters = 0
         while True:
             # d/da = d/dc_0; d/db_j = (d/dc_j - m_j d/dc_0) / s_j
@@ -311,7 +331,9 @@ class _NewtonWorkspace:
             gnorm = float(np.max(np.abs(std_grad)))
             if gnorm < GRAD_TOL:
                 if obj is None:
-                    obj = self._objective(weights, ws, cur)[0]
+                    # past the start, the last candidate's eta and exp(-|eta|) are in place
+                    pair = cand_pair if iters else self._start_pair(kept)
+                    obj = self._objective(weights, ws, pair)[0]
                 return coef, obj, gnorm, iters
             if iters == MAX_ITER:
                 raise NonConvergence(
@@ -319,8 +341,8 @@ class _NewtonWorkspace:
                     gnorm,
                 )
             if iters:
-                # p (1 - p) into the spare pair's eta, which the next candidate overwrites
-                hess = self._hessian(xw, self._pq(self._prob, self._pairs[spare][0]))
+                # p (1 - p) over the current point's eta, which the next candidate overwrites
+                hess = self._hessian(xw, self._pq(self._prob, self._eta))
             iters += 1
             try:
                 delta = np.linalg.solve(hess / norm, grad)
@@ -329,21 +351,27 @@ class _NewtonWorkspace:
 
             step = 1.0
             cand = coef + step * delta
-            pair = self._pairs[spare]
-            self._set_eta(cand, pair)
-            cand_grad = (score0 - xw @ self._set_prob(pair, self._prob)) / norm
+            self._set_eta(cand, cand_pair)
+            cand_grad = (score0 - xw @ self._set_prob(cand_pair, self._prob)) / norm
             # the objective is concave: if it still rises along delta at the full
             # step, the step has raised it (a NaN fails the test and is judged)
             if _dot(cand_grad, delta) >= 0:
                 obj = rounding = None
             else:
+                # the candidate's probabilities are in place, so its objective may spend
+                # its exp(-|eta|); then the current point's pair may take its buffers
+                cand_obj, cand_rounding = self._objective(weights, ws, cand_pair)
                 if obj is None:
-                    obj, rounding = self._objective(weights, ws, cur)
+                    if iters == 1:
+                        pair = self._start_pair(kept)
+                    else:
+                        pair = cand_pair
+                        self._set_eta(coef, pair)
+                    obj, rounding = self._objective(weights, ws, pair)
                 # a step that gains less than the objective's rounding, by its quadratic
                 # model grad . delta / 2, cannot be judged by the objective: so close
                 # to the optimum the full Newton step is taken without a line search
                 unjudged = _dot(grad, delta) / 2 <= rounding
-                cand_obj, cand_rounding = self._objective(weights, ws, pair)
                 while not (unjudged or cand_obj >= obj):
                     step *= 0.5
                     if step < 2.0**-30:
@@ -351,12 +379,14 @@ class _NewtonWorkspace:
                             f"step halving stalled (gradient max-norm {gnorm:.3e})", gnorm
                         )
                     cand = coef + step * delta
-                    self._set_eta(cand, pair)
-                    cand_obj, cand_rounding = self._objective(weights, ws, pair)
+                    self._set_eta(cand, cand_pair)
+                    # the probabilities below need this exp(-|eta|): the objective's
+                    # log1p goes to the buffer that they then overwrite
+                    cand_obj, cand_rounding = self._objective(weights, ws, cand_pair, self._prob)
                 if step < 1.0:
-                    cand_grad = (score0 - xw @ self._set_prob(pair, self._prob)) / norm
+                    cand_grad = (score0 - xw @ self._set_prob(cand_pair, self._prob)) / norm
                 obj, rounding = cand_obj, cand_rounding
-            coef, grad, cur, spare = cand, cand_grad, pair, 1 - spare
+            coef, grad = cand, cand_grad
             # a = c_0 + sum_j c_j m_j; b_j = c_j s_j
             standardized = np.append(coef[0] + coef[1:] @ xmean, coef[1:] * xsd)
             if np.max(np.abs(standardized)) > SEPARATION_BOUND:

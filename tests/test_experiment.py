@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import time
 import weakref
 from types import SimpleNamespace
 
@@ -754,7 +755,8 @@ class TestDesignComparison:
                    tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)))
         grid = [small_config(dgp1, d, replications=3, estimators=est) for d in designs]
         tp.design_comparison(grid)
-        assert seeds == [tp.mix_seed(901, experiment._SIM_TAG, r) for r in range(3)]
+        # the two threads may simulate in either order
+        assert sorted(seeds) == sorted(tp.mix_seed(901, experiment._SIM_TAG, r) for r in range(3))
 
     def test_a_failed_simulation_fails_every_cell_and_a_failed_thinning_one(
         self, dgp1, monkeypatch
@@ -804,101 +806,123 @@ class TestDesignComparison:
         assert rows[1.0].sd <= rows[0.1].sd + 2 * noise
 
 
-class TestSimulationAhead:
-    """In one process, a helper thread simulates each next population during the analysis."""
+class TestTwoThreads:
+    """In one process, this thread and one helper thread take whole replication tasks."""
 
-    EST = (spec("gformula", "target"), spec("ipw_hajek", "target"), spec("trial_only", "randomized"))
+    EST = (spec("gformula", "target"), spec("ipw_hajek", "target"),
+           spec("trial_only", "randomized"))
 
     @pytest.fixture
-    def simulations(self, monkeypatch):
-        """Records (seed, on the main thread, earlier populations alive) per simulation.
+    def populations(self, monkeypatch):
+        """Records (r, thread ident) per task's simulation; ``hooks`` run first, on its thread."""
+        calls, hooks = [], []
+        population = experiment._population
 
-        ``refuse[seed]`` is an exception class to raise for that seed instead.
-        """
-        calls, alive, refuse = [], [], {}
-        simulate = experiment.simulate_actual_population
+        def recording(cfgs, r):
+            calls.append((r, threading.get_ident()))
+            for hook in hooks:
+                hook(r)
+            return population(cfgs, r)
 
-        def recording(dgp, n, seed):
-            on_main = threading.current_thread() is threading.main_thread()
-            calls.append((seed, on_main, sum(ref() is not None for ref in alive)))
-            if seed in refuse:
-                raise refuse[seed]("refused")
-            pop = simulate(dgp, n, seed=seed)
-            alive.append(weakref.ref(pop))
-            return pop
+        monkeypatch.setattr(experiment, "_population", recording)
+        return SimpleNamespace(calls=calls, hooks=hooks)
 
-        monkeypatch.setattr(experiment, "simulate_actual_population", recording)
-        return SimpleNamespace(calls=calls, refuse=refuse)
-
-    @staticmethod
-    def sim_seed(r):
-        return tp.mix_seed(901, experiment._SIM_TAG, r)
-
-    def test_later_populations_are_simulated_ahead_one_at_a_time(
-        self, dgp1, simulations, pool_sizes
-    ):
-        grid = [small_config(dgp1, d, replications=4, estimators=self.EST)
+    def grid(self, dgp1):
+        return [small_config(dgp1, d, replications=6, estimators=self.EST)
                 for d in (tp.SubsampledNested(c=0.5), tp.NonNested(u_hidden=0.3))]
-        serial = summary_rows_to_csv(tp.design_comparison(grid, workers=1))
-        # the first population on this thread, each later one on the helper, in order,
-        # and each only once the one before it is freed
-        assert simulations.calls == [(self.sim_seed(r), r == 0, 0) for r in range(4)]
-        del simulations.calls[:]
-        # the pool path (here mapped in this process) simulates each when its task starts
-        assert summary_rows_to_csv(tp.design_comparison(grid, workers=2)) == serial
-        assert pool_sizes == [2]
-        assert simulations.calls == [(self.sim_seed(r), True, 0) for r in range(4)]
 
-    def test_a_failed_simulation_ahead_fails_only_its_replication(self, dgp1, simulations):
+    def test_summaries_equal_a_serial_map_at_any_worker_count(
+        self, dgp1, monkeypatch, pool_sizes
+    ):
+        grid = self.grid(dgp1)
+        with monkeypatch.context() as serial_map:
+            serial_map.setattr(experiment, "_run_on_two_threads",
+                               lambda tasks: [experiment._run_population(*t) for t in tasks])
+            serial = summary_rows_to_csv(tp.design_comparison(grid, workers=1))
+        for workers in (1, 2, 4):
+            assert summary_rows_to_csv(tp.design_comparison(grid, workers=workers)) == serial
+        # two pools, each mapped in this process; workers 1 ran on two threads
+        assert pool_sizes == [2, 4]
+
+    def test_both_threads_take_tasks_and_each_task_runs_once(self, dgp1, populations):
+        tasks = [(tuple(self.grid(dgp1)), r) for r in range(8)]
+        expected = [experiment._run_population(*task) for task in tasks]
+        del populations.calls[:]
+        assert repr(experiment._run_on_two_threads(tasks)) == repr(expected)
+        assert sorted(r for r, _ in populations.calls) == list(range(8))
+        threads = {ident for _, ident in populations.calls}
+        assert len(threads) == 2 and threading.main_thread().ident in threads
+
+    def test_every_task_runs_once_under_a_short_switch_interval(self, monkeypatch):
+        # a task taken twice, or lost, between the two threads breaks either list
+        ran = []
+        monkeypatch.setattr(experiment, "_run_population", lambda cfgs, r: ran.append(r) or -r)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = experiment._run_on_two_threads([((), r) for r in range(5_000)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [-r for r in range(5_000)]
+        assert sorted(ran) == list(range(5_000))
+
+    def test_a_failed_simulation_fails_only_its_replication(self, dgp1, populations):
         grid = tuple(small_config(dgp1, d, replications=4, estimators=self.EST)
                      for d in (tp.CensusNested(), tp.SubsampledNested(c=0.5)))
         tasks = [(grid, r) for r in range(4)]
         expected = [experiment._run_population(grid, r) for r in range(4)]
         expected[2] = [[(experiment.FAILED, math.nan, math.nan)] * len(self.EST)] * len(grid)
-        simulations.refuse[self.sim_seed(2)] = tp.DataError
-        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
-            assert repr(experiment._run_tasks(tasks, helper)) == repr(expected)
+
+        def refuse(r):
+            if r == 2:
+                raise tp.DataError("refused")
+
+        populations.hooks.append(refuse)
+        assert repr(experiment._run_on_two_threads(tasks)) == repr(expected)
         rows = tp.design_comparison(grid)
         assert [row.n_failed for row in rows] == [1] * len(rows)
-        # the refused simulation ran on the helper thread
-        assert (self.sim_seed(2), False, 0) in simulations.calls
 
-    @pytest.mark.parametrize("where", ["simulation", "analysis"])
-    def test_an_unexpected_error_propagates_and_leaves_no_thread(
-        self, dgp1, simulations, monkeypatch, where
+    @pytest.mark.parametrize("where", ["main", "helper"])
+    def test_an_unexpected_error_propagates_and_no_task_starts_after_it(
+        self, dgp1, populations, where
     ):
-        if where == "simulation":
-            # on the helper thread, while this one analyses replication 1
-            simulations.refuse[self.sim_seed(2)] = AssertionError
-        else:
-            fit_outcome = experiment.fit_outcome
-            fits = []
+        # the first task from 2 on that the chosen thread takes raises; the other
+        # thread's task from 2 on waits for it, then lets it be recorded before going
+        # on, so that every task after these two starts once the error is known
+        other_started, raised = threading.Event(), threading.Event()
 
-            def failing_fit(data):
-                fits.append(data)
-                if len(fits) == 3:  # replication 2, while the helper simulates replication 3
-                    raise AssertionError("refused")
-                return fit_outcome(data)
+        def gate(r):
+            if r < 2:
+                return
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main == (where == "main") and not raised.is_set():
+                assert other_started.wait(timeout=30)
+                raised.set()
+                raise AssertionError("refused")
+            other_started.set()
+            assert raised.wait(timeout=30)
+            time.sleep(0.05)
 
-            monkeypatch.setattr(experiment, "fit_outcome", failing_fit)
+        populations.hooks.append(gate)
         before = set(threading.enumerate())
-        cfg = small_config(dgp1, tp.SubsampledNested(c=0.5), replications=5, estimators=self.EST)
+        cfg = small_config(dgp1, tp.SubsampledNested(c=0.5), replications=8, estimators=self.EST)
         with pytest.raises(AssertionError, match="refused"):
             tp.run_experiment(cfg, workers=1)
         assert set(threading.enumerate()) == before
-        simulated = 3 if where == "simulation" else 4
-        assert [seed for seed, _, _ in simulations.calls] == [
-            self.sim_seed(r) for r in range(simulated)
-        ]
+        assert sorted(r for r, _ in populations.calls) == [0, 1, 2, 3]
 
-    def test_malloc_thresholds_are_pinned_before_the_first_simulation(
-        self, dgp1, simulations, monkeypatch
+    def test_malloc_thresholds_are_pinned_before_the_helper_starts(
+        self, dgp1, populations, monkeypatch
     ):
-        pin = lambda: simulations.calls.append("pin")  # noqa: E731
-        monkeypatch.setattr(experiment, "_pin_malloc_thresholds", pin)
+        threads = threading.active_count()
+        pins = []
+        monkeypatch.setattr(experiment, "_pin_malloc_thresholds",
+                            lambda: pins.append((len(populations.calls), threading.active_count())))
         cfg = small_config(dgp1, tp.CensusNested(), replications=3, estimators=self.EST)
         tp.run_experiment(cfg, workers=1)
-        assert simulations.calls == ["pin"] + [(self.sim_seed(r), r == 0, 0) for r in range(3)]
+        # once before any simulation, with no helper yet, then once per task
+        assert pins[0] == (0, threads)
+        assert len(pins) == 1 + 3
 
 
 class TestMallocThresholds:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,30 +251,88 @@ class TestKernel:
         work.fit(ones)
         assert work._xw is not None
 
+    @staticmethod
+    def counting_workspace(monkeypatch, xmat, labels, norm):
+        """A workspace that records each point given to ``_set_eta`` and counts its eta passes.
+
+        ``passes["eta"]`` counts the products coef @ X^T, wherever they are
+        made, and ``passes["_objective"]`` the objective's evaluations.
+        """
+        points, passes = [], {"eta": 0, "_objective": 0}
+        set_eta, objective = _NewtonWorkspace._set_eta, _NewtonWorkspace._objective
+
+        def counted_set_eta(self, coef, pair):
+            points.append(coef.copy())
+            return set_eta(self, coef, pair)
+
+        def counted_objective(self, *args):
+            passes["_objective"] += 1
+            return objective(self, *args)
+
+        monkeypatch.setattr(_NewtonWorkspace, "_set_eta", counted_set_eta)
+        monkeypatch.setattr(_NewtonWorkspace, "_objective", counted_objective)
+
+        class CountedXt(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and inputs[1] is self and np.ndim(inputs[0]) == 1:
+                    passes["eta"] += 1
+                inputs = [np.asarray(v) if isinstance(v, CountedXt) else v for v in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        work = _NewtonWorkspace(xmat, labels, norm)
+        work.xt = work.xt.view(CountedXt)
+        return work, points, passes
+
     @every_design
     def test_far_start_judged_by_the_objective_matches_reference(self, dgp1, design, monkeypatch):
         # so far from the optimum that full Newton steps lower the objective and are halved
-        passes = {"_set_eta": 0, "_objective": 0}
-        for name in passes:
-            kernel = getattr(_NewtonWorkspace, name)
-
-            def counted(self, *args, _kernel=kernel, _name=name):
-                passes[_name] += 1
-                return _kernel(self, *args)
-
-            monkeypatch.setattr(_NewtonWorkspace, name, counted)
         pop = tp.simulate_actual_population(dgp1, 40_000)
         xmat, labels, weights, norm = participation_design(tp.apply_design(pop, design, seed=31))
+        work, points, passes = self.counting_workspace(monkeypatch, xmat, labels, norm)
         start = np.array([4.0, -2.0])
-        coef, obj, gnorm, iters = _NewtonWorkspace(xmat, labels, norm).fit(weights, start)
-        # one eta pass at the start and one per full step: more means some step was halved
-        assert passes["_set_eta"] > iters + 1 and passes["_objective"] > 0
+        coef, obj, gnorm, iters = work.fit(weights, start)
+        # every eta pass goes through _set_eta
+        assert passes["eta"] == len(points)
+        # the start and one point per full step: more means some step was halved
+        assert len({point.tobytes() for point in points}) > iters + 1
+        assert passes["_objective"] > 0
         ref_coef, ref_obj, ref_iters = reference_newton_fit(xmat, labels, weights, norm, start)
         assert iters == ref_iters
         np.testing.assert_allclose(coef, ref_coef, rtol=1e-12, atol=0)
         assert gnorm < GRAD_TOL
         expected = log_pseudo_likelihood(coef, xmat, labels, weights, norm)
         assert obj == pytest.approx(expected, rel=1e-12)
+
+    @every_design
+    def test_the_current_eta_is_recomputed_through_set_eta(self, dgp1, design, monkeypatch):
+        # past the optimum, steps on rounding noise pass and fail the sign test in
+        # turn; a failure after a pass needs the current point's eta again
+        monkeypatch.setattr(participation, "GRAD_TOL", 0.0)
+        monkeypatch.setattr(participation, "MAX_ITER", 12)
+        pop = tp.simulate_actual_population(dgp1, 40_000)
+        xmat, labels, weights, norm = participation_design(tp.apply_design(pop, design, seed=31))
+        work, points, passes = self.counting_workspace(monkeypatch, xmat, labels, norm)
+        with pytest.raises(tp.NonConvergence):
+            work.fit(weights)
+        assert passes["eta"] == len(points)
+        assert len({point.tobytes() for point in points}) < len(points)
+
+    def test_a_cold_census_fit_allocates_three_rows_beyond_its_scratch(self, dgp1):
+        pop = tp.simulate_actual_population(dgp1, 100_000)
+        data = tp.apply_design(pop, tp.CensusNested(), seed=35)
+        # the inputs, the design weights among them, are built before the trace
+        xmat, labels, weights, norm = participation_design(data)
+        assert weights is data.design_weights
+        n, q = xmat.shape
+        tracemalloc.start()
+        try:
+            _NewtonWorkspace(xmat, labels, norm).fit(weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (max(q, 2), n) scratch, eta, the probabilities, one more float row for
+        # temporaries, and one boolean row
+        assert peak <= (max(q, 2) + 3) * 8 * n + n
 
     def test_objective_and_gradient_stay_finite_at_extreme_eta(self):
         # eta = 200 * x spans [-800, 800]; labels disagree with the sign of eta on

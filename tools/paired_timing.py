@@ -7,10 +7,11 @@ package names (the package imports itself relatively, so both load side by
 side in one process) and builds perfbench's configs in each from that
 package's own classes, on DGP-1 (one standard-normal covariate, participation
 logit (-1, 0.5)). It then runs the two alternately, and stops with an error
-where a pair's summary CSV bytes differ. The side that runs first alternates
-from pair to pair. After one untimed round it stops at the first round that
-ends past ``--seconds``, and prints median times and the geometric mean of the
-per-pair time ratios CHANGE / PARENT.
+where a pair's summary CSV bytes differ, or where a call leaves more threads
+alive than it found (``threading.active_count()``). The side that runs first
+alternates from pair to pair. After one untimed round it stops at the first
+round that ends past ``--seconds``, and prints median times and the
+geometric mean of the per-pair time ratios CHANGE / PARENT.
 
 * Default, mc_study: n = 1e5, R = 100, census, c = 0.3 and non-nested with
   u = 0.2, with the default estimator cells plus the two Horvitz-Thompson
@@ -39,6 +40,7 @@ import shutil
 import statistics
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -112,7 +114,9 @@ def timed_pairs(calls, seconds: float) -> dict:
     """Per-name (parent times, change times) of ``calls`` run in alternating pairs.
 
     ``calls(side)`` gives a round's (name, thunk) pairs of side 0 (PARENT)
-    or 1 (CHANGE), in the same order for both; round 0 is an untimed warm-up. Stops with an error where a pair's results differ.
+    or 1 (CHANGE), in the same order for both; round 0 is an untimed warm-up.
+    Stops with an error where a pair's results differ, or where a call leaves
+    more threads alive than it found.
     """
     times = {}
     started, rnd, k = time.perf_counter(), 0, 0
@@ -121,10 +125,16 @@ def timed_pairs(calls, seconds: float) -> dict:
         for pair in zip(*rounds):
             (name, _), results = pair[0], [None, None]
             for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                threads = threading.active_count()
                 t0 = time.perf_counter()
                 results[side] = pair[side][1]()
                 if rnd:
                     times.setdefault(name, ([], []))[side].append(time.perf_counter() - t0)
+                if threading.active_count() > threads:
+                    raise RuntimeError(
+                        f"{name} round {rnd}: side {side} left "
+                        f"{threading.active_count() - threads} more thread(s) alive"
+                    )
             if not same(*results):
                 raise RuntimeError(f"{name} round {rnd}: {results[0]} != {results[1]}")
             k += 1
