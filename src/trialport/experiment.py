@@ -26,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -480,6 +481,12 @@ def _run_on_two_threads(tasks) -> list:
         work()
     finally:
         helper.join()
+    # glibc hands the helper's malloc arena to a later thread only once its OS
+    # thread has exited, after join returns. Yield, so that on a busy CPU it
+    # exits before the next call's helper starts, which would otherwise grow
+    # an arena of its own to a task's working set.
+    if hasattr(os, "sched_yield"):  # Unix only
+        os.sched_yield()
     if raised:
         raise raised[0]
     return out

@@ -911,6 +911,16 @@ class TestTwoThreads:
         assert set(threading.enumerate()) == before
         assert sorted(r for r, _ in populations.calls) == [0, 1, 2, 3]
 
+    def test_this_thread_yields_once_the_helper_has_ended(self, dgp1, monkeypatch):
+        # so that the helper's OS thread exits, and frees its malloc arena for the
+        # next call's helper, even where both threads share one CPU
+        threads, yields = threading.active_count(), []
+        monkeypatch.setattr(experiment.os, "sched_yield",
+                            lambda: yields.append(threading.active_count()), raising=False)
+        cfg = small_config(dgp1, tp.CensusNested(), replications=3, estimators=self.EST)
+        tp.run_experiment(cfg, workers=1)
+        assert yields == [threads]
+
     def test_malloc_thresholds_are_pinned_before_the_helper_starts(
         self, dgp1, populations, monkeypatch
     ):
