@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -392,7 +392,7 @@ class ObservedDataset:
         external = self.design_weights.take(ext) if is_nested(self.design) else np.ones(ext.size)
         weights = np.zeros(self.n_rows)
         weights[ext] = external
-        return _WeightedSample.of(weights, positive=external)
+        return _WeightedSample.of(weights)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -415,27 +415,33 @@ def _weight_diagnostics(weights: np.ndarray, counts=None) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class _WeightedSample:
-    """Per-record standardization weights with their total and diagnostics."""
+    """Per-record standardization weights with their total; diagnostics on first read."""
 
     weights: np.ndarray
     total: float
-    diagnostics: tuple[float, float]  # see _weight_diagnostics
 
     @classmethod
-    def of(cls, weights: np.ndarray, positive: np.ndarray | None = None) -> "_WeightedSample":
-        """``positive``: the positive entries of ``weights`` in row order, if known."""
+    def of(cls, weights: np.ndarray) -> "_WeightedSample":
         total = float(weights.sum())
         if np.any(weights < 0) or total <= 0:
             raise ValueError("weights must be non-negative with positive total")
-        diagnostics = _weight_diagnostics(weights if positive is None else positive)
-        return cls(_read_only(weights), total, diagnostics)
+        return cls(_read_only(weights), total)
 
-    def counted(self, counts=None) -> tuple[np.ndarray, float, tuple[float, float]]:
-        """(weights, total, diagnostics), each row's weight times its count (None: once)."""
+    @cached_property
+    def diagnostics(self) -> tuple[float, float]:
+        """See :func:`_weight_diagnostics`."""
+        return _weight_diagnostics(self.weights)
+
+    def counted(self, counts=None) -> tuple[np.ndarray, float, Callable[[], tuple[float, float]]]:
+        """(weights, total, diagnose), each row's weight times its count (None: once).
+
+        ``diagnose()`` gives the diagnostics of the counted rows; nothing
+        computes them before it is called.
+        """
         if counts is None:
-            return self.weights, self.total, self.diagnostics
+            return self.weights, self.total, lambda: self.diagnostics
         weights = self.weights * counts
-        return weights, float(weights.sum()), _weight_diagnostics(self.weights, counts)
+        return weights, float(weights.sum()), lambda: _weight_diagnostics(self.weights, counts)
 
 
 @dataclass(frozen=True)

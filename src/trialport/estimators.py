@@ -10,7 +10,10 @@ The estimator inputs — trial, external and per-arm rows, the known design
 weights, and the target and non-randomized weight sets with their totals and
 diagnostics — are cached on the ``ObservedDataset`` itself, derived once and
 shared by every estimator and fit on it; each estimator adds only the work
-that depends on its model and arm.
+that depends on its model and arm. A report's weight diagnostics (maximum
+normalized weight, effective sample size, and the warnings that depend on
+them) are computed on their first read, not by the estimator: the
+replication harness and the bootstrap read only the value.
 
 Every estimator also takes per-row frequency ``counts`` (a bootstrap
 resample's): a row of count k counts k times in each sum and in the weight
@@ -29,6 +32,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -58,15 +63,43 @@ class StudyPopulation(enum.Enum):
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """A point estimate of an identifiable quantity, with provenance and weight diagnostics."""
+    """A point estimate of an identifiable quantity, with provenance and weight diagnostics.
+
+    ``estimand``, ``arm``, ``method`` and ``value`` are its fields, and equality
+    compares them alone. ``max_normalized_weight``, ``effective_sample_size`` and
+    ``warnings`` are computed once, on first read, from the weights that the
+    estimator used; :meth:`to_dict` and :meth:`to_csv_row` read them.
+    """
 
     estimand: StudyPopulation
     arm: int
     method: Method
     value: float
-    max_normalized_weight: float
-    effective_sample_size: float
-    warnings: tuple[str, ...] = field(default=())
+    # () -> (max normalized weight, effective sample size), called on first read
+    _diagnose: Callable[[], tuple[float, float]] = field(repr=False, compare=False)
+    # the estimator's own warnings, before the extreme-weight one
+    _notes: tuple[str, ...] = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def _diagnostics(self) -> tuple[float, float]:
+        return self._diagnose()
+
+    @property
+    def max_normalized_weight(self) -> float:
+        return self._diagnostics[0]
+
+    @property
+    def effective_sample_size(self) -> float:
+        return self._diagnostics[1]
+
+    @cached_property
+    def warnings(self) -> tuple[str, ...]:
+        max_w = self.max_normalized_weight
+        if max_w > EXTREME_WEIGHT_THRESHOLD * (1.0 + _TIE_RTOL):
+            return self._notes + (
+                f"extreme weights: max normalized weight {max_w:.3g} > {EXTREME_WEIGHT_THRESHOLD}",
+            )
+        return self._notes
 
     def to_dict(self) -> dict:
         return {
@@ -95,22 +128,9 @@ class EstimateReport:
         return ",".join(cells)
 
 
-def _report(estimand, arm, method, value, diagnostics, extra_warnings=()):
-    max_w, ess = diagnostics
-    warnings = tuple(extra_warnings)
-    if max_w > EXTREME_WEIGHT_THRESHOLD * (1.0 + _TIE_RTOL):
-        warnings = warnings + (
-            f"extreme weights: max normalized weight {max_w:.3g} > {EXTREME_WEIGHT_THRESHOLD}",
-        )
-    return EstimateReport(
-        estimand=estimand,
-        arm=arm,
-        method=method,
-        value=float(value),
-        max_normalized_weight=max_w,
-        effective_sample_size=ess,
-        warnings=warnings,
-    )
+def _report(estimand, arm, method, value, diagnose, notes=()):
+    """The report of ``value``; ``diagnose()`` gives its weight diagnostics when they are read."""
+    return EstimateReport(estimand, arm, method, float(value), diagnose, tuple(notes))
 
 
 def _mean(values: np.ndarray, counts) -> float:
@@ -145,10 +165,10 @@ def gformula_mean_target(
     Weighted average of per-row predictions with target-population weights; a
     plain average over all rows for a census.
     """
-    weights, total, diagnostics = data.target.counted(counts)
+    weights, total, diagnose = data.target.counted(counts)
     preds = predict(model, arm, data.x)
     value = float(np.sum(weights * preds) / total)
-    return _report(StudyPopulation.TARGET, arm, Method.GFORMULA, value, diagnostics)
+    return _report(StudyPopulation.TARGET, arm, Method.GFORMULA, value, diagnose)
 
 
 def gformula_mean_nonrandomized(
@@ -158,10 +178,10 @@ def gformula_mean_nonrandomized(
 
     Identifiable under every design, non-nested included.
     """
-    weights, total, diagnostics = data.nonrandomized.counted(counts)
+    weights, total, diagnose = data.nonrandomized.counted(counts)
     preds = predict(model, arm, data.external_x)
     value = float(np.sum(weights.take(data._external_rows) * preds) / total)
-    return _report(StudyPopulation.NONRANDOMIZED, arm, Method.GFORMULA, value, diagnostics)
+    return _report(StudyPopulation.NONRANDOMIZED, arm, Method.GFORMULA, value, diagnose)
 
 
 def gformula_mean_randomized(
@@ -171,8 +191,10 @@ def gformula_mean_randomized(
     trial_x = data.trial_x
     trial_counts = None if counts is None else counts.take(data._trial_rows)
     value = _mean(predict(model, arm, trial_x), trial_counts)
-    diagnostics = _weight_diagnostics(np.ones(len(trial_x)), trial_counts)
-    return _report(StudyPopulation.RANDOMIZED, arm, Method.GFORMULA, value, diagnostics)
+    return _report(
+        StudyPopulation.RANDOMIZED, arm, Method.GFORMULA, value,
+        lambda: _weight_diagnostics(np.ones(len(trial_x)), trial_counts),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +242,10 @@ def ipw_mean_target(
     else:
         value = float(np.sum(y * counted) / np.sum(counted))
         method = Method.IPW_HAJEK
-    diagnostics = _weight_diagnostics(w, arm_counts)
-    return _report(StudyPopulation.TARGET, arm, method, value, diagnostics, notes)
+    return _report(
+        StudyPopulation.TARGET, arm, method, value, lambda: _weight_diagnostics(w, arm_counts),
+        notes,
+    )
 
 
 def ipw_mean_nonrandomized(
@@ -254,7 +278,7 @@ def ipw_mean_nonrandomized(
     value = float(np.sum(y * counted) / np.sum(counted))
     return _report(
         StudyPopulation.NONRANDOMIZED, arm, Method.IPW_HAJEK, value,
-        _weight_diagnostics(w, arm_counts), notes,
+        lambda: _weight_diagnostics(w, arm_counts), notes,
     )
 
 
@@ -268,5 +292,5 @@ def trial_only_mean(data: ObservedDataset, arm: int, counts=None) -> EstimateRep
     _, y, arm_counts = _arm_sample(data, arm, counts)
     return _report(
         StudyPopulation.RANDOMIZED, arm, Method.TRIAL_ONLY, _mean(y, arm_counts),
-        _weight_diagnostics(np.ones(y.size), arm_counts),
+        lambda: _weight_diagnostics(np.ones(y.size), arm_counts),
     )

@@ -10,11 +10,13 @@ are fully independent: replication ``r`` derives every stream it needs from
 for a fixed master seed at any worker count. The cells of a sweep that share
 (DGP, n, master seed) therefore draw the same population in replication ``r``;
 it is simulated once, and each of those cells thins, fits and estimates it in
-turn. Where the replications run in the calling process, two threads of it,
-the calling one and one helper, each take whole replication tasks; ``workers``
-still counts processes, so one worker may keep a second CPU busy. Failures
-inside a replication (separation, rank deficiency, degenerate samples) are
-tallied, never fatal.
+turn. Every design keeps every trial row, in population order, so those cells
+also share the trial-only outcome fit: it is made once per outcome basis
+(misspecified or not) and handed to each of them. Where the replications run
+in the calling process, two threads of it, the calling one and one helper,
+each take whole replication tasks; ``workers`` still counts processes, so one
+worker may keep a second CPU busy. Failures inside a replication (separation,
+rank deficiency, degenerate samples) are tallied, never fatal.
 
 The stratified bootstrap hands each resample to its statistic as per-row
 counts; :class:`CountRefit`, the statistic of ``diagnose`` and of
@@ -371,10 +373,15 @@ def _thin(cfg: ExperimentConfig, pop, r: int):
         return None
 
 
-def _analyse(cfg: ExperimentConfig, data, r: int):
+def _analyse(cfg: ExperimentConfig, data, r: int, outcome_fits: dict):
     """Per-estimator (status, value, boot_se) triples of one cell on its replication-r dataset.
 
     ``data`` is None where the simulation or the thinning failed.
+    ``outcome_fits`` maps an outcome basis (``misspecify.outcome``) to the
+    replication's outcome model, or to None where its fit failed; a basis it
+    does not hold yet is fitted on this cell's data and added. The fit reads
+    only the trial rows, which every design keeps whole and in population
+    order, so it is the model this cell would fit itself.
     """
     if data is None:
         return [(FAILED, math.nan, math.nan)] * len(cfg.estimators)
@@ -389,10 +396,14 @@ def _analyse(cfg: ExperimentConfig, data, r: int):
         except TrialportError:
             pfail = True
     if any(s.needs_outcome for s in cfg.estimators):
-        try:
-            omodel = fit_outcome(odata)
-        except TrialportError:
-            ofail = True
+        basis = cfg.misspecify.outcome
+        if basis not in outcome_fits:
+            try:
+                outcome_fits[basis] = fit_outcome(odata)
+            except TrialportError:
+                outcome_fits[basis] = None
+        omodel = outcome_fits[basis]
+        ofail = omodel is None
 
     results = []
     for j, spec in enumerate(cfg.estimators):
@@ -423,9 +434,12 @@ def _run_population(cfgs, r: int) -> list:
     The task simulates the population once; each cell then thins, fits and
     estimates it with its own seeds, in order, so each cell's results are what
     it would get alone, each a list of per-estimator (status, value, boot_se)
-    triples. A failed simulation fails every cell of the task; a failed
-    thinning fails only its own. The task drops its population once its last
-    cell has thinned, and each cell's dataset before the next cell thins.
+    triples. The cells share one outcome fit per outcome basis (see
+    :func:`_analyse`): a failed fit fails the g-formula cells of every cell
+    that shares it, as each cell's own fit would have failed. A failed
+    simulation fails every cell of the task; a failed thinning fails only its
+    own. The task drops its population once its last cell has thinned, and
+    each cell's dataset before the next cell thins.
     """
     # here, so that it holds in every pool process however it was started, and
     # before the first simulation
@@ -434,12 +448,12 @@ def _run_population(cfgs, r: int) -> list:
         pop = _population(cfgs, r)
     except TrialportError:
         pop = None
-    results = []
+    results, outcome_fits = [], {}
     for i, cfg in enumerate(cfgs):
         data = None if pop is None else _thin(cfg, pop, r)
         if i == len(cfgs) - 1:
             pop = None  # the last cell has thinned
-        results.append(_analyse(cfg, data, r))
+        results.append(_analyse(cfg, data, r, outcome_fits))
         del data  # freed before the next cell thins
     return results
 
@@ -546,10 +560,11 @@ def _run_cells(configs, workers: int, truths) -> tuple[SummaryRow, ...]:
 
     Cells that share (DGP, n, master seed) share replication r's population,
     so there is one task per such key and replication: it runs every cell of
-    the key that has replication r. More than one process runs the tasks in
-    a pool; one runs them here, on this thread and one helper thread, each
-    taking whole tasks (:func:`_run_on_two_threads`). ``truths`` holds each
-    cell's :class:`OracleTruth`.
+    the key that has replication r, and fits the outcome model once per
+    outcome basis for all of them (:func:`_run_population`). More than one
+    process runs the tasks in a pool; one runs them here, on this thread and
+    one helper thread, each taking whole tasks (:func:`_run_on_two_threads`).
+    ``truths`` holds each cell's :class:`OracleTruth`.
     """
     groups = {}
     for i, cfg in enumerate(configs):
@@ -640,8 +655,10 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
     Monte Carlo oracle; every cell that has it shares it. Likewise the cells
     that share (DGP, n, master seed) share each replication's population: one
     task simulates replication r once and runs every such cell on it, so a
-    grid of k such cells simulates R populations, not k·R, and each cell's
-    rows are the ones :func:`run_experiment` gives it alone. ``workers``
+    grid of k such cells simulates R populations, not k·R. Every design keeps
+    the population's trial rows, so the task also fits the trial-only outcome
+    model once per outcome basis and hands it to each of those cells. Each
+    cell's rows are the ones :func:`run_experiment` gives it alone. ``workers``
     processes run each Monte Carlo oracle's chunks, then one pool of them runs
     the tasks of every population, as :func:`run_experiment` does; with one
     process, the tasks run in this one, on this thread and one helper thread,

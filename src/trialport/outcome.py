@@ -55,8 +55,10 @@ def _ols_qr(xmat: np.ndarray, y: np.ndarray, n_rows: int, guard=None) -> np.ndar
     q, r = np.linalg.qr(xmat)
     rg = r if guard is None else np.linalg.qr(guard, mode="r")
     # |R_jj| is column j's distance from the span of the columns before it;
-    # relative to the column's norm, ||R[:, j]|| = ||x_j||, it does not depend on units
-    tol = n_rows * np.finfo(float).eps * np.linalg.norm(rg, axis=0)
+    # relative to the column's norm, ||R[:, j]|| = ||x_j||, it does not depend on units.
+    # Householder QR of an n x q matrix carries a backward error of up to
+    # n*q*eps times each column's norm (Higham 2002, section 19.3)
+    tol = n_rows * rg.shape[1] * np.finfo(float).eps * np.linalg.norm(rg, axis=0)
     if rg.shape[0] < rg.shape[1] or np.any(np.abs(np.diag(rg)) <= tol):
         raise RankDeficient("outcome design matrix is rank deficient")
     z = q.T @ y

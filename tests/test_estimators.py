@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trialport as tp
+from trialport import domain, estimators
 from trialport.domain import _WeightedSample
 from trialport.estimators import EXTREME_WEIGHT_THRESHOLD
 from trialport.participation import Scale
@@ -354,6 +355,38 @@ class TestReports:
         assert ws.diagnostics == (0.5, 1.0 / (0.25**2 + 0.25**2 + 0.5**2))
         with pytest.raises(ValueError):
             _WeightedSample.of(np.array([-1.0, 2.0]))
+
+    def test_diagnostics_are_computed_once_on_first_read(
+        self, census_1m, census_models_1m, monkeypatch
+    ):
+        pmodel, _ = census_models_1m
+        calls = []
+        original = estimators._weight_diagnostics
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(estimators, "_weight_diagnostics", counting)
+        report = tp.ipw_mean_target(census_1m, pmodel, 1, "hajek")
+        assert calls == []
+        first = report.to_dict()
+        assert len(calls) == 1
+        assert report.to_dict() == first
+        assert report.to_csv_row().split(",")[4:6] == [
+            repr(first["effective_sample_size"]), repr(first["max_normalized_weight"]),
+        ]
+        assert len(calls) == 1
+        # equality compares estimand, arm, method and value; replace keeps the diagnostics
+        moved = dataclasses.replace(report, value=report.value + 0.5)
+        assert moved != report
+        assert moved.to_dict() == {**first, "value": report.value + 0.5}
+        assert dataclasses.replace(moved, value=report.value) == report
+
+    def test_nonrandomized_diagnostics_are_those_of_the_external_weights(self, subsampled_1m):
+        # the zero weights of the trial rows are left out, with the same bits
+        ext = subsampled_1m.design_weights.take(subsampled_1m._external_rows)
+        assert subsampled_1m.nonrandomized.diagnostics == domain._weight_diagnostics(ext)
 
 
 # the second covariate of specs.P2_DGP is rescaled by each of these

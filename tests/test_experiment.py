@@ -100,22 +100,21 @@ class TestEstimatorSpec:
             (False, True), (True, False), (True, False), (False, False),
         ]
         for s, expected in cases:
-            assert s.fit_and_evaluate(data) == expected
+            assert s.fit_and_evaluate(data).to_dict() == expected.to_dict()
 
 
 ALL_SPECS = tp.default_estimators() + tuple(
     tp.EstimatorSpec(Method.IPW_HT, StudyPopulation.TARGET, arm) for arm in (0, 1)
 )
 
+SWEEP_DESIGNS = (
+    tp.CensusNested(),
+    tp.SubsampledNested(c=0.3),
+    tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
+    tp.NonNested(u_hidden=0.2),
+)
 DESIGNS = pytest.mark.parametrize(
-    "design",
-    [
-        tp.CensusNested(),
-        tp.SubsampledNested(c=0.3),
-        tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8)),
-        tp.NonNested(u_hidden=0.2),
-    ],
-    ids=["census", "c=0.3", "step_rule", "non_nested"],
+    "design", SWEEP_DESIGNS, ids=["census", "c=0.3", "step_rule", "non_nested"]
 )
 
 
@@ -589,6 +588,24 @@ class TestCountPath:
                     got, want = getattr(by_counts, field), getattr(by_rows, field)
                     assert abs(got - want) <= 1e-10 * abs(want), (s, field, got, want)
 
+    def test_an_arm_of_two_distinct_rows_is_rank_deficient_on_both_paths(self):
+        # resample 2 draws two of arm 1's rows twice each: four rows, two distinct, for
+        # three coefficients. The row fit's |R_33| is 1.8e-15, which passed a tolerance
+        # of n*eps*||x_3|| = 1.5e-15; n*q*eps*||x_3|| refuses it, as the count path does
+        seed = 9320446
+        data = make_tiny_dataset(COUNT_PATH_DESIGNS["c=0.3"], 9, 4, 2, n_unsampled=4, seed=seed)
+        counts = resamples.resample_counts(data, seed, 2)
+        assert sorted(counts.take(data.arm(1).positions)) == [0, 0, 2, 2]
+        rows = resamples.materialized(data, counts)
+        for fit in (lambda: tp.fit_outcome(data, counts), lambda: tp.fit_outcome(rows)):
+            with pytest.raises(tp.RankDeficient):
+                fit()
+        for s in (s for s in EVERY_SPEC if s.needs_outcome):
+            with pytest.raises(tp.RankDeficient):
+                experiment.CountRefit(data, [(1, s)])(counts)
+            with pytest.raises(tp.RankDeficient):
+                s.fit_and_evaluate(rows)
+
     def test_ten_equal_weights_tie_with_the_extreme_weight_threshold(self):
         # ten external rows of weight 1/c: rows and counts round 1/10 to either side
         data = make_tiny_dataset(COUNT_PATH_DESIGNS["c=0.3"], 7, 10, 0, n_unsampled=10, seed=1)
@@ -740,6 +757,64 @@ class TestDesignComparison:
         alone = summary_rows_to_csv(row for cfg in grid for row in tp.run_experiment(cfg).rows)
         for workers in (1, 2, 4):
             assert summary_rows_to_csv(tp.design_comparison(grid, workers=workers)) == alone
+
+    def test_cells_of_a_population_share_one_outcome_fit_per_basis(self, dgp1, monkeypatch):
+        # four designs and one misspecified outcome basis on one (DGP, n, master seed)
+        cell = functools.partial(small_config, dgp1, replications=3)
+        grid = [cell(d) for d in SWEEP_DESIGNS] + [
+            cell(tp.CensusNested(), misspecify=tp.MisspecifySpec(outcome=True))
+        ]
+        alone = summary_rows_to_csv(row for cfg in grid for row in tp.run_experiment(cfg).rows)
+        calls = []
+        fit_outcome = experiment.fit_outcome
+
+        def counting(data, *args):
+            calls.append(data.p)
+            return fit_outcome(data, *args)
+
+        monkeypatch.setattr(experiment, "fit_outcome", counting)
+        assert summary_rows_to_csv(tp.design_comparison(grid, workers=1)) == alone
+        # one fit per task and basis: the full basis, then the one without the last covariate
+        assert sorted(calls) == [0, 0, 0, 1, 1, 1]
+        for workers in (2, 4):
+            assert summary_rows_to_csv(tp.design_comparison(grid, workers=workers)) == alone
+
+    def test_a_failed_shared_outcome_fit_fails_the_gformula_cells_of_every_cell(
+        self, dgp1, monkeypatch
+    ):
+        est = (spec("gformula", "target"), spec("gformula", "nonrandomized"),
+               spec("ipw_hajek", "target"), spec("trial_only", "randomized"))
+        grid = tuple(small_config(dgp1, d, replications=1, estimators=est) for d in SWEEP_DESIGNS)
+        fitted = experiment._run_population(grid, 0)
+        calls = []
+
+        def refuse(data, *args):
+            calls.append(data)
+            raise tp.RankDeficient("refused")
+
+        monkeypatch.setattr(experiment, "fit_outcome", refuse)
+        failed = (experiment.FAILED, math.nan, math.nan)
+        expected = [
+            [failed if s.needs_outcome else result for s, result in zip(est, results)]
+            for results in fitted
+        ]
+        assert repr(experiment._run_population(grid, 0)) == repr(expected)
+        assert len(calls) == 1
+        # the non-nested cell's target mean was refused before, its g-formula cells fail now
+        assert fitted[3][0][0] == fitted[3][2][0] == experiment.NOT_IDENTIFIABLE
+        assert [status for status, _, _ in fitted[0]] == [experiment.OK] * len(est)
+
+    def test_a_run_computes_no_weight_diagnostics(self, dgp1, monkeypatch):
+        calls = []
+        for module in (tp.domain, tp.estimators):
+            monkeypatch.setattr(module, "_weight_diagnostics", lambda *a: calls.append(a))
+        est = ALL_SPECS[:5]
+        for design in SWEEP_DESIGNS:
+            tp.run_experiment(small_config(dgp1, design, replications=2))
+            tp.run_experiment(
+                small_config(dgp1, design, replications=1, estimators=est, bootstrap_b=100)
+            )
+        assert calls == []
 
     def test_simulates_one_population_per_key_and_replication(self, dgp1, monkeypatch):
         seeds = []

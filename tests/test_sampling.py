@@ -216,9 +216,7 @@ _P3_DGP = tp.DgpSpec(
 )
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("dgp_name", ["dgp1", "p3"])
-@pytest.mark.parametrize(
+EVERY_DESIGN = pytest.mark.parametrize(
     "design",
     [
         tp.CensusNested(),
@@ -228,6 +226,11 @@ _P3_DGP = tp.DgpSpec(
     ],
     ids=["census", "c0.3", "step_rule", "non_nested"],
 )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dgp_name", ["dgp1", "p3"])
+@EVERY_DESIGN
 def test_apply_design_matches_mask_reference(dgp1, dgp_name, design, seed):
     dgp = dgp1 if dgp_name == "dgp1" else _P3_DGP
     pop = tp.simulate_actual_population(dgp, 5_000, seed=seed)
@@ -246,6 +249,21 @@ def test_apply_design_matches_mask_reference(dgp1, dgp_name, design, seed):
     assert data.n_unsampled_nonrandomized == (
         None if isinstance(design, tp.NonNested) else ref["n_unsampled"]
     )
+
+
+@pytest.mark.parametrize("dgp_name", ["dgp1", "p3"])
+@EVERY_DESIGN
+def test_every_design_keeps_the_population_trial_rows_bit_for_bit_in_order(
+    dgp1, dgp_name, design
+):
+    # the cells of a sweep share one outcome fit per population, which reads only these rows
+    pop = tp.simulate_actual_population(dgp1 if dgp_name == "dgp1" else _P3_DGP, 5_000, seed=4)
+    data = tp.apply_design(pop, design, seed=4)
+    in_pop, in_data = np.flatnonzero(pop.s == 1), data._trial_rows
+    assert in_data.size == in_pop.size
+    assert data.x.take(in_data, axis=0).tobytes() == pop.x.take(in_pop, axis=0).tobytes()
+    assert data.a.take(in_data).tobytes() == pop.a.take(in_pop).astype(float).tobytes()
+    assert data.y.take(in_data).tobytes() == pop.y.take(in_pop).tobytes()
 
 
 def test_oracle_constants_are_fresh():

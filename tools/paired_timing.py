@@ -1,6 +1,7 @@
 """Paired in-process timing of two trialport checkouts.
 
-Usage: python tools/paired_timing.py PARENT CHANGE [--sweep] [--seconds S] [--seed N]
+Usage: python tools/paired_timing.py PARENT CHANGE [--sweep [--workers N]] [--seconds S]
+       [--seed N]
 
 Copies ``src/trialport`` of each checkout into a temporary directory under two
 package names (the package imports itself relatively, so both load side by
@@ -19,18 +20,20 @@ geometric mean of the per-pair time ratios CHANGE / PARENT.
   call per side, design by design; medians are per design.
 * ``--sweep``, design_sweep: census, c = 0.3, the step rule (0.2 below 0,
   0.8 above) and non-nested with u = 0.2, n = 2e4, R = 20 each, default
-  estimator cells. A pair is one ``design_comparison(configs, workers=1)``
-  call per side.
+  estimator cells. A pair is one ``design_comparison(configs, workers=N)``
+  call per side. ``--workers`` (default 1) picks the path: 1 runs the tasks
+  in this process on two threads, more run them in a pool of N processes,
+  as perfbench's untraced design_sweep does at 2.
 
 Both modes use only public API, so they run against any checkout that has
 ``run_experiment`` and ``design_comparison``; each run pins glibc's malloc
 thresholds itself. A pair times whole runs, so it sees whatever a run
 overlaps across its replications.
 
-One process and no pool: the two halves of a pair run close together, so
-drift of a shared host, which moves whole benchmark runs by seconds, cancels
-in the ratio. PARENT and CHANGE may be the same checkout, which measures the
-method's own spread.
+One process, and no pool unless ``--sweep --workers`` is above 1: the two
+halves of a pair run close together, so drift of a shared host, which moves
+whole benchmark runs by seconds, cancels in the ratio. PARENT and CHANGE may
+be the same checkout, which measures the method's own spread.
 """
 
 import argparse
@@ -147,9 +150,15 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--sweep", action="store_true", help="time design_sweep's grid")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="design_comparison's processes in --sweep mode")
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--seed", type=int, default=4401)
     args = parser.parse_args(argv)
+    if args.workers != 1 and not args.sweep:
+        parser.error("--workers applies to --sweep only")
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -161,7 +170,8 @@ def main(argv=None) -> int:
             tp, configs = sides[side], grids[side]
             to_csv = importlib.import_module(f"{tp.__name__}.experiment").summary_rows_to_csv
             if args.sweep:
-                return [("design_comparison", lambda: to_csv(tp.design_comparison(configs)))]
+                return [("design_comparison",
+                         lambda: to_csv(tp.design_comparison(configs, workers=args.workers)))]
             return [(type(cfg.design).__name__, lambda cfg=cfg: to_csv(tp.run_experiment(cfg).rows))
                     for cfg in configs]
 
