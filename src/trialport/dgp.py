@@ -28,14 +28,12 @@ by a ``numpy.random.SeedSequence`` spawn key under the 64-bit seed:
 Record ``i`` of a population or oracle chunk consumes the i-th variate of each
 stream it draws from; the k-th trial participant, the k-th of fields 1 and 2.
 Output therefore depends only on the seed and the record's index (and chunk,
-or resample), never on scheduling, partitioning or the number of worker
-processes.
+or resample), never on where or in what order it is computed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -263,48 +261,6 @@ class OracleTruth:
     se_pr_s1: float
 
 
-# (fn, shared) of a pool process, set once by its initializer
-_installed = None
-
-
-def _install(fn, shared) -> None:
-    global _installed
-    _installed = fn, shared
-
-
-def _call_installed(*task):
-    fn, shared = _installed
-    return fn(*shared, *task)
-
-
-def _process_count(workers: int, n_tasks: int) -> int:
-    """How many processes :func:`_map_in_workers` runs ``n_tasks`` tasks over."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return min(workers, n_tasks)
-
-
-def _map_in_workers(fn, tasks, workers: int, shared: tuple = ()) -> list:
-    """``[fn(*shared, *task) for task in tasks]``, run over ``min(workers, len(tasks))`` processes.
-
-    The package's one process pool. With one process to use, the calls run in
-    this one; either way the results come back in task order. ``fn`` and the
-    ``shared`` leading arguments reach each pool process once, through its
-    initializer: under fork they are inherited, under spawn or forkserver they
-    are pickled once per process, never once per task. Only ``tasks`` and the
-    results travel per task.
-    """
-    processes = _process_count(workers, len(tasks))
-    if processes <= 1:
-        return [fn(*shared, *task) for task in tasks]
-    import numpy.random  # noqa: F401  (loaded once here, forked processes need not each load it)
-    with ProcessPoolExecutor(
-        max_workers=processes, initializer=_install, initargs=(fn, shared)
-    ) as pool:
-        chunksize = max(1, len(tasks) // (4 * processes))
-        return list(pool.map(_call_installed, *zip(*tasks), chunksize=chunksize))
-
-
 # rows drawn and reduced per oracle chunk; bounds the oracle's memory whatever m is
 _ORACLE_CHUNK = 1 << 20
 
@@ -341,42 +297,7 @@ def _mean_se(moments) -> tuple[float, float]:
     return mean, math.sqrt(q / (n - 1)) / math.sqrt(n)
 
 
-def _oracle_chunks(dgp: DgpSpec, seed: int, chunks: range, m: int) -> list:
-    """Draw and reduce oracle chunks ``chunks`` of an ``m``-unit oracle, in order.
-
-    Chunk ``c`` holds units ``c * _ORACLE_CHUNK`` up to the next chunk or ``m``
-    and draws them from its own streams, so its result does not depend on
-    which chunks run with it or where. Each result is the chunk's S = 1 count
-    and its (count, mean, centred sum of squares) triples indexed
-    ``[stratum][arm]``, stratum 1 being the trial participants. Only X and S
-    are drawn; each arm reduces its outcome mean mu_a(X).
-
-    One call loops over its chunks, so a chunk's arrays are freed only once
-    the next chunk has drawn its own. Freed at the end of a call per chunk,
-    they would leave the top of the heap free; glibc would hand it back to
-    the OS and every chunk would fault its pages in again, which cost about
-    15% of the oracle's time at 2^20-row chunks.
-    """
-    out = []
-    for chunk in chunks:
-        k = min(_ORACLE_CHUNK, m - chunk * _ORACLE_CHUNK)
-        x_rngs, s_rng = _field_streams(dgp, seed, _ORACLE, chunk, fields=1)
-        x = _draw_covariates(dgp, x_rngs, k)
-        s = s_rng.random(k) < dgp.participation_prob(x)
-        strata = (np.flatnonzero(~s), np.flatnonzero(s))
-        moments = ([], [])
-        for arm in (0, 1):
-            ya = dgp.outcome_mean(arm, x)
-            for stratum, rows in enumerate(strata):
-                moments[stratum].append(_moments(ya.take(rows)))
-            del ya  # one outcome vector at a time: this bounds the chunk's peak memory
-        out.append((strata[1].size, moments))
-    return out
-
-
-def oracle_truth(
-    dgp: DgpSpec, m: int, oracle_seed: int | None = None, workers: int = 1
-) -> OracleTruth:
+def oracle_truth(dgp: DgpSpec, m: int, oracle_seed: int | None = None) -> OracleTruth:
     """Conditional Monte Carlo oracle: draw ``m`` units' (X, S), average mu_a(X).
 
     The truths are the means of the known mu_a(X) = E[Y | X, S=1, A=a] over
@@ -384,29 +305,33 @@ def oracle_truth(
     independent of (X, S), is averaged out exactly (Rao-Blackwellization), so
     ``noise_sd`` does not enter. Streams never overlap the simulation's.
     Units are drawn and reduced in ``_ORACLE_CHUNK``-row chunks, each from its
-    own streams, in this process or in contiguous runs over a pool of
-    ``min(workers, chunks)`` processes; the per-(stratum, arm) moments merge in
-    chunk order, so the truths are bit for bit the same at any worker count.
-    The target means have the closed form b0 + b.E[X]; the estimates must lie
-    within 6 SEs of it, plus 1e-12 of it for the chunked mean's rounding (all
-    there is when mu_a is flat in X).
+    own streams, and each chunk's per-(stratum, arm) moments merge into the
+    running ones in chunk order. The target means have the closed form
+    b0 + b.E[X]; the estimates must lie within 6 SEs of it, plus 1e-12 of it
+    for the chunked mean's rounding (all there is when mu_a is flat in X).
     """
     if m < 100_000:
         raise DataError(f"oracle sample size must be >= 1e5, got {m}")
     if oracle_seed is None:
         oracle_seed = dgp.seed
-    n_chunks = -(-m // _ORACLE_CHUNK)
-    n_runs = min(workers, n_chunks)
-    runs = [range(n_chunks * i // n_runs, n_chunks * (i + 1) // n_runs) for i in range(n_runs)]
-    per_run = _map_in_workers(_oracle_chunks, [(dgp, oracle_seed, run, m) for run in runs], workers)
-    chunks = [chunk for run in per_run for chunk in run]
-
     # moments[stratum][arm], stratum 1 = trial participants (S = 1)
     moments = [[_NO_MOMENTS, _NO_MOMENTS], [_NO_MOMENTS, _NO_MOMENTS]]
     n_s1 = 0
-    for count, chunk_moments in chunks:
-        n_s1 += count
-        moments = [list(map(_merge_moments, *pair)) for pair in zip(moments, chunk_moments)]
+    # a chunk's arrays are freed once the next chunk has drawn its own: freed before,
+    # they would leave the top of the heap free, glibc would return it to the OS, and
+    # every chunk would fault its pages in again (15% of the time at 2^20-row chunks)
+    for chunk in range(-(-m // _ORACLE_CHUNK)):
+        k = min(_ORACLE_CHUNK, m - chunk * _ORACLE_CHUNK)
+        x_rngs, s_rng = _field_streams(dgp, oracle_seed, _ORACLE, chunk, fields=1)
+        x = _draw_covariates(dgp, x_rngs, k)
+        s = s_rng.random(k) < dgp.participation_prob(x)
+        strata = (np.flatnonzero(~s), np.flatnonzero(s))
+        n_s1 += strata[1].size
+        for arm in (0, 1):
+            ya = dgp.outcome_mean(arm, x)
+            for stratum, rows in enumerate(strata):
+                moments[stratum][arm] = _merge_moments(moments[stratum][arm], _moments(ya.take(rows)))
+            del ya  # one outcome vector at a time: this bounds the chunk's peak memory
     if n_s1 < 2 or m - n_s1 < 2:
         raise DataError("oracle needs at least two units in each participation stratum")
 

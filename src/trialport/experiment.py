@@ -6,21 +6,33 @@ harness and the command line both go through it.
 
 One replication is simulate -> thin by design -> fit -> estimate. Replications
 are fully independent: replication ``r`` derives every stream it needs from
-``mix_seed(master_seed, tag, r)`` (splitmix64), so summaries are byte-identical
-for a fixed master seed at any worker count. The cells of a sweep that share
+``mix_seed(master_seed, tag, r)`` (splitmix64). The cells of a sweep that share
 (DGP, n, master seed) therefore draw the same population in replication ``r``;
 it is simulated once, and each of those cells thins, fits and estimates it in
 turn. Every design keeps every trial row, in population order, so those cells
 also share the trial-only outcome fit: it is made once per outcome basis
-(misspecified or not) and handed to each of them. Where the replications run
-in the calling process, two threads of it, the calling one and one helper,
-each take whole replication tasks; ``workers`` still counts processes, so one
-worker may keep a second CPU busy. Failures inside a replication (separation,
-rank deficiency, degenerate samples) are tallied, never fatal.
+(misspecified or not) and handed to each of them. Failures inside a
+replication (separation, rank deficiency, degenerate samples) are tallied,
+never fatal.
 
 The stratified bootstrap hands each resample to its statistic as per-row
 counts; :class:`CountRefit`, the statistic of ``diagnose`` and of
 :func:`bootstrap_se`, refits and evaluates estimator cells from them.
+
+Processes and threads are spread here and nowhere else in the package. Every
+entry point that takes ``workers`` keeps one contract:
+
+- Output is byte-identical at any ``workers``: each task (a replication of a
+  population, or a bootstrap resample) derives its streams from its own
+  index, and results are reduced in index order.
+- ``workers`` counts processes, not CPUs. Where more than one process has
+  tasks to take, one pool runs them (:func:`_map_in_workers`).
+- With one, replication tasks run in this process on two threads, this one
+  and one helper, each taking whole tasks (:func:`_run_on_two_threads`). So
+  ``workers=1`` may keep two CPUs busy, and at most two tasks' working sets
+  are alive at once. A bootstrap in one process, and the Monte Carlo
+  oracle always, run on the thread that calls them.
+- No thread or process outlives the call.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ import ctypes
 import functools
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,8 +49,6 @@ import numpy as np
 from .dgp import (
     DgpSpec,
     OracleTruth,
-    _map_in_workers,
-    _process_count,
     _stream,
     exact_truth,
     oracle_truth,
@@ -431,15 +442,13 @@ def _analyse(cfg: ExperimentConfig, data, r: int, outcome_fits: dict):
 def _run_population(cfgs, r: int) -> list:
     """Replication r of every cell in ``cfgs``, which share (DGP, n, master seed): one task.
 
-    The task simulates the population once; each cell then thins, fits and
-    estimates it with its own seeds, in order, so each cell's results are what
-    it would get alone, each a list of per-estimator (status, value, boot_se)
-    triples. The cells share one outcome fit per outcome basis (see
-    :func:`_analyse`): a failed fit fails the g-formula cells of every cell
-    that shares it, as each cell's own fit would have failed. A failed
-    simulation fails every cell of the task; a failed thinning fails only its
-    own. The task drops its population once its last cell has thinned, and
-    each cell's dataset before the next cell thins.
+    Each cell thins, fits and estimates the one population with its own
+    seeds, in order, so its results, a list of per-estimator (status, value,
+    boot_se) triples, are what it would get alone. A failed shared outcome fit
+    (see :func:`_analyse`) fails the g-formula cells of every cell that shares
+    it, a failed simulation every cell, and a failed thinning only its own.
+    The task drops its population once its last cell has thinned, and each
+    cell's dataset before the next cell thins.
     """
     # here, so that it holds in every pool process however it was started, and
     # before the first simulation
@@ -458,17 +467,53 @@ def _run_population(cfgs, r: int) -> list:
     return results
 
 
+# (fn, shared) of a pool process, set once by its initializer
+_installed = None
+
+
+def _install(fn, shared) -> None:
+    global _installed
+    _installed = fn, shared
+
+
+def _call_installed(*task):
+    fn, shared = _installed
+    return fn(*shared, *task)
+
+
+def _process_count(workers: int, n_tasks: int) -> int:
+    """How many processes :func:`_map_in_workers` runs ``n_tasks`` tasks over."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, n_tasks)
+
+
+def _map_in_workers(fn, tasks, workers: int, shared: tuple = ()) -> list:
+    """``[fn(*shared, *task) for task in tasks]``, over :func:`_process_count` processes.
+
+    With one, the calls run here; otherwise ``fn`` and ``shared`` reach each
+    pool process once, through its initializer (inherited under fork, pickled
+    under spawn or forkserver), and only the tasks and their results travel.
+    """
+    processes = _process_count(workers, len(tasks))
+    if processes <= 1:
+        return [fn(*shared, *task) for task in tasks]
+    import numpy.random  # noqa: F401  (loaded once here, forked processes need not each load it)
+    with ProcessPoolExecutor(processes, initializer=_install, initargs=(fn, shared)) as pool:
+        # four batches per process, so that a process slowed by other load hands work on
+        chunksize = max(1, len(tasks) // (4 * processes))
+        return list(pool.map(_call_installed, *zip(*tasks), chunksize=chunksize))
+
+
 def _run_on_two_threads(tasks) -> list:
     """``[_run_population(*task) for task in tasks]``, run by this thread and one helper thread.
 
     Each thread takes the next task that neither has taken and stores its
-    results at the task's index, so the list does not depend on which thread
-    ran what. Simulation, thinning, fits and estimators spend most of their
-    time in numpy kernels, which release the GIL, so on a second CPU the two
-    tasks in flight run side by side; a run holds at most two tasks' working
-    sets. Once either thread has raised, neither takes another task. The
-    helper is joined before the first exception propagates, so no thread
-    outlives the call.
+    results at the task's index. Simulation, thinning, fits and estimators
+    spend most of their time in numpy kernels, which release the GIL, so on a
+    second CPU the two tasks in flight run side by side. Once either thread
+    has raised, neither takes another task, and the helper is joined before
+    the first exception propagates.
     """
     import threading  # not at import: only this path needs it
 
@@ -506,11 +551,6 @@ def _run_on_two_threads(tasks) -> list:
     return out
 
 
-def _run_replication(cfg: ExperimentConfig, r: int):
-    """Return per-estimator (status, value, boot_se) triples for replication r."""
-    return _run_population((cfg,), r)[0]
-
-
 # ---------------------------------------------------------------------------
 # Harness entry points
 
@@ -537,20 +577,15 @@ def _oracle_key(cfg: ExperimentConfig) -> tuple:
     return cfg.dgp, cfg.oracle_m, seed
 
 
-def _cell_truths(configs, workers: int) -> list[OracleTruth]:
-    """Each cell's truths, each distinct one computed once.
-
-    Exact truths (:func:`~trialport.dgp.exact_truth`) are keyed by the DGP
-    alone. Where a DGP has none, the Monte Carlo oracle runs once per
-    :func:`_oracle_key`, over ``workers`` processes.
-    """
+def _cell_truths(configs) -> list[OracleTruth]:
+    """Each cell's truths: exact ones once per DGP, else the Monte Carlo oracle once per key."""
     truths, out = {}, []
     for cfg in configs:
         if cfg.dgp not in truths:
             truths[cfg.dgp] = exact_truth(cfg.dgp)
         key = cfg.dgp if truths[cfg.dgp] is not None else _oracle_key(cfg)
         if key not in truths:
-            truths[key] = oracle_truth(*key, workers=workers)
+            truths[key] = oracle_truth(*key)
         out.append(truths[key])
     return out
 
@@ -560,11 +595,8 @@ def _run_cells(configs, workers: int, truths) -> tuple[SummaryRow, ...]:
 
     Cells that share (DGP, n, master seed) share replication r's population,
     so there is one task per such key and replication: it runs every cell of
-    the key that has replication r, and fits the outcome model once per
-    outcome basis for all of them (:func:`_run_population`). More than one
-    process runs the tasks in a pool; one runs them here, on this thread and
-    one helper thread, each taking whole tasks (:func:`_run_on_two_threads`).
-    ``truths`` holds each cell's :class:`OracleTruth`.
+    the key that has replication r (:func:`_run_population`). ``truths``
+    holds each cell's :class:`OracleTruth`.
     """
     groups = {}
     for i, cfg in enumerate(configs):
@@ -628,47 +660,29 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Run all replications and reduce to one summary row per estimator spec.
 
-    Deterministic given ``cfg.master_seed`` regardless of ``workers``:
-    replications derive their own seeds and are reduced in index order.
     The truths are exact when ``cfg.dgp`` has an :func:`~trialport.dgp.exact_truth`;
     otherwise the Monte Carlo oracle draws them at ``cfg.oracle_m`` and
     ``cfg.oracle_seed``. A precomputed ``oracle`` (matching ``cfg.dgp``)
     skips the truth run. The run pins glibc's malloc thresholds for the life
     of every process it uses (:func:`_pin_malloc_thresholds`).
-
-    ``workers`` is a number of processes, not of CPUs. With one (or one
-    replication), the replications run in this process, on two threads: this
-    one and one helper, each taking whole replications. So ``workers=1`` may
-    keep two CPUs busy, and the run holds at most two replications' working
-    sets; no thread outlives the call (see :func:`_run_on_two_threads`).
     """
-    truths = _cell_truths((cfg,), workers) if oracle is None else [oracle]
+    truths = _cell_truths((cfg,)) if oracle is None else [oracle]
     return ExperimentSummary(rows=_run_cells((cfg,), workers, truths))
 
 
 def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
     """Run each grid cell and concatenate summary rows (one sweep table).
 
-    The truth is a property of the superpopulation, not of the design, so it
-    is computed once per distinct DGP in the grid when that DGP has an exact
-    truth, and otherwise once per distinct (DGP, oracle m, oracle seed) by the
-    Monte Carlo oracle; every cell that has it shares it. Likewise the cells
-    that share (DGP, n, master seed) share each replication's population: one
-    task simulates replication r once and runs every such cell on it, so a
-    grid of k such cells simulates R populations, not k·R. Every design keeps
-    the population's trial rows, so the task also fits the trial-only outcome
-    model once per outcome basis and hands it to each of those cells. Each
-    cell's rows are the ones :func:`run_experiment` gives it alone. ``workers``
-    processes run each Monte Carlo oracle's chunks, then one pool of them runs
-    the tasks of every population, as :func:`run_experiment` does; with one
-    process, the tasks run in this one, on this thread and one helper thread,
-    each taking whole tasks, so ``workers=1`` may keep two CPUs busy, and at
-    most two tasks' working sets are alive at once.
+    The truth is a property of the superpopulation, not of the design, so
+    each distinct one is computed once (:func:`_cell_truths`) and shared by
+    every cell that has it. A grid of k cells that share (DGP, n, master
+    seed) simulates R populations, not k·R. Each cell's rows are the ones
+    :func:`run_experiment` gives it alone.
     """
     configs = tuple(configs)
     if not configs:
         raise ValueError("design grid must be nonempty")
-    return _run_cells(configs, workers, _cell_truths(configs, workers))
+    return _run_cells(configs, workers, _cell_truths(configs))
 
 
 # ---------------------------------------------------------------------------
@@ -679,20 +693,17 @@ def design_comparison(configs, workers: int = 1) -> tuple[SummaryRow, ...]:
 _RESAMPLE = 3
 
 
-def _replicates(data: ObservedDataset, stat_fn, seed: int, indices: range) -> np.ndarray:
-    """``stat_fn`` on resamples ``indices`` of the bootstrap with ``seed``; NaN where it fails."""
-    strata = [rows for rows in (data._trial_rows, data._external_rows) if rows.size]
-    out = np.empty(len(indices))
-    for k, i in enumerate(indices):
-        rng = _stream(seed, _RESAMPLE, i)
-        counts = np.empty(data.n_rows, dtype=np.intp)  # every row is in one stratum
-        for rows in strata:
+def _replicate(data: ObservedDataset, stat_fn, seed: int, i: int) -> float:
+    """``stat_fn`` on resample ``i`` of the bootstrap with ``seed``; NaN where it fails."""
+    rng = _stream(seed, _RESAMPLE, i)
+    counts = np.empty(data.n_rows, dtype=np.intp)  # every row is in one stratum
+    for rows in (data._trial_rows, data._external_rows):
+        if rows.size:
             counts[rows] = np.bincount(rng.integers(0, rows.size, rows.size), minlength=rows.size)
-        try:
-            out[k] = stat_fn(counts)
-        except TrialportError:
-            out[k] = math.nan
-    return out
+    try:
+        return stat_fn(counts)
+    except TrialportError:
+        return math.nan
 
 
 def bootstrap_replicates(
@@ -702,24 +713,15 @@ def bootstrap_replicates(
 
     ``stat_fn`` receives one resample as per-row counts in ``data``: how often
     the resample drew each row, with as many draws with replacement from the
-    trial rows as there are trial rows, then likewise from the external rows.
-    Resample ``i`` draws both from its own Philox stream, keyed ``(3, i)``
-    under ``seed``, so it is the same resample whichever process draws it.
-    :class:`CountRefit` is the statistic that refits and evaluates estimators
-    from the counts. A ``TrialportError`` from ``stat_fn`` (a resample whose
-    dataset would be invalid, a failed fit) gives NaN.
-
-    The resamples are spread, in runs of consecutive indices, over
-    ``min(workers, b)`` processes, which receive ``data`` and ``stat_fn`` once
-    each (see :func:`~trialport.dgp._map_in_workers`; ``stat_fn`` must then
-    pickle where processes are not forked). The runs are concatenated in
-    index order, so the vector is bit for bit the same at any ``workers``.
+    trial rows as there are trial rows, then likewise from the external rows,
+    all from resample ``i``'s own Philox stream, keyed ``(3, i)`` under
+    ``seed``. :class:`CountRefit` refits and evaluates estimators from them.
+    A ``TrialportError`` from ``stat_fn`` (an invalid resampled dataset, a
+    failed fit) gives NaN. Each resample is one task of :func:`_map_in_workers`,
+    so ``stat_fn`` must pickle where pool processes are not forked.
     """
-    # four runs per process, so that a process slowed by other load hands work on
-    n_runs = min(b, 4 * workers)
-    runs = [(range(b * k // n_runs, b * (k + 1) // n_runs),) for k in range(n_runs)]
-    per_run = _map_in_workers(_replicates, runs, workers, shared=(data, stat_fn, seed))
-    return np.concatenate(per_run) if per_run else np.empty(0)
+    tasks = [(i,) for i in range(b)]
+    return np.array(_map_in_workers(_replicate, tasks, workers, (data, stat_fn, seed)), dtype=float)
 
 
 class CountRefit:
@@ -730,10 +732,8 @@ class CountRefit:
     need from the counts and evaluates the terms on them: what the resampled
     dataset would give. Participation is refit with weights design weight ×
     count from ``start`` (the full-sample model; None: from 0), in one Newton
-    workspace that every resample in the process reuses. The workspace keeps
-    the start's linear predictor and probabilities, computed on the first
-    refit, so in the process that refits and not in the one that builds the
-    statistic; every later refit from the same start skips that pass. A
+    workspace that every resample in the process reuses, and which computes
+    its pass at the start on the first refit, in the process that refits. A
     resample with no trial row in some arm, whose dataset would be invalid,
     raises ``InsufficientData``; a failed refit raises as the fit would.
     """

@@ -18,30 +18,22 @@ So a nested fit is on the population scale and a non-nested fit is shifted.
 A sample-scale fit of nested rows is the non-nested fit of the same rows.
 
 Fitting is Newton-Raphson from 0 or from a given start point (a bootstrap
-refit starts at the full-sample fit), on the size-normalized objective. Each
-candidate's linear predictor eta is computed by the step that reaches it; one
-exp(-|eta|) then gives both the fitted probabilities that the gradient and
-the Hessian use and, through a stable softplus, the objective. The objective
-is concave, so a full Newton step whose directional derivative at the
-candidate, grad(candidate) . delta, is still >= 0 has raised it, and it is
-accepted without the objective. Only a step that fails this sign test is
-judged by the objective: taken in full if its predicted gain is below the
-objective's rounding, else halved until the objective does not fall. The
-objective at the current point is computed then, from its eta computed again
-by the same product (a workspace keeps one eta, the candidate's), and at the
-end, for the fit to return. At coef = 0 every row has eta = 0 and p = 1/2
-exactly, so a cold fit starts without a pass over the rows; at any other
-start a workspace keeps eta and the probabilities for the next fit from an
-equal start (see :class:`_NewtonWorkspace`). The rank guard runs on the
-first Hessian of every fit, X^T diag(w p (1 - p)) X at the start point: at
-coef = 0 that is the weighted Gram matrix / 4, and since p (1 - p) > 0 it has
-the Gram matrix's rank at any start, so a warm-started fit is guarded like a
-cold one. Rows of weight 0 drop out of it, so a refit weighted by a
-resample's row counts checks the resample's own rank. The fit stops when the
-max-norm of the gradient in standardized coordinates (covariates centred and
-scaled by their weighted means and SDs) drops below 1e-8, and raises
-``SeparationDetected`` when a standardized coefficient passes 30, so neither
-guard depends on the covariates' units.
+refit starts at the full-sample fit), on the size-normalized objective. One
+exp(-|eta|) per candidate gives both the fitted probabilities and, through a
+stable softplus, the objective. The objective is concave, so a full Newton
+step along which it still rises at the candidate is accepted without it; any
+other step is halved until the objective does not fall, or taken in full where
+its predicted gain is below the objective's rounding. The rank guard runs on
+the first Hessian of every fit, X^T diag(w p (1 - p)) X at the start point,
+which has the Gram matrix's rank at any start since p (1 - p) > 0; rows of
+weight 0 drop out of it, so a refit weighted by a resample's row counts checks
+the resample's own rank. The fit stops when the max-norm of the gradient in
+standardized coordinates (covariates centred and scaled by their weighted
+means and SDs) drops below 1e-8. It raises ``SeparationDetected`` when a
+standardized coefficient passes 30, so neither guard depends on the
+covariates' units, or when it stops at a point that puts every row of positive
+weight on its own label's side of eta = 0: such data are separated, and no
+finite optimum exists (Albert & Anderson 1984, Biometrika).
 """
 
 from __future__ import annotations
@@ -165,32 +157,21 @@ class _NewtonWorkspace:
     times, with different weights and start points, in the same work buffers,
     so repeated fits (e.g. bootstrap refits from row counts) allocate no
     row-sized arrays. A weight of 0 drops a row; an integer weight k counts it
-    k times.
-
-    A fit runs only the row passes whose results are not known in advance.
-    Under unit weights (census and non-nested fits), X^T diag(w) and w s are
-    X^T and the labels themselves, and are not formed. Each candidate gets
-    its eta, exp(-|eta|), probabilities and gradient, which an accepted step
-    needs anyway. Its buffers:
+    k times. Its buffers:
 
     * ``_eta``: the latest candidate's eta, until the next step writes
       p (1 - p) over it for the Hessian;
-    * ``_prob``: the latest candidate's probabilities;
-    * ``_scratch``, (max(q, 2), n): row 0 is the probabilities' and the
-      objective's scratch, and row 1 the latest candidate's exp(-|eta|).
-      Rows 1 to q - 1 hold the centred covariates before the first step, and
-      rows 0 to q - 1 the Hessian's terms at each step.
+    * ``_prob`` and ``_is_pos``: its probabilities and eta >= 0;
+    * ``_scratch``, (max(q, 2), n): row 0 is the probabilities', the
+      objective's and the separation check's scratch, and row 1 the latest
+      candidate's exp(-|eta|). Rows 1 to q - 1 hold the centred covariates
+      before the first step, and rows 0 to q - 1 the Hessian's terms at each
+      step.
 
-    So the current point's eta is not kept past its Hessian. Only a step that
-    fails the sign test needs it, for the objective there, and :meth:`_set_eta`
-    recomputes it by the same product, to the same bits. At convergence after
-    a step that passed, the last candidate's eta and exp(-|eta|) are still in
-    place for the objective. A start of 0 needs no row pass: eta = 0,
-    exp(-|eta|) = 1 and p = 1/2 exactly, and the first Hessian is the same
-    product on X^T diag(w) / 4. At any other start, eta, exp(-|eta|), p and
-    p (1 - p), which do not depend on the weights, are computed by the first
-    fit, in the process that fits, and kept for the next fit from an equal
-    start: every bootstrap refit starts at the full-sample fit.
+    A step that fails the sign test needs the current point's eta, which
+    :meth:`_set_eta` recomputes, to the same bits. A start of 0 needs no row
+    pass (eta = 0 and p = 1/2 exactly); at any other start, the terms that do
+    not depend on the weights are kept for the next fit from an equal start.
     """
 
     def __init__(self, xmat, labels, norm: float):
@@ -281,7 +262,9 @@ class _NewtonWorkspace:
         standardized coordinates eta = a + sum_j b_j (x_j - m_j) / s_j, with
         m_j and s_j the covariates' weighted means and SDs: the gradient's
         max-norm in (a, b) is compared with ``GRAD_TOL``, and (a, b)
-        themselves with ``SEPARATION_BOUND``. The rank guard runs on the first
+        themselves with ``SEPARATION_BOUND``. A fit that converges after a
+        step with every row of positive weight on its label's side of eta = 0
+        raises ``SeparationDetected`` too. The rank guard runs on the first
         Hessian, at the start point, whatever it is.
         """
         xt, norm = self.xt, self.norm
@@ -330,6 +313,18 @@ class _NewtonWorkspace:
             std_grad = np.append(grad[0], (grad[1:] - xmean * grad[0]) / xsd)
             gnorm = float(np.max(np.abs(std_grad)))
             if gnorm < GRAD_TOL:
+                # past the start, _is_pos holds eta >= 0 at the accepted point: if every
+                # row of positive weight is on its label's side, no finite optimum exists
+                # (booleans: a quarter of the time of a weighted dot of |s - (eta >= 0)|)
+                if iters:
+                    side = self._scratch[0].view(bool)
+                    wrong = np.not_equal(self._is_pos, np.greater(ws, 0.0, out=side[:n]), out=side[:n])
+                    wrong &= np.greater(weights, 0.0, out=side[n : 2 * n])
+                    if not wrong.any():
+                        raise SeparationDetected(
+                            "the participation fit puts every row of positive weight on its "
+                            "label's side of eta = 0; data are separated"
+                        )
                 if obj is None:
                     # past the start, the last candidate's eta and exp(-|eta|) are in place
                     pair = cand_pair if iters else self._start_pair(kept)

@@ -17,6 +17,7 @@ from trialport.cli import main
 from trialport.estimators import Method, StudyPopulation
 from trialport.experiment import EstimatorSpec
 
+from conftest import make_tiny_dataset
 from support import oracles, resamples
 
 
@@ -228,6 +229,21 @@ class TestEstimate:
         csv_path.write_text("\n".join([header] + rows) + "\n")
         code = main(["estimate", str(out), "--estimand", "target", "--method", "gformula"])
         assert code == 4
+
+    def test_separated_dataset_exits_4(self, tmp_path, capsys):
+        # the rows of a completely separated bootstrap resample: the participation
+        # fit stops below GRAD_TOL with its standardized coefficients under the bound
+        seed = 9320446
+        data = make_tiny_dataset(tp.SubsampledNested(c=0.3), 7, 4, 2, n_unsampled=4, seed=seed)
+        out = write_dataset(
+            tmp_path, resamples.materialized(data, resamples.resample_counts(data, seed, 2))
+        )
+        code, captured = run_json(capsys, [
+            "estimate", str(out), "--estimand", "nonrandomized", "--method", "ipw_hajek",
+        ])
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "separated" in captured.err
 
     @pytest.mark.parametrize(
         "method,estimand",

@@ -263,25 +263,6 @@ class TestOracle:
         for means in (truth.mean_target, truth.mean_nonrandomized, truth.mean_randomized):
             assert means[0] == pytest.approx(b0, rel=1e-12, abs=0)
 
-    def test_oracle_is_bit_identical_at_any_worker_count(self, dgp1, monkeypatch):
-        # four chunks, the last one partial
-        monkeypatch.setattr(dgp_module, "_ORACLE_CHUNK", 30_000)
-        pools = []
-
-        class RecordingPool(dgp_module.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(dgp_module, "ProcessPoolExecutor", RecordingPool)
-        m = 3 * 30_000 + 12_345
-        truths = [tp.oracle_truth(dgp1, m, oracle_seed=99, workers=w) for w in (1, 2, 4, 8)]
-        assert all(truth == truths[0] for truth in truths)
-        assert truths[0].mc_sample_size == m
-        assert pools == [2, 4, 4]  # never more processes than chunks
-        with pytest.raises(ValueError):
-            tp.oracle_truth(dgp1, m, workers=0)
-
     def test_oracle_memory_is_flat_in_m(self, dgp1):
         def peak_bytes(m):
             tracemalloc.start()

@@ -40,7 +40,7 @@ def small_config(dgp, design, **kwargs):
 def pool_sizes(monkeypatch):
     """Sizes of the process pools opened while the test runs; each maps in this process."""
     sizes = []
-    monkeypatch.setattr(dgp_module, "_installed", None)  # restored after the test
+    monkeypatch.setattr(experiment, "_installed", None)  # restored after the test
 
     class InProcessPool:
         def __init__(self, max_workers, initializer, initargs):
@@ -56,7 +56,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(dgp_module, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
     return sizes
 
 
@@ -194,7 +194,7 @@ class TestSharedInputs:
                 monkeypatch.setattr(module, "known_sampling_fractions", counting)
         design = tp.SubsampledNestedCovariate(c_rule=tp.StepRule(low=0.2, high=0.8))
         cfg = small_config(dgp1, design, estimators=ALL_SPECS, replications=1)
-        results = experiment._run_replication(cfg, 0)
+        results = experiment._run_population((cfg,), 0)[0]
         assert [status for status, _, _ in results] == [experiment.OK] * len(ALL_SPECS)
         # once for the dataset's inputs, once for the thinning that made it
         assert calls == {"trialport.domain": 1, "trialport.sampling": 1}
@@ -524,7 +524,7 @@ class TestBootstrapProcesses:
         spawn = functools.partial(
             concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
         )
-        monkeypatch.setattr(dgp_module, "ProcessPoolExecutor", spawn)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", spawn)
         for stat, ref in zip(stats, refs):
             reps = experiment.bootstrap_replicates(data, stat, 4, seed=2, workers=2)
             assert reps.tobytes() == ref.tobytes()
@@ -606,6 +606,24 @@ class TestCountPath:
             with pytest.raises(tp.RankDeficient):
                 s.fit_and_evaluate(rows)
 
+    @pytest.mark.parametrize(
+        "n_trial, n_external, seed, i", [(7, 4, 9320446, 2), (6, 4, 4691, 0), (6, 5, 356521, 1)]
+    )
+    def test_a_separated_resample_raises_on_both_paths(self, n_trial, n_external, seed, i):
+        # completely separated resamples: both participation fits stop below GRAD_TOL
+        # on a ridge, with standardized coefficients under SEPARATION_BOUND, at two
+        # points whose ipw_hajek nonrandomized values differed by up to 1.5e-9
+        data = make_tiny_dataset(
+            COUNT_PATH_DESIGNS["c=0.3"], n_trial, n_external, 2, n_unsampled=n_external, seed=seed
+        )
+        counts = resamples.resample_counts(data, seed, i)
+        rows = resamples.materialized(data, counts)
+        for s in (s for s in EVERY_SPEC if s.needs_participation):
+            with pytest.raises(tp.SeparationDetected):
+                experiment.CountRefit(data, [(1, s)]).reports(counts)
+            with pytest.raises(tp.SeparationDetected):
+                s.fit_and_evaluate(rows)
+
     def test_ten_equal_weights_tie_with_the_extreme_weight_threshold(self):
         # ten external rows of weight 1/c: rows and counts round 1/10 to either side
         data = make_tiny_dataset(COUNT_PATH_DESIGNS["c=0.3"], 7, 10, 0, n_unsampled=10, seed=1)
@@ -674,9 +692,9 @@ class TestDesignComparison:
             exact.append(dgp)
             return exact_truth(dgp)
 
-        def counting_oracle(*args, workers):
-            sampled.append((args, workers))
-            return oracle_truth(*args, workers=workers)
+        def counting_oracle(*args):
+            sampled.append(args)
+            return oracle_truth(*args)
 
         monkeypatch.setattr(experiment, "exact_truth", counting_exact)
         monkeypatch.setattr(experiment, "oracle_truth", counting_oracle)
@@ -700,29 +718,26 @@ class TestDesignComparison:
         exact.clear()
         tp.design_comparison(over[:3])
         assert exact == [over_budget_dgp]
-        assert [workers for _, workers in sampled] == [1]
+        assert len(sampled) == 1
 
         exact.clear()
         sampled.clear()
         rows = tp.design_comparison(over, workers=2)
         assert exact == [over_budget_dgp]
-        assert [workers for _, workers in sampled] == [2, 2, 2]
-        assert {args for args, _ in sampled} == set(map(experiment._oracle_key, over))
+        assert len(sampled) == 3 and set(sampled) == set(map(experiment._oracle_key, over))
         separately = [row for cfg in over for row in tp.run_experiment(cfg).rows]
         assert experiment.summary_rows_to_csv(rows) == experiment.summary_rows_to_csv(separately)
 
     def test_a_dgp_over_the_budget_gets_the_monte_carlo_truths(self, over_budget_dgp):
         cfg = small_config(over_budget_dgp, tp.CensusNested(), oracle_seed=77)
         assert dgp_module.exact_truth(over_budget_dgp) is None
-        assert experiment._cell_truths([cfg], 1) == [tp.oracle_truth(over_budget_dgp, 200_000, 77)]
+        assert experiment._cell_truths([cfg]) == [tp.oracle_truth(over_budget_dgp, 200_000, 77)]
 
     @pytest.mark.parametrize(
-        "chunk, dgp, pools",
-        [(None, "dgp1", [2]), (60_000, "over_budget_dgp", [2, 2])],
-        ids=["one_chunk", "four_chunks"],
+        "chunk, dgp", [(None, "dgp1"), (60_000, "over_budget_dgp")], ids=["one_chunk", "four_chunks"]
     )
     def test_one_pool_runs_the_replications_of_every_cell(
-        self, request, monkeypatch, pool_sizes, chunk, dgp, pools
+        self, request, monkeypatch, pool_sizes, chunk, dgp
     ):
         if chunk is not None:
             monkeypatch.setattr(dgp_module, "_ORACLE_CHUNK", chunk)
@@ -734,8 +749,8 @@ class TestDesignComparison:
         alone = [row for cfg in grid for row in tp.run_experiment(cfg, workers=1).rows]
         assert pool_sizes == []
         rows = tp.design_comparison(grid, workers=2)
-        # a pool for a multi-chunk Monte Carlo oracle, then one for the 4 population tasks
-        assert pool_sizes == pools
+        # the Monte Carlo oracle runs its chunks here; one pool runs the 4 population tasks
+        assert pool_sizes == [2]
         assert summary_rows_to_csv(rows) == summary_rows_to_csv(alone)
 
     def test_a_mixed_grid_gives_each_cell_its_own_run(self, dgp1):
@@ -841,7 +856,7 @@ class TestDesignComparison:
             small_config(dgp1, d, replications=2, estimators=est)
             for d in (tp.CensusNested(), tp.SubsampledNested(c=0.5), tp.NonNested(u_hidden=0.3))
         )
-        alone = [experiment._run_replication(cfg, 1) for cfg in grid]
+        alone = [experiment._run_population((cfg,), 1)[0] for cfg in grid]
         assert experiment._run_population(grid, 1) == alone
         failed = [(experiment.FAILED, math.nan, math.nan)] * len(est)
 

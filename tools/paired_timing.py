@@ -1,18 +1,19 @@
 """Paired in-process timing of two trialport checkouts.
 
-Usage: python tools/paired_timing.py PARENT CHANGE [--sweep [--workers N]] [--seconds S]
-       [--seed N]
+Usage: python tools/paired_timing.py PARENT CHANGE [--sweep [--workers N] | --diagnose]
+       [--seconds S] [--seed N]
 
 Copies ``src/trialport`` of each checkout into a temporary directory under two
 package names (the package imports itself relatively, so both load side by
 side in one process) and builds perfbench's configs in each from that
 package's own classes, on DGP-1 (one standard-normal covariate, participation
 logit (-1, 0.5)). It then runs the two alternately, and stops with an error
-where a pair's summary CSV bytes differ, or where a call leaves more threads
-alive than it found (``threading.active_count()``). The side that runs first
-alternates from pair to pair. After one untimed round it stops at the first
-round that ends past ``--seconds``, and prints median times and the
-geometric mean of the per-pair time ratios CHANGE / PARENT.
+where a pair's outputs (summary CSV or replicate bytes) differ, or where a
+call leaves more threads alive than it found (``threading.active_count()``).
+The side that runs first alternates from pair to pair. After one untimed
+round it stops at the first round that ends past ``--seconds``, and prints
+median times and the geometric mean of the per-pair time ratios
+CHANGE / PARENT.
 
 * Default, mc_study: n = 1e5, R = 100, census, c = 0.3 and non-nested with
   u = 0.2, with the default estimator cells plus the two Horvitz-Thompson
@@ -24,16 +25,24 @@ geometric mean of the per-pair time ratios CHANGE / PARENT.
   call per side. ``--workers`` (default 1) picks the path: 1 runs the tasks
   in this process on two threads, more run them in a pool of N processes,
   as perfbench's untraced design_sweep does at 2.
+* ``--diagnose``, analyst_cli's bootstrap: one dataset of n = 1e5 simulated
+  and thinned by the step rule, then ``diagnose --method ipw``'s statistic
+  per arm (``experiment.CountRefit`` of the trial-only mean minus the
+  non-randomized Hajek mean, warm-started at the full-sample fit). A pair is
+  one ``experiment.bootstrap_replicates`` call per side at B = 200 over a
+  pool of 2 processes; medians are per arm.
 
-Both modes use only public API, so they run against any checkout that has
-``run_experiment`` and ``design_comparison``; each run pins glibc's malloc
-thresholds itself. A pair times whole runs, so it sees whatever a run
-overlaps across its replications.
+The sweep and default modes use only public API, so they run against any
+checkout that has ``run_experiment`` and ``design_comparison``; each run pins
+glibc's malloc thresholds itself. ``--diagnose`` also needs
+``experiment.CountRefit`` and ``experiment.bootstrap_replicates``. A pair
+times whole runs, so it sees whatever a run overlaps across its replications.
 
-One process, and no pool unless ``--sweep --workers`` is above 1: the two
-halves of a pair run close together, so drift of a shared host, which moves
-whole benchmark runs by seconds, cancels in the ratio. PARENT and CHANGE may
-be the same checkout, which measures the method's own spread.
+One process, and no pool unless ``--sweep --workers`` is above 1 or
+``--diagnose`` is given: the two halves of a pair run close together, so
+drift of a shared host, which moves whole benchmark runs by seconds, cancels
+in the ratio. PARENT and CHANGE may be the same checkout, which measures the
+method's own spread.
 """
 
 import argparse
@@ -51,6 +60,9 @@ N = 100_000
 REPLICATIONS = 100
 SWEEP_N = 20_000
 SWEEP_REPLICATIONS = 20
+DIAGNOSE_N = 100_000
+DIAGNOSE_B = 200
+DIAGNOSE_PROCESSES = 2
 
 
 def load(checkout: Path, name: str, tmp: Path):
@@ -108,6 +120,32 @@ def sweep_configs(tp, master_seed: int):
     ]
 
 
+def diagnose_calls(tp, seed: int):
+    """(name, thunk) per arm: the replicate bytes of ``diagnose --method ipw``'s bootstrap."""
+    experiment = importlib.import_module(f"{tp.__name__}.experiment")
+    estimators = importlib.import_module(f"{tp.__name__}.estimators")
+    Method, Population = estimators.Method, estimators.StudyPopulation
+    rule = tp.StepRule(coord=0, cutoff=0.0, low=0.2, high=0.8)
+    pop = tp.simulate_actual_population(dgp1(tp, seed + 1), DIAGNOSE_N, seed=seed)
+    data = tp.apply_design(pop, tp.SubsampledNestedCovariate(c_rule=rule), seed=seed + 2)
+    start = tp.fit_participation(data)
+    calls = []
+    for arm in (0, 1):
+        stat = experiment.CountRefit(data, [
+            (1, tp.EstimatorSpec(Method.TRIAL_ONLY, Population.RANDOMIZED, arm)),
+            (-1, tp.EstimatorSpec(Method.IPW_HAJEK, Population.NONRANDOMIZED, arm)),
+        ], start)
+        boot_seed = tp.mix_seed(seed, experiment.DIAGNOSE_BOOT_TAG, arm)
+
+        def replicates(stat=stat, boot_seed=boot_seed):
+            return experiment.bootstrap_replicates(
+                data, stat, DIAGNOSE_B, boot_seed, workers=DIAGNOSE_PROCESSES
+            ).tobytes()
+
+        calls.append((f"arm {arm}", replicates))
+    return calls
+
+
 def same(a, b) -> bool:
     # repr, so that NaN equals NaN and every float compares to the bit
     return repr(a) == repr(b)
@@ -149,7 +187,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--sweep", action="store_true", help="time design_sweep's grid")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--sweep", action="store_true", help="time design_sweep's grid")
+    mode.add_argument("--diagnose", action="store_true",
+                      help="time diagnose's ipw bootstrap over 2 processes")
     parser.add_argument("--workers", type=int, default=1,
                         help="design_comparison's processes in --sweep mode")
     parser.add_argument("--seconds", type=float, default=15.0)
@@ -164,9 +205,15 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         sides = [load(path.resolve(), name, Path(tmp)) for path, name in
                  ((args.parent, "trialport_parent"), (args.change, "trialport_change"))]
-        grids = [(sweep_configs if args.sweep else mc_study_configs)(tp, args.seed) for tp in sides]
+        if args.diagnose:
+            per_side = [diagnose_calls(tp, args.seed) for tp in sides]
+        else:
+            grids = [(sweep_configs if args.sweep else mc_study_configs)(tp, args.seed)
+                     for tp in sides]
 
         def calls(side):
+            if args.diagnose:
+                return per_side[side]
             tp, configs = sides[side], grids[side]
             to_csv = importlib.import_module(f"{tp.__name__}.experiment").summary_rows_to_csv
             if args.sweep:
@@ -178,7 +225,7 @@ def main(argv=None) -> int:
         times = timed_pairs(calls, args.seconds)
 
     ratios = []
-    label = "call" if args.sweep else "design"
+    label = "call" if args.sweep else "arm" if args.diagnose else "design"
     print(f"{label:<18}{'pairs':>6}{'parent ms':>11}{'change ms':>11}{'ratio':>8}")
     for name, (parent, change) in times.items():
         ratios += [c / p for p, c in zip(parent, change)]
