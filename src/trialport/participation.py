@@ -315,7 +315,7 @@ class _NewtonWorkspace:
             if gnorm < GRAD_TOL:
                 # past the start, _is_pos holds eta >= 0 at the accepted point: if every
                 # row of positive weight is on its label's side, no finite optimum exists
-                # (booleans: a quarter of the time of a weighted dot of |s - (eta >= 0)|)
+                # (booleans: a fifth of the time of a weighted dot of |s - (eta >= 0)|)
                 if iters:
                     side = self._scratch[0].view(bool)
                     wrong = np.not_equal(self._is_pos, np.greater(ws, 0.0, out=side[:n]), out=side[:n])
